@@ -5,6 +5,10 @@ Output is deterministic: floats are written with 17 significant digits,
 lines end with '\\n', and grid points falling inside a singular-time window
 are emitted as explicit "singular" sentinel rows (never NaN or Inf).
 
+Exit codes: 0 success, 1 validation failed, 2 usage or config error,
+3 numerical limit reached (a typed KerrMoyalError such as
+TruncationInsufficient; one "error:" line on stderr, no traceback).
+
 Default figure grids (documented choices; the source text fixes none):
 t spans one singular period, xi w2 t in [0, pi], with 401 steps, and the
 squeeze sweeps use s in {1, 0.5, 0.2, 0.1}.
@@ -21,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import expectations, fock, kerr, states, validate
+from .errors import KerrMoyalError
 
 DEFAULT_STEPS = 401
 _QAMPL_XIS = (1.0, 0.5, 0.25, 0.1)
@@ -30,6 +35,7 @@ _SQUEEZE_FACTORS = (1.0, 0.5, 0.2, 0.1)
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
+EXIT_NUMERICAL = 3
 
 
 class ConfigError(Exception):
@@ -361,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KerrMoyalError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

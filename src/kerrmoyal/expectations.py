@@ -36,6 +36,16 @@ _SQRT2 = math.sqrt(2.0)
 
 # Quadrature domain: disk radius |xbar| + RADIUS_SCALE sqrt(xi) max(1, 1/s).
 RADIUS_SCALE = 8.0
+# Most Gauss-Legendre nodes one axis may take at one refine level.  Near a
+# pole the count grows as |tan t~| without limit.  The acceptance grid and
+# the oracle benchmark workloads need at most 1.12e6 (s = 0.1 at
+# t~ = 11 pi/24); the bound leaves 120x headroom.
+MAX_AXIS_NODES = 2**27
+# Panels per numpy pass in _axis_sums: larger than any panel count the grids
+# above use, so their sums keep their summation order, and small enough that
+# memory at MAX_AXIS_NODES stays set by the edge array.
+_PANEL_CHUNK = 2**18
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -155,35 +165,56 @@ def semiclassical_validity(t: float, state: SqueezedState, params: KerrParams) -
 # Direct phase-space quadrature
 # ---------------------------------------------------------------------------
 
-def _axis_nodes(mass_center: float, sigma: float, half_width: float,
-                radius: float, big_t: float, xi: float, refine: int):
-    """Composite Gauss-Legendre nodes/weights on one principal axis.
+def _axis_edges(mass_center: float, sigma: float, half_width: float,
+                radius: float, big_t: float, xi: float, refine: int) -> np.ndarray:
+    """Composite Gauss-Legendre panel edges on one principal axis.
 
     Panel edges are the union of an envelope-resolving uniform grid (scale
     sigma) and equal-phase points of the radial oscillation
     exp(-i T y^2 / xi), so no panel spans more than 2 pi / 2^refine radians
-    of phase regardless of where it sits.
+    of phase regardless of where it sits.  Both counts are known before any
+    array is built; past MAX_AXIS_NODES nodes the call raises instead.
     """
     lo = max(-radius, mass_center - half_width)
     hi = min(radius, mass_center + half_width)
     base = sigma / 2.0**refine
     n_env = max(2, int(math.ceil((hi - lo) / base)) + 1)
+    dphase = 2.0 * math.pi / 2.0**refine
+    y_max = max(abs(lo), abs(hi))
+    k_max = int(math.floor(abs(big_t) * y_max**2 / (xi * dphase)))
+    n_nodes = _GL_X.size * (n_env + 2 * k_max - 1)
+    if n_nodes > MAX_AXIS_NODES:
+        raise ToleranceNotMet(
+            f"quadrature needs {n_nodes:.3e} nodes on one axis at refine level "
+            f"{refine} (|tan t~| = {abs(big_t):.3e}), above {MAX_AXIS_NODES}",
+            achieved=math.inf)
     edges = np.linspace(lo, hi, n_env)
-    if big_t != 0.0:
-        dphase = 2.0 * math.pi / 2.0**refine
-        y_max = max(abs(lo), abs(hi))
-        k_max = int(math.floor(abs(big_t) * y_max**2 / (xi * dphase)))
-        if k_max > 0:
-            y_phase = np.sqrt(np.arange(1, k_max + 1) * dphase * xi / abs(big_t))
-            y_phase = np.concatenate([-y_phase[::-1], y_phase])
-            y_phase = y_phase[(y_phase > lo) & (y_phase < hi)]
-            edges = np.union1d(edges, y_phase)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    weights = (half[:, None] * gl_w[None, :]).ravel()
-    return nodes, weights
+    if k_max > 0:
+        y_phase = np.sqrt(np.arange(1, k_max + 1) * dphase * xi / abs(big_t))
+        y_phase = np.concatenate([-y_phase[::-1], y_phase])
+        y_phase = y_phase[(y_phase > lo) & (y_phase < hi)]
+        edges = np.union1d(edges, y_phase)
+    return edges
+
+
+def _axis_sums(edges: np.ndarray, scale: float, lin: float, big_t: float,
+               xi: float) -> tuple[complex, complex]:
+    """(sum w f, sum w y f) for f(y) = exp((-(scale + iT) y^2 + 2 lin y) / xi).
+
+    Evaluated _PANEL_CHUNK panels at a time, so memory stays bounded however
+    many panels the edges hold.
+    """
+    sum0 = sum1 = 0j
+    for start in range(0, edges.size - 1, _PANEL_CHUNK):
+        part = edges[start:start + _PANEL_CHUNK + 1]
+        mid = 0.5 * (part[1:] + part[:-1])
+        half = 0.5 * (part[1:] - part[:-1])
+        nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+        weights = (half[:, None] * _GL_W[None, :]).ravel()
+        vals = np.exp((-(scale + 1j * big_t) * nodes**2 + 2.0 * lin * nodes) / xi)
+        sum0 += np.sum(weights * vals)
+        sum1 += np.sum(weights * nodes * vals)
+    return sum0, sum1
 
 
 def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
@@ -224,20 +255,21 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
         sums0 = []
         sums1 = []
         for axis in range(2):
-            nodes, weights = _axis_nodes(centers[axis], sigmas[axis],
-                                         half_widths[axis], radius,
-                                         big_t, xi, refine)
-            expo = (-(scales[axis] + 1j * big_t) * nodes**2
-                    + 2.0 * lin[axis] * nodes) / xi
-            vals = np.exp(expo)
-            sums0.append(np.sum(weights * vals))
-            sums1.append(np.sum(weights * nodes * vals))
+            edges = _axis_edges(centers[axis], sigmas[axis], half_widths[axis],
+                                radius, big_t, xi, refine)
+            sum0, sum1 = _axis_sums(edges, scales[axis], lin[axis], big_t, xi)
+            sums0.append(sum0)
+            sums1.append(sum1)
         integral = (sums1[0] * sums0[1] + 1j * sums0[0] * sums1[1]) / _SQRT2
         return (np.exp(1j * phi / 2.0) / (np.pi * xi)) * pref * const * integral
 
     prev = tensor_value(0)
+    err = math.inf
     for refine in range(1, max_refine + 1):
-        cur = tensor_value(refine)
+        try:
+            cur = tensor_value(refine)
+        except ToleranceNotMet as exc:  # node bound: report the last estimate
+            raise ToleranceNotMet(str(exc), achieved=err) from None
         err = abs(cur - prev)
         if err <= tol:
             return complex(cur)

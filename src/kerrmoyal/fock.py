@@ -1,21 +1,29 @@
 """Independent truncated-Fock-space ground truth for the Kerr dynamics.
 
-Dense matrices over the xi-scaled number basis: <n-1|a|n> = sqrt(xi n), so
-[a, a^dag] = xi I except in the last diagonal entry, which truncation
-corrupts.  The Kerr Hamiltonian is diagonal, so Heisenberg evolution is an
-exact elementwise phase multiplication with no time-stepping error; this is
-what makes the basis a trustworthy oracle for the closed-form results.
+Works in the xi-scaled number basis, <n-1|a|n> = sqrt(xi n).  A squeezed
+state is built coefficient by coefficient from the eigen-equation of its
+squeezed annihilator: a three-term recurrence started from the closed-form
+vacuum amplitude, so the kept coefficients do not depend on the truncation
+and the norm of the kept vector checks the whole construction.  The Kerr
+Hamiltonian is diagonal, so Heisenberg evolution is an exact elementwise
+phase multiplication with no time-stepping error, and (a^dag)^s a^m is a
+single band at offset m - s: a sweep over times is one phase array against
+that band.  This is what makes the basis a trustworthy oracle for the
+closed-form results.  The dense builders (annihilation_matrix,
+build_operators, squeeze_operator) and the sparse power_operator are
+references for tests; in the dense ones [a, a^dag] = xi I except in the last
+diagonal entry, which truncation corrupts.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse import diags
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse import diags, spmatrix
 
 from .errors import TruncationInsufficient
 from .kerr import KerrParams, ObservableIndex
@@ -24,6 +32,7 @@ from .states import SqueezedState
 DIM_CAP = 1024
 TAIL_TOL = 1e-12
 _TAIL_WINDOW = 5
+_RESCALE_AT = 1e16
 
 
 @dataclass(frozen=True)
@@ -106,28 +115,51 @@ def squeeze_operator(tau: complex, space: FockSpace) -> np.ndarray:
 
 
 def squeezed_vector(state: SqueezedState, space: FockSpace) -> np.ndarray:
-    """|tau alpha> = V(tau)|alpha>, tail-checked and renormalized.
+    """|tau alpha> = V(tau) D(alpha)|0>, tail- and norm-checked, then renormalized.
 
-    The matrix exponential is applied to the vector through the banded
-    generator (scaled-and-squared Taylor application); unitarity is
-    enforced by norm preservation plus an exact-inverse round trip.
+    With b = a/sqrt(xi), beta = alpha/sqrt(xi) and r = 2 xi |tau|, the state
+    solves (cosh r b - e^{i phi} sinh r b^dag)|psi> = beta|psi>, that is
+
+        c_{n+1} = (beta c_n + e^{i phi} sinh r sqrt(n) c_{n-1}) / (cosh r sqrt(n+1)),
+
+    started from the SU(1,1) disentangled vacuum amplitude
+    c_0 = exp(-|beta|^2/2 - e^{-i phi} tanh r beta^2/2) / sqrt(cosh r).
+    No coefficient depends on dim.  Because c_0 is exact, the kept vector has
+    unit norm up to the truncated tail, which checks the recurrence sum and
+    the truncation against a closed-form value.
     """
     if abs(space.xi - state.xi) > 1e-14:
         raise ValueError("state and space carry different xi")
-    v = coherent_vector(state.alpha, space)
-    if state.squeeze.magnitude != 0:
-        gen = _squeeze_generator(state.squeeze.tau, space)
-        w = expm_multiply(gen, v)
-        round_trip = np.max(np.abs(expm_multiply(-gen, w) - v))
-        if abs(np.linalg.norm(w) - 1.0) > 1e-10 or round_trip > 1e-10:
-            raise TruncationInsufficient(
-                f"squeeze application defect {round_trip:.3e} at dim {space.dim}")
-        v = w
+    beta = complex(state.alpha) / math.sqrt(space.xi)
+    r = 2.0 * space.xi * state.squeeze.magnitude
+    rot = cmath.exp(1j * state.squeeze.phase)
+    cosh_r, tanh_r = math.cosh(r), math.tanh(r)
+    drive = beta / cosh_r
+    mixing = rot * tanh_r
+    # c_0 underflows once |beta|^2 passes ~1490, so the recurrence runs on
+    # rescaled coefficients: c_n = scaled_n exp(log_c0 + shift_n)
+    log_c0 = (-0.5 * abs(beta) ** 2 - 0.5 * rot.conjugate() * tanh_r * beta * beta
+              - 0.5 * math.log(cosh_r))
+    scaled = [0j] * space.dim
+    shift = [0.0] * space.dim
+    prev, cur, log_scale = 1.0 + 0j, drive, 0.0
+    scaled[0], scaled[1] = prev, cur
+    for n in range(1, space.dim - 1):
+        prev, cur = cur, (drive * cur + mixing * math.sqrt(n) * prev) / math.sqrt(n + 1)
+        if abs(cur) > _RESCALE_AT:
+            size = abs(cur)
+            prev, cur, log_scale = prev / size, cur / size, log_scale + math.log(size)
+        scaled[n + 1], shift[n + 1] = cur, log_scale
+    v = np.array(scaled) * np.exp(log_c0 + np.array(shift))
     tail = truncation_report(v, space)
     if tail > TAIL_TOL:
         raise TruncationInsufficient(
             f"squeezed tail mass {tail:.3e} at dim {space.dim}")
-    return v / np.linalg.norm(v)
+    norm = np.linalg.norm(v)
+    if abs(norm - 1.0) > 1e-10:
+        raise TruncationInsufficient(
+            f"squeezed vector norm defect {abs(norm - 1.0):.3e} at dim {space.dim}")
+    return v / norm
 
 
 def fock_space_for(state: SqueezedState, start_dim: int = 64,
@@ -145,44 +177,63 @@ def fock_space_for(state: SqueezedState, start_dim: int = 64,
         f"no dimension up to {cap} reaches tail mass {TAIL_TOL}")
 
 
-def power_operator(idx: ObservableIndex, space: FockSpace) -> np.ndarray:
-    """(a^dag)^s a^m by repeated matrix products."""
-    a = annihilation_matrix(space)
-    adag = a.conj().T
-    factors = [adag] * idx.s + [a] * idx.m
-    if not factors:
-        return np.eye(space.dim, dtype=complex)
-    out = factors[0]
-    for factor in factors[1:]:
-        out = out @ factor
-    return out
+def _band(idx: ObservableIndex, space: FockSpace) -> np.ndarray:
+    """<l+s|(a^dag)^s a^m|l+m> for l = 0 .. dim-1-max(s, m).
+
+    a^m and (a^dag)^s each contribute prod_{i=1}^{k} sqrt(xi (l + i)).
+    """
+    l = np.arange(space.dim - max(idx.s, idx.m), dtype=float)
+    band = np.ones_like(l)
+    for k in (idx.m, idx.s):
+        for i in range(1, k + 1):
+            band *= np.sqrt(space.xi * (l + i))
+    return band
+
+
+def power_operator(idx: ObservableIndex, space: FockSpace) -> spmatrix:
+    """(a^dag)^s a^m as the sparse single band at offset m - s (a test reference)."""
+    diagonal = np.zeros(space.dim - abs(idx.m - idx.s), dtype=complex)
+    diagonal[min(idx.s, idx.m):] = _band(idx, space)
+    return diags(diagonal, offsets=idx.m - idx.s, shape=(space.dim, space.dim),
+                 format="csr")
+
+
+def _evolved_band(idx: ObservableIndex, times, v_left: np.ndarray,
+                  v_right: np.ndarray, space: FockSpace,
+                  params: KerrParams) -> np.ndarray:
+    """<v_left| e^{iHt/xi} (a^dag)^s a^m e^{-iHt/xi} |v_right> at every t in times.
+
+    The operator maps |l+m> to band_l |l+s>, so the value at t is
+    sum_l exp(-i (E_{l+m} - E_{l+s}) t/xi) conj(vl_{l+s}) band_l vr_{l+m}, with
+    E_n - E_k = (n - k)(w2 xi^2 (n + k - 1) + w1 xi) taken as one difference
+    rather than as two large phases E_n t/xi that cancel.
+    """
+    band = _band(idx, space)
+    n = np.arange(band.size) + idx.m
+    k = np.arange(band.size) + idx.s
+    weights = np.conj(v_left[k]) * band * v_right[n]
+    gaps = (n - k) * (params.w2 * space.xi**2 * (n + k - 1) + params.w1 * space.xi)
+    t = np.asarray(times, dtype=float).ravel()
+    return np.exp(-1j * np.outer(t, gaps) / space.xi) @ weights
 
 
 def heisenberg_matrix_element(idx: ObservableIndex, t: float, v_left: np.ndarray,
                               v_right: np.ndarray, space: FockSpace,
-                              params: KerrParams, op: np.ndarray | None = None) -> complex:
+                              params: KerrParams) -> complex:
     """<v_left| e^{iHt/xi} (a^dag)^s a^m e^{-iHt/xi} |v_right>.
 
-    H is diagonal, so the evolution is exact elementwise phase multiplication.
+    H is diagonal, so the evolution is an exact phase on each band entry.
     """
-    if op is None:
-        op = power_operator(idx, space)
-    phase = np.exp(-1j * energies(space, params) * t / space.xi)
-    wl = phase * v_left
-    wr = phase * v_right
-    return complex(np.conj(wl) @ (op @ wr))
+    return complex(_evolved_band(idx, [t], v_left, v_right, space, params)[0])
 
 
 def heisenberg_expectation(idx: ObservableIndex, t: float, v: np.ndarray,
-                           space: FockSpace, params: KerrParams,
-                           op: np.ndarray | None = None) -> complex:
+                           space: FockSpace, params: KerrParams) -> complex:
     """<v|(a^dag(t))^s a(t)^m|v> via exact eigen-evolution."""
-    return heisenberg_matrix_element(idx, t, v, v, space, params, op=op)
+    return heisenberg_matrix_element(idx, t, v, v, space, params)
 
 
 def heisenberg_expectation_sweep(idx: ObservableIndex, times, v: np.ndarray,
                                  space: FockSpace, params: KerrParams) -> np.ndarray:
-    """Vector of expectation values over a time grid, sharing one operator build."""
-    op = power_operator(idx, space)
-    return np.array([heisenberg_expectation(idx, t, v, space, params, op=op)
-                     for t in np.asarray(times, dtype=float)])
+    """<v|(a^dag(t))^s a(t)^m|v> over a time grid: one phase array, one reduction."""
+    return _evolved_band(idx, times, v, v, space, params)

@@ -150,6 +150,17 @@ def test_expect_record_matches_library(tmp_path, capsys):
     assert rec["quadrature_deviation"] <= 1e-6
 
 
+def test_expect_numerical_limit_exit_code(capsys):
+    # s = e^{-2.4} needs a Fock basis past the default cap of 1024 states
+    code = run_cli(["expect", "--tau-abs", "1.2", "--check"])
+    assert code == cli.EXIT_NUMERICAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: TruncationInsufficient")
+
+
 def test_expect_nosqueeze_reproduces_known_result(capsys):
     assert run_cli(["expect", "--t", "1.7", "--tau-abs", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)

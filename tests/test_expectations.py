@@ -1,6 +1,7 @@
 """Closed-form expectation values, quadrature route and matrix elements."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,21 @@ def test_quadrature_tolerance_not_met_reports_achieved():
         km.expectation_a_quadrature(1.1 * T_SING, state, PARAMS,
                                     tol=1e-16, max_refine=1)
     assert info.value.achieved > 0.0
+
+
+def test_quadrature_node_bound_raises_before_allocating():
+    # |tan t~| = 1e7 would need ~1e12 nodes per axis at refine level 0
+    state = make_state(1.0, 0.5, math.pi)
+    t = (math.pi / 2.0 - 1e-7) / (XI * PARAMS.w2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ToleranceNotMet, match="nodes on one axis") as info:
+            km.expectation_a_quadrature(t, state, PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.achieved == math.inf  # no refine level completed
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

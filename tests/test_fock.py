@@ -92,12 +92,39 @@ def test_squeeze_operator_unitary():
     assert np.max(np.abs(v_op.conj().T @ v_op - np.eye(space.dim))) < 1e-10
 
 
+def _dense_squeezed(state, dim):
+    """V(tau)|alpha> by dense expm at 2 dim, truncated to dim.
+
+    expm of the generator truncated at dim itself is off by ~1e-12 in its
+    last coefficients; doubling the basis pushes that error out of the kept
+    block.
+    """
+    big = km.FockSpace(2 * dim, state.xi)
+    return (squeeze_operator(state.squeeze.tau, big)
+            @ km.coherent_vector(state.alpha, big))[:dim]
+
+
 def test_squeezed_vector_matches_dense_operator():
     state = km.SqueezedState.from_values(0.6, 0.3, 1.2, XI)
     space = km.FockSpace(96, XI)
     via_vector = km.squeezed_vector(state, space)
-    dense = squeeze_operator(state.squeeze.tau, space) @ km.coherent_vector(0.6, space)
-    assert np.max(np.abs(via_vector - dense / np.linalg.norm(dense))) <= 1e-12
+    assert np.max(np.abs(via_vector - _dense_squeezed(state, 96))) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [3.8, 3.9])
+def test_squeezed_vector_past_vacuum_underflow(alpha):
+    # |beta|^2 = 1444 and 1521 at xi = 0.01: c_0 = e^{-|beta|^2/2} is subnormal
+    # or zero in double precision, yet the state fits the 2048 basis
+    xi = 0.01
+    coherent = km.SqueezedState.from_values(alpha, 0.0, 0.0, xi)
+    space = km.fock_space_for(coherent, cap=2048)
+    v = km.squeezed_vector(coherent, space)
+    assert np.max(np.abs(v - km.coherent_vector(alpha, space))) <= 1e-12
+    squeezed = km.SqueezedState.from_values(alpha, 10.0, math.pi, xi)
+    space = km.fock_space_for(squeezed, cap=2048)
+    v = km.squeezed_vector(squeezed, space)
+    mean_n = xi * np.sum(np.arange(space.dim) * np.abs(v) ** 2)
+    assert mean_n == pytest.approx(km.mean_photon_number(squeezed), abs=1e-12)
 
 
 def test_squeezed_vector_moments_match_closed_forms():
@@ -144,16 +171,34 @@ def test_heisenberg_time_reversible():
     state = km.SqueezedState.from_values(0.8, 0.2, 0.5, XI)
     v = km.squeezed_vector(state, space)
     idx = km.ObservableIndex(0, 1)
-    op = power_operator(idx, space)
-    base = km.heisenberg_expectation(idx, 0.0, v, space, PARAMS, op=op)
+    base = km.heisenberg_expectation(idx, 0.0, v, space, PARAMS)
     t = 1.7
-    forward = km.heisenberg_expectation(idx, t, v, space, PARAMS, op=op)
+    forward = km.heisenberg_expectation(idx, t, v, space, PARAMS)
     # evolving the evolved observable backwards restores the t = 0 value
     phase = np.exp(-1j * km.fock.energies(space, PARAMS) * t / XI)
     w = phase * v
-    undone = km.heisenberg_expectation(idx, -t, w, space, PARAMS, op=op)
+    undone = km.heisenberg_expectation(idx, -t, w, space, PARAMS)
     assert undone == pytest.approx(base, abs=1e-12)
     assert forward != pytest.approx(base, abs=1e-3)  # the dynamics is nontrivial
+
+
+def test_sweep_band_matches_dense_products():
+    space = km.FockSpace(96, XI)
+    v = km.squeezed_vector(km.SqueezedState.from_values(0.8, 0.2, 0.5, XI), space)
+    a = annihilation_matrix(space)
+    adag = a.conj().T
+    times = np.array([0.0, 0.3, 1.7, 4.2])
+    phases = np.exp(-1j * np.outer(times, km.fock.energies(space, PARAMS)) / XI)
+    for s in range(4):
+        for m in range(4 - s):
+            idx = km.ObservableIndex(s, m)
+            dense = (np.linalg.matrix_power(adag, s)
+                     @ np.linalg.matrix_power(a, m))
+            ref = np.array([np.conj(w) @ (dense @ w) for w in phases * v])
+            swept = km.heisenberg_expectation_sweep(idx, times, v, space, PARAMS)
+            assert np.max(np.abs(swept - ref)) <= 1e-13, idx
+            op = power_operator(idx, space)
+            assert np.max(np.abs(op.toarray() - dense)) <= 1e-12, idx
 
 
 def test_matrix_element_agreement_with_closed_form():
@@ -165,11 +210,9 @@ def test_matrix_element_agreement_with_closed_form():
     for s in range(4):
         for m in range(4):
             idx = km.ObservableIndex(s, m)
-            op = power_operator(idx, space)
             for t in (0.0, 0.3, 0.7, 1.9, 5.0):
                 closed = km.matrix_element(idx, t, alpha, beta, PARAMS)
-                oracle = km.heisenberg_matrix_element(idx, t, va, vb, space,
-                                                      PARAMS, op=op)
+                oracle = km.heisenberg_matrix_element(idx, t, va, vb, space, PARAMS)
                 worst = max(worst, abs(closed - oracle) / (1.0 + abs(oracle)))
     assert worst <= 1e-8
 

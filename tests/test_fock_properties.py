@@ -1,0 +1,22 @@
+"""Property checks of the Fock oracle's squeezed-state recurrence."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kerrmoyal as km
+from test_fock import XI, _dense_squeezed
+
+
+@settings(max_examples=12, deadline=None)
+@given(s=st.floats(0.3, 1.0), radius=st.floats(0.0, 1.5),
+       arg=st.floats(-math.pi, math.pi), phi=st.floats(0.0, 2.0 * math.pi))
+def test_squeezed_vector_matches_dense_operator_property(s, radius, arg, phi):
+    # the recurrence coefficients do not depend on dim, so the leading 128
+    # of a vector built at the dimension the state needs are compared
+    state = km.SqueezedState.from_values(radius * np.exp(1j * arg),
+                                         -math.log(s) / (2.0 * XI), phi, XI)
+    via_vector = km.squeezed_vector(state, km.fock_space_for(state, start_dim=128))
+    assert np.max(np.abs(via_vector[:128] - _dense_squeezed(state, 128))) <= 1e-12
