@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -71,7 +70,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 _FLOAT_KEYS = {"xi", "w1", "w2", "alpha_re", "alpha_im", "tau_abs", "tau_phase",
                "t", "t_max"}
-_INT_KEYS = {"steps", "threads"}
+_INT_KEYS = {"steps"}
 _STR_KEYS = {"out", "format"}
 
 
@@ -104,9 +103,7 @@ def _parse_number(key: str, value: str) -> float:
 
 
 def _resolved_config(args: argparse.Namespace) -> dict[str, object]:
-    # threads is an execution detail: results are ordered by grid index, so
-    # outputs stay byte-identical across worker counts and are echoed as such
-    keys = sorted((_FLOAT_KEYS | _INT_KEYS | {"format"}) - {"threads"})
+    keys = sorted(_FLOAT_KEYS | _INT_KEYS | {"format"})
     resolved = {}
     for key in keys:
         val = getattr(args, key, None)
@@ -125,10 +122,16 @@ def _config_comment(resolved: dict[str, object]) -> str:
 def write_rows(path: str | None, fmt: str, header: list[str],
                rows: list[list[object]], resolved: dict[str, object]) -> None:
     if fmt == "csv":
+        # one %-template formats an all-numeric row; "%.17g" % x is
+        # format(float(x), ".17g") for ints and floats alike
+        template = ",".join(["%.17g"] * len(header))
         lines = [_config_comment(resolved), ",".join(header)]
         for row in rows:
-            lines.append(",".join(
-                cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+            try:
+                lines.append(template % tuple(row))
+            except TypeError:  # a "singular" sentinel cell
+                lines.append(",".join(
+                    cell if isinstance(cell, str) else _fmt(cell) for cell in row))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         data = [
@@ -145,13 +148,6 @@ def write_rows(path: str | None, fmt: str, header: list[str],
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _map_ordered(fun, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fun, items))
-    return [fun(item) for item in items]
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +202,9 @@ def _figure_squeeze(args, delta_phi: float) -> tuple[list[str], list[list[object
         tau_abs = -math.log(s) / (2.0 * xi)
         phi = delta_phi + 2.0 * np.angle(alpha)
         state = states.SqueezedState.from_values(alpha, tau_abs, phi, xi)
-
-        def point(t: float, state=state) -> list[object]:
+        for t in t_grid.tolist():
             res = expectations.expectation_a_closed(t, state, params)
-            return [t, s, res.mean_q, res.mean_p]
-
-        rows.extend(_map_ordered(point, [float(t) for t in t_grid], args.threads))
+            rows.append([t, s, res.mean_q, res.mean_p])
     return ["t", "s", "mean_q", "mean_p"], rows
 
 
@@ -334,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", type=str, choices=("csv", "json"), default=None)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--check", action="store_true")
-        p.add_argument("--threads", type=int, default=None)
 
     p_fig = sub.add_parser("figure", help="emit figure data")
     p_fig.add_argument("name", choices=("qampl", "qphase", "squeeze-num", "squeeze-phase"))

@@ -1,22 +1,28 @@
 """Squeezed-state expectation values of the evolving annihilation symbol.
 
 The closed form for <a(t)> is a generalized Gaussian integral of the Moyal
-solution Theta_01 against the squeezed Wigner density.  Writing
-T = tan(xi w2 t) and m1 = s^2 + iT, m2 = s^-2 + iT, the amplitude factor
-G^{3/2} is evaluated as
+solution Theta_01 against the squeezed Wigner density.  It is evaluated in
+pole-cleared variables: with t~ = xi w2 t, c = cos t~, sigma = sin t~ and
 
-    sqrtG3 = e^{3i t~} sec^3(t~) (sqrt(m1) sqrt(m2))^{-3}
+    n12 = (s^2 c + i sigma)(c / s^2 + i sigma),
 
-with principal square roots.  Because m1 and m2 never leave the right
-half-plane for s > 0, this expression is the continuous branch along any
-time path from t = 0 (where it equals 1): no stateful phase tracking is
-required, and the expectation value passes smoothly through the singular
-times of the Moyal solution.  Inside the singular window the T-rational
-factors are replaced by their algebraic T -> inf limits.
+the amplitude factor is G^{3/2} = (e^{-2i t~} n12)^{-3/2} and the Gaussian
+exponent is -2i |alpha|^2 sigma (i sigma + A c) / (xi n12), where
+A = cos^2(Delta_phi/2) / s^2 + s^2 sin^2(Delta_phi/2).  Since
+
+    Re(e^{-2i t~} n12) = 1 + 2 sigma^2 c^2 (s - 1/s)^2 >= 1
+
+for every t~, the principal 3/2 power is the continuous branch from t = 0
+(where it equals 1), and n12 never vanishes (n12 = -1 at c = 0).  Nothing in
+the formula has a pole, so <a(t)> is evaluated the same way at the singular
+times of the Moyal solution as anywhere else.  gaussian_factors keeps the
+tan-based G and G^{3/2} as an independent reference for tests and
+validation.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -95,40 +101,43 @@ def gaussian_factors(t: float, state: SqueezedState, params: KerrParams) -> Gaus
     return GaussianFactors(big_t, g, sqrt_g3)
 
 
+def _check_xi(state: SqueezedState, params: KerrParams) -> None:
+    if state.xi != params.xi:
+        raise ValueError(f"state and params carry different xi "
+                         f"({state.xi!r} != {params.xi!r})")
+
+
 def expectation_a_closed(t: float, state: SqueezedState,
                          params: KerrParams) -> ExpectationResult:
     """Closed-form <a(t)> for a squeezed coherent state.
 
-    Smooth and bounded in t for every s > 0; at singular times the
-    T-rational factors are evaluated through their algebraic limits
-    (G^{3/2} -> 1, Gaussian exponent -> -2|alpha|^2/xi).
+    alpha G^{3/2} [cos(t~ - Delta_phi/2)/s + i s sin(t~ - Delta_phi/2)]
+    exp(-i(w1 t + t~ - Delta_phi/2)) exp(exponent), in the pole-cleared
+    variables of the module docstring: one formula, finite and smooth for
+    every t and s > 0, singular times included (there G^{3/2} = 1 and the
+    exponent is -2|alpha|^2/xi).
     """
     s = state.s
     if s <= 0:
         raise InvalidState("squeeze factor s must be positive")
+    _check_xi(state, params)
     xi = params.xi
     alpha = state.alpha
-    dphi = state.delta_phi
+    half = 0.5 * state.delta_phi
     tt = xi * params.w2 * t
-    cos_half, sin_half = math.cos(dphi / 2.0), math.sin(dphi / 2.0)
+    c, sigma = math.cos(tt), math.sin(tt)
+    s2 = s * s
 
-    bracket = ((1.0 / s) * math.cos(tt - dphi / 2.0)
-               + 1j * s * math.sin(tt - dphi / 2.0))
-    phase = np.exp(-1j * (params.w1 * t + tt - dphi / 2.0))
-
-    if abs(math.cos(tt)) < SINGULAR_COS_WINDOW:
-        sqrt_g3 = 1.0 + 0.0j
-        exponent = -2.0 * abs(alpha) ** 2 / xi
-    else:
-        factors = gaussian_factors(t, state, params)
-        big_t = factors.T
-        m1 = s * s + 1j * big_t
-        m2 = 1.0 / (s * s) + 1j * big_t
-        sqrt_g3 = factors.sqrtG3
-        exponent = (-2j * (big_t / xi) * abs(alpha) ** 2
-                    * (1j * big_t + cos_half**2 / s**2 + s**2 * sin_half**2)
-                    / (m1 * m2))
-    value = alpha * sqrt_g3 * bracket * phase * np.exp(exponent)
+    n12 = (s2 * c + 1j * sigma) * (c / s2 + 1j * sigma)
+    rot = complex(c, -sigma)
+    z = rot * rot * n12                      # Re z >= 1: principal branch
+    a_coef = math.cos(half) ** 2 / s2 + s2 * math.sin(half) ** 2
+    exponent = (-2j * abs(alpha) ** 2 * sigma * (1j * sigma + a_coef * c)
+                / (xi * n12))
+    bracket = complex(math.cos(tt - half) / s, s * math.sin(tt - half))
+    value = (alpha * bracket
+             * cmath.exp(exponent - 1j * (params.w1 * t + tt - half))
+             / (z * cmath.sqrt(z)))
     return ExpectationResult(complex(value), branch_winding(t, params))
 
 
@@ -231,6 +240,7 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
     s = state.s
     if s <= 0:
         raise InvalidState("squeeze factor s must be positive")
+    _check_xi(state, params)
     xi = params.xi
     tt = xi * params.w2 * t
     if abs(math.cos(tt)) < SINGULAR_COS_WINDOW:

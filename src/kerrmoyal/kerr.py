@@ -42,6 +42,10 @@ class KerrParams:
     xi: float
 
     def __post_init__(self):
+        for name in ("w1", "w2", "xi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"Kerr parameter {name} must be finite, got {value!r}")
         if self.xi <= 0:
             raise ValueError("deformation parameter xi must be positive")
 

@@ -10,6 +10,7 @@ squeezing sits at Delta_phi = pi and phase squeezing at Delta_phi = 0.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,9 +25,13 @@ class CoherentParams:
 
     alpha: complex
 
+    def __post_init__(self):
+        if not cmath.isfinite(self.alpha):
+            raise ValueError(f"coherent amplitude alpha must be finite, got {self.alpha!r}")
+
     @property
     def arg(self) -> float:
-        return float(np.angle(self.alpha)) % (2.0 * math.pi)
+        return cmath.phase(self.alpha) % (2.0 * math.pi)
 
     @property
     def mean_x(self) -> np.ndarray:
@@ -43,6 +48,10 @@ class SqueezeParams:
     phase: float = 0.0
 
     def __post_init__(self):
+        for name in ("magnitude", "phase"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"squeeze {name} must be finite, got {value!r}")
         if self.magnitude < 0:
             raise ValueError("squeeze magnitude |tau| must be non-negative")
         object.__setattr__(self, "phase", float(self.phase) % (2.0 * math.pi))
@@ -88,7 +97,7 @@ class SqueezedState:
 
     @property
     def delta_phi(self) -> float:
-        return _reduce_angle(self.squeeze.phase - 2.0 * np.angle(self.alpha))
+        return _reduce_angle(self.squeeze.phase - 2.0 * cmath.phase(self.alpha))
 
     def phase_shifted(self, delta: float) -> "SqueezedState":
         """Phase shift of the mode: alpha -> alpha e^{-i delta}, tau -> tau e^{-2i delta}."""

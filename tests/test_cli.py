@@ -122,12 +122,15 @@ def test_figure_json_format(tmp_path):
     assert sentinel
 
 
-def test_figure_threads_deterministic(tmp_path):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_cli(["figure", "squeeze-num", "--steps", "48", "--out", str(out1)])
-    run_cli(["figure", "squeeze-num", "--steps", "48", "--threads", "4",
-             "--out", str(out2)])
-    assert out1.read_bytes() == out2.read_bytes()
+def test_threads_option_removed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["figure", "squeeze-num", "--steps", "48", "--threads", "4"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("threads = 2\n")
+    capsys.readouterr()
+    assert run_cli(["figure", "squeeze-num", "--config", str(cfg)]) == 2
+    assert "unknown config field" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +180,20 @@ def test_expect_t0_is_bogoliubov_mean(capsys):
     val = doc["record"]["a_re"] + 1j * doc["record"]["a_im"]
     ref = math.cosh(2 * tau_abs) + np.exp(1.1j) * math.sinh(2 * tau_abs)
     assert val == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["expect", "--xi", "nan"], "xi"),
+    (["figure", "squeeze-num", "--w2", "nan"], "w2"),
+    (["expect", "--w1", "inf"], "w1"),
+    (["expect", "--alpha-re", "inf"], "alpha"),
+])
+def test_non_finite_inputs_are_usage_errors(argv, field, capsys):
+    assert run_cli(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert field in captured.err and "finite" in captured.err
 
 
 # ---------------------------------------------------------------------------

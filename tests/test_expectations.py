@@ -155,6 +155,15 @@ def test_invalid_state_rejected():
         km.expectation_a_quadrature(0.5, Fake(), PARAMS)
 
 
+def test_xi_mismatch_rejected():
+    state = make_state(1.0, 0.5, math.pi, xi=1.0)
+    params = km.KerrParams(w1=1.0, w2=0.1, xi=0.5)
+    with pytest.raises(ValueError, match="different xi"):
+        km.expectation_a_closed(0.5, state, params)
+    with pytest.raises(ValueError, match="different xi"):
+        km.expectation_a_quadrature(0.5, state, params)
+
+
 def test_sweep_matches_pointwise():
     state = make_state(1.0, 0.2, math.pi)
     times = np.linspace(0.0, 2.0 * T_SING, 17)

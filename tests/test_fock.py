@@ -217,6 +217,22 @@ def test_matrix_element_agreement_with_closed_form():
     assert worst <= 1e-8
 
 
+@pytest.mark.parametrize("s", [0.5, 0.1])
+def test_closed_form_matches_fock_at_singular_time(s):
+    # t~ = pi/2 + delta, down to delta = 0: the closed form has no window
+    # or limit substitution, so it holds the Fock value right at the pole
+    state = km.SqueezedState.from_values(1.0, -math.log(s) / (2.0 * XI), math.pi, XI)
+    space = km.fock_space_for(state, cap=2048)
+    v = km.squeezed_vector(state, space)
+    deltas = np.array([-1e-7, -5e-10, 0.0, 1e-12, 5e-10, 1e-7])
+    times = (math.pi / 2.0 + deltas) / (XI * PARAMS.w2)
+    oracle = km.heisenberg_expectation_sweep(km.ObservableIndex(0, 1), times, v,
+                                             space, PARAMS)
+    for t, ref in zip(times, oracle):
+        closed = km.expectation_a_closed(float(t), state, PARAMS).value
+        assert abs(closed - ref) <= 1e-12 * abs(ref), t
+
+
 def test_expectation_bounded_through_singular_time():
     # phase averaging keeps <a(t)> finite where the symbol diverges
     t_sing = (math.pi / 2.0) / (XI * PARAMS.w2)

@@ -35,6 +35,21 @@ def test_coherent_arg_normalized():
     assert 0.0 <= km.CoherentParams(0.3 - 0.8j).arg < 2.0 * math.pi
 
 
+@pytest.mark.parametrize("cls,args,field", [
+    (km.SqueezeParams, (math.nan,), "magnitude"),
+    (km.SqueezeParams, (math.inf,), "magnitude"),
+    (km.SqueezeParams, (0.3, math.inf), "phase"),
+    (km.CoherentParams, (complex(0.5, math.nan),), "alpha"),
+    (km.KerrParams, (math.inf, 0.1, 1.0), "w1"),
+    (km.KerrParams, (1.0, math.nan, 1.0), "w2"),
+    (km.KerrParams, (1.0, 0.1, math.nan), "xi"),
+], ids=["magnitude-nan", "magnitude-inf", "phase-inf", "alpha-nan", "w1-inf",
+        "w2-nan", "xi-nan"])
+def test_non_finite_parameters_rejected(cls, args, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        cls(*args)
+
+
 def test_delta_phi_reduction():
     # number squeezing lands on +pi, phase squeezing on 0
     num = make_state(alpha=0.5 + 0.5j, delta_phi=math.pi)
