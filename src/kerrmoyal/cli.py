@@ -1,13 +1,19 @@
 """Command-line front end: figure data regeneration, single expectation
 records and validation suites.
 
+PARAMETERS holds what each command reads and its defaults. A value comes
+from its flag, else the --config file, else that table; an unread flag or
+config key and a non-finite float (the derived t_max included) are usage
+errors.
+
 Output is deterministic: floats are written with 17 significant digits,
-lines end with '\\n', and grid points falling inside a singular-time window
-are emitted as explicit "singular" sentinel rows (never NaN or Inf).
+lines end with '\\n', and qampl and qphase grid points inside a singular-time
+window are explicit "singular" sentinel rows. The writer emits no NaN or Inf.
 
 Exit codes: 0 success, 1 validation failed, 2 usage or config error,
 3 numerical limit reached (a typed KerrMoyalError such as
-TruncationInsufficient; one "error:" line on stderr, no traceback).
+TruncationInsufficient, a float overflow or a non-finite result; one
+"error:" line on stderr, no traceback, no output written).
 
 Default figure grids (documented choices; the source text fixes none):
 t spans one singular period, xi w2 t in [0, pi], with 401 steps, and the
@@ -17,19 +23,42 @@ squeeze sweeps use s in {1, 0.5, 0.2, 0.1}.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
 from . import expectations, fock, kerr, states, validate
 from .errors import KerrMoyalError
 
-DEFAULT_STEPS = 401
 _QAMPL_XIS = (1.0, 0.5, 0.25, 0.1)
 _QPHASE_X2S = (0.5, 1.0, 2.0, 4.0)
 _SQUEEZE_FACTORS = (1.0, 0.5, 0.2, 0.1)
+
+# The type each flag and config value is parsed to; --check is a flag only.
+_TYPES = {"xi": float, "w1": float, "w2": float, "alpha_re": float,
+          "alpha_im": float, "tau_abs": float, "tau_phase": float, "t": float,
+          "t_max": float, "steps": int, "out": str, "format": str}
+
+# The parameters each command reads, with their defaults.  out None writes
+# to stdout; t_max None spans one singular period, pi / (xi w2).
+_KERR = {"xi": 1.0, "w1": 1.0, "w2": 0.1}
+_ALPHA = {"alpha_re": 1.0, "alpha_im": 0.0}
+_GRID = {"steps": 401, "out": None, "format": "csv"}
+_SQUEEZE = {**_KERR, **_ALPHA, **_GRID, "t_max": None}
+PARAMETERS = {
+    "figure qampl": _GRID,
+    "figure qphase": {**_KERR, "w2": 1.0, **_GRID, "t_max": None},
+    "figure squeeze-num": _SQUEEZE,
+    "figure squeeze-phase": _SQUEEZE,
+    "expect": {**_KERR, **_ALPHA, "tau_abs": 0.0, "tau_phase": 0.0, "t": 0.0,
+               "check": False, "out": None},
+    "validate": {**_KERR, "out": None},
+}
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -41,18 +70,23 @@ class ConfigError(Exception):
     pass
 
 
+class NonFiniteResult(KerrMoyalError):
+    """A computed value the writer would have emitted as NaN or Inf."""
+
+
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat `key = value` format with '#' comments."""
     out: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -68,64 +102,74 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-_FLOAT_KEYS = {"xi", "w1", "w2", "alpha_re", "alpha_im", "tau_abs", "tau_phase",
-               "t", "t_max"}
-_INT_KEYS = {"steps"}
-_STR_KEYS = {"out", "format"}
-
-
-def apply_config(args: argparse.Namespace, config: dict[str, str]) -> None:
-    """Fill unset CLI values from the config file (flags win)."""
-    for key, value in config.items():
-        if key in _FLOAT_KEYS:
-            parsed: object = _parse_number(key, value)
-        elif key in _INT_KEYS:
-            try:
-                parsed = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"field {key}: not an integer: {value!r}") from exc
-        elif key in _STR_KEYS:
-            parsed = value
-        else:
-            raise ConfigError(f"unknown config field {key!r}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, parsed)
-
-
-def _parse_number(key: str, value: str) -> float:
+def _parse_value(key: str, text: str) -> object:
+    if key not in _TYPES:
+        raise ConfigError(f"unknown config field {key!r}")
     try:
-        parsed = float(value)
+        return _TYPES[key](text)
     except ValueError as exc:
-        raise ConfigError(f"field {key}: not a number: {value!r}") from exc
-    if not math.isfinite(parsed):
-        raise ConfigError(f"field {key}: must be finite, got {value!r}")
-    return parsed
+        raise ConfigError(f"field {key}: not a valid {_TYPES[key].__name__}: {text!r}") from exc
 
 
-def _resolved_config(args: argparse.Namespace) -> dict[str, object]:
-    keys = sorted(_FLOAT_KEYS | _INT_KEYS | {"format"})
-    resolved = {}
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            resolved[key] = val
-    return resolved
+def resolve(command: str, args: argparse.Namespace) -> tuple[dict, dict]:
+    """(values, echo) for `command`: each parameter from its flag, else the
+    config file, else PARAMETERS. echo is the user-set subset that the
+    output's config record shows."""
+    table = PARAMETERS[command]
+    flags = {key: getattr(args, key) for key in (*_TYPES, "check")
+             if getattr(args, key) is not None}
+    config = {} if args.config is None else {
+        key: _parse_value(key, text) for key, text in parse_config_file(args.config).items()}
+    unread = ([_flag(key) for key in flags if key not in table]
+              + [f"config field {key!r}" for key in config if key not in table])
+    if unread:
+        raise ConfigError(f"{command} does not read {', '.join(unread)}")
+    given = {**config, **flags}
+    values = {**table, **given}
+    if "t_max" in table and "t_max" not in given:  # one singular period
+        xi_w2 = values["xi"] * values["w2"]
+        values["t_max"] = math.pi / xi_w2 if xi_w2 else math.inf
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+    if "steps" in values and values["steps"] < 2:
+        raise ConfigError("steps must be at least 2")
+    if values.get("format") not in (None, "csv", "json"):
+        raise ConfigError(f"unknown format {values['format']!r}")
+    echo = {key: given[key] for key in sorted(given) if key not in ("out", "check")}
+    return values, echo
 
 
-def _config_comment(resolved: dict[str, object]) -> str:
-    parts = []
-    for key, val in resolved.items():
-        parts.append(f"{key}={_fmt(val) if isinstance(val, float) else val}")
-    return "# config: " + " ".join(parts)
+def _check_finite(rows) -> None:
+    """Raise NonFiniteResult on a NaN or Inf cell. A finite sum proves there
+    is none, so the cells are walked only after a non-finite or failed sum."""
+    cells = itertools.chain.from_iterable
+    with contextlib.suppress(TypeError):  # a "singular" sentinel cell
+        if math.isfinite(sum(cells(rows))):
+            return
+    for cell in cells(rows):
+        if not (isinstance(cell, str) or math.isfinite(cell)):
+            raise NonFiniteResult(f"result {cell!r} is not finite; nothing written")
+
+
+def _emit(path: str | None, text: str) -> None:
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def write_rows(path: str | None, fmt: str, header: list[str],
-               rows: list[list[object]], resolved: dict[str, object]) -> None:
+               rows: list[list[object]], echo: dict[str, object]) -> None:
+    _check_finite(rows)
     if fmt == "csv":
         # one %-template formats an all-numeric row; "%.17g" % x is
         # format(float(x), ".17g") for ints and floats alike
         template = ",".join(["%.17g"] * len(header))
-        lines = [_config_comment(resolved), ",".join(header)]
+        lines = ["# config: " + " ".join(
+            f"{key}={_fmt(val) if isinstance(val, float) else val}"
+            for key, val in echo.items()), ",".join(header)]
         for row in rows:
             try:
                 lines.append(template % tuple(row))
@@ -133,32 +177,25 @@ def write_rows(path: str | None, fmt: str, header: list[str],
                 lines.append(",".join(
                     cell if isinstance(cell, str) else _fmt(cell) for cell in row))
         text = "\n".join(lines) + "\n"
-    elif fmt == "json":
+    else:
         data = [
             {name: (cell if isinstance(cell, str) else float(_fmt(cell)))
              for name, cell in zip(header, row)}
             for row in rows
         ]
-        text = json.dumps({"config": resolved, "data": data},
+        text = json.dumps({"config": echo, "data": data},
                           sort_keys=True, indent=1) + "\n"
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _emit(path, text)
 
 
 # ---------------------------------------------------------------------------
 # figure subcommand
 # ---------------------------------------------------------------------------
 
-def _figure_qampl(args) -> tuple[list[str], list[list[object]]]:
-    steps = args.steps or DEFAULT_STEPS
+def _figure_qampl(p) -> tuple[list[str], list[list[object]]]:
     rows: list[list[object]] = []
     for xi in _QAMPL_XIS:
-        w2t_grid = np.linspace(0.0, math.pi / xi, steps)
+        w2t_grid = np.linspace(0.0, math.pi / xi, p["steps"])
         for w2t in w2t_grid:
             c = math.cos(xi * w2t)
             if abs(c) < kerr.SINGULAR_COS_WINDOW:
@@ -168,14 +205,10 @@ def _figure_qampl(args) -> tuple[list[str], list[list[object]]]:
     return ["xi", "w2_t", "ratio_abs"], rows
 
 
-def _figure_qphase(args) -> tuple[list[str], list[list[object]]]:
-    xi = args.xi if args.xi is not None else 1.0
-    w1 = args.w1 if args.w1 is not None else 1.0
-    w2 = args.w2 if args.w2 is not None else 1.0
-    steps = args.steps or DEFAULT_STEPS
-    params = kerr.KerrParams(w1, w2, xi)
-    t_max = args.t_max if args.t_max is not None else math.pi / (xi * w2)
-    t_grid = np.linspace(0.0, t_max, steps)
+def _figure_qphase(p) -> tuple[list[str], list[list[object]]]:
+    xi, w2 = p["xi"], p["w2"]
+    params = kerr.KerrParams(p["w1"], w2, xi)
+    t_grid = np.linspace(0.0, p["t_max"], p["steps"])
     rows: list[list[object]] = []
     for x2 in _QPHASE_X2S:
         pt = kerr.PhasePoint(math.sqrt(x2), 0.0)
@@ -187,16 +220,11 @@ def _figure_qphase(args) -> tuple[list[str], list[list[object]]]:
     return ["t", "x2", "phi"], rows
 
 
-def _figure_squeeze(args, delta_phi: float) -> tuple[list[str], list[list[object]]]:
-    xi = args.xi if args.xi is not None else 1.0
-    w1 = args.w1 if args.w1 is not None else 1.0
-    w2 = args.w2 if args.w2 is not None else 0.1
-    alpha = complex(args.alpha_re if args.alpha_re is not None else 1.0,
-                    args.alpha_im if args.alpha_im is not None else 0.0)
-    steps = args.steps or DEFAULT_STEPS
-    params = kerr.KerrParams(w1, w2, xi)
-    t_max = args.t_max if args.t_max is not None else math.pi / (xi * w2)
-    t_grid = np.linspace(0.0, t_max, steps)
+def _figure_squeeze(p, delta_phi: float) -> tuple[list[str], list[list[object]]]:
+    xi = p["xi"]
+    params = kerr.KerrParams(p["w1"], p["w2"], xi)
+    alpha = complex(p["alpha_re"], p["alpha_im"])
+    t_grid = np.linspace(0.0, p["t_max"], p["steps"])
     rows: list[list[object]] = []
     for s in _SQUEEZE_FACTORS:
         tau_abs = -math.log(s) / (2.0 * xi)
@@ -208,18 +236,16 @@ def _figure_squeeze(args, delta_phi: float) -> tuple[list[str], list[list[object
     return ["t", "s", "mean_q", "mean_p"], rows
 
 
-def cmd_figure(args) -> int:
-    if args.name == "qampl":
-        header, rows = _figure_qampl(args)
-    elif args.name == "qphase":
-        header, rows = _figure_qphase(args)
-    elif args.name == "squeeze-num":
-        header, rows = _figure_squeeze(args, math.pi)
-    elif args.name == "squeeze-phase":
-        header, rows = _figure_squeeze(args, 0.0)
-    else:  # argparse choices guard this
-        raise ConfigError(f"unknown figure {args.name!r}")
-    write_rows(args.out, args.format or "csv", header, rows, _resolved_config(args))
+_FIGURES = {
+    "qampl": _figure_qampl,
+    "qphase": _figure_qphase,
+    "squeeze-num": lambda p: _figure_squeeze(p, math.pi),
+    "squeeze-phase": lambda p: _figure_squeeze(p, 0.0),
+}
+
+
+def cmd_figure(name: str, p: dict, echo: dict) -> int:
+    write_rows(p["out"], p["format"], *_FIGURES[name](p), echo)
     return EXIT_OK
 
 
@@ -227,19 +253,12 @@ def cmd_figure(args) -> int:
 # expect subcommand
 # ---------------------------------------------------------------------------
 
-def cmd_expect(args) -> int:
-    xi = args.xi if args.xi is not None else 1.0
-    params = kerr.KerrParams(args.w1 if args.w1 is not None else 1.0,
-                             args.w2 if args.w2 is not None else 0.1,
-                             xi)
-    alpha = complex(args.alpha_re if args.alpha_re is not None else 1.0,
-                    args.alpha_im if args.alpha_im is not None else 0.0)
-    state = states.SqueezedState.from_values(
-        alpha,
-        args.tau_abs if args.tau_abs is not None else 0.0,
-        args.tau_phase if args.tau_phase is not None else 0.0,
-        xi)
-    t = args.t if args.t is not None else 0.0
+def cmd_expect(p: dict, echo: dict) -> int:
+    xi = p["xi"]
+    params = kerr.KerrParams(p["w1"], p["w2"], xi)
+    state = states.SqueezedState.from_values(complex(p["alpha_re"], p["alpha_im"]),
+                                             p["tau_abs"], p["tau_phase"], xi)
+    t = p["t"]
     res = expectations.expectation_a_closed(t, state, params)
     record = {
         "t": t,
@@ -249,7 +268,7 @@ def cmd_expect(args) -> int:
         "mean_p": res.mean_p,
         "branch_winding": res.branch_winding,
     }
-    if args.check:
+    if p["check"]:
         space = fock.fock_space_for(state)
         v = fock.squeezed_vector(state, space)
         oracle = fock.heisenberg_expectation(kerr.ObservableIndex(0, 1), t, v,
@@ -266,15 +285,11 @@ def cmd_expect(args) -> int:
             record["quadrature_re"] = "singular"
             record["quadrature_im"] = "singular"
             record["quadrature_deviation"] = "singular"
+    _check_finite([record.values()])
     payload = {key: (val if isinstance(val, (str, int)) else float(_fmt(val)))
                for key, val in record.items()}
-    text = json.dumps({"config": _resolved_config(args), "record": payload},
-                      sort_keys=True, indent=1) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(p["out"], json.dumps({"config": echo, "record": payload},
+                               sort_keys=True, indent=1) + "\n")
     return EXIT_OK
 
 
@@ -282,22 +297,12 @@ def cmd_expect(args) -> int:
 # validate subcommand
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args) -> int:
-    names = list(validate.SUITES) if args.suite == "all" else [args.suite]
-    params = None
-    if args.xi is not None or args.w1 is not None or args.w2 is not None:
-        params = kerr.KerrParams(args.w1 if args.w1 is not None else 1.0,
-                                 args.w2 if args.w2 is not None else 0.1,
-                                 args.xi if args.xi is not None else 1.0)
-    reports = validate.run_suites(names, params)
+def cmd_validate(suite: str, p: dict) -> int:
+    names = list(validate.SUITES) if suite == "all" else [suite]
+    reports = validate.run_suites(names, kerr.KerrParams(p["w1"], p["w2"], p["xi"]))
     doc = {"passed": all(r.passed for r in reports),
            "suites": [r.to_dict() for r in reports]}
-    text = json.dumps(doc, sort_keys=True, indent=1, default=float) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(p["out"], json.dumps(doc, sort_keys=True, indent=1, default=float) + "\n")
     return EXIT_OK if doc["passed"] else EXIT_VALIDATION
 
 
@@ -306,60 +311,53 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    for key in (*_TYPES, "check"):
+        readers = ", ".join(cmd for cmd, table in PARAMETERS.items() if key in table)
+        kind = ({"type": _TYPES[key]} if key in _TYPES
+                else {"action": "store_true", "default": None})
+        common.add_argument(_flag(key), dest=key, help=f"read by: {readers}", **kind)
+    common.add_argument("--config", help="flat 'key = value' file; flags win")
+
     parser = argparse.ArgumentParser(
         prog="kerr",
         description="Exact Kerr-oscillator phase-space data: figures, "
                     "expectation records and validation suites.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--xi", type=float, default=None)
-        p.add_argument("--w1", type=float, default=None)
-        p.add_argument("--w2", type=float, default=None)
-        p.add_argument("--alpha-re", dest="alpha_re", type=float, default=None)
-        p.add_argument("--alpha-im", dest="alpha_im", type=float, default=None)
-        p.add_argument("--tau-abs", dest="tau_abs", type=float, default=None)
-        p.add_argument("--tau-phase", dest="tau_phase", type=float, default=None)
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--t-max", dest="t_max", type=float, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", type=str, choices=("csv", "json"), default=None)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--check", action="store_true")
-
-    p_fig = sub.add_parser("figure", help="emit figure data")
-    p_fig.add_argument("name", choices=("qampl", "qphase", "squeeze-num", "squeeze-phase"))
-    add_common(p_fig)
-    p_fig.set_defaults(func=cmd_figure)
-
-    p_exp = sub.add_parser("expect", help="single expectation record")
-    add_common(p_exp)
-    p_exp.set_defaults(func=cmd_expect)
-
-    p_val = sub.add_parser("validate", help="run invariant suites")
-    p_val.add_argument("suite", choices=tuple(validate.SUITES) + ("all",))
-    add_common(p_val)
-    p_val.set_defaults(func=cmd_validate)
+    sub.add_parser("figure", parents=[common], help="emit figure data"
+                   ).add_argument("name", choices=tuple(_FIGURES))
+    sub.add_parser("expect", parents=[common], help="single expectation record")
+    sub.add_parser("validate", parents=[common], help="run invariant suites"
+                   ).add_argument("suite", choices=tuple(validate.SUITES) + ("all",))
     return parser
 
 
+def _attach_values(argv: list[str]) -> Iterator[str]:
+    """Join each value flag to its value as "--flag=value": argparse reads a
+    value such as "-2.5e-01" as an option string (only -N and -N.N count as
+    negative numbers), never a value joined to its flag."""
+    value_flags = {_flag(key) for key in _TYPES} | {"--config"}
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in value_flags else None
+        yield token if value is None else f"{token}={value}"
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(list(_attach_values(
+        sys.argv[1:] if argv is None else argv)))
+    command = f"figure {args.name}" if args.command == "figure" else args.command
     try:
-        if args.config:
-            apply_config(args, parse_config_file(args.config))
-        if args.steps is not None and args.steps < 2:
-            raise ConfigError("steps must be at least 2")
-        return args.func(args)
-    except ConfigError as exc:
+        p, echo = resolve(command, args)
+        if args.command == "figure":
+            return cmd_figure(args.name, p, echo)
+        if args.command == "expect":
+            return cmd_expect(p, echo)
+        return cmd_validate(args.suite, p)
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: --out, --config
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KerrMoyalError as exc:
+    except (KerrMoyalError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

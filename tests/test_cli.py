@@ -187,6 +187,10 @@ def test_expect_t0_is_bogoliubov_mean(capsys):
     (["figure", "squeeze-num", "--w2", "nan"], "w2"),
     (["expect", "--w1", "inf"], "w1"),
     (["expect", "--alpha-re", "inf"], "alpha"),
+    (["expect", "--t", "nan"], "t"),
+    (["expect", "--t", "inf"], "t"),
+    (["figure", "squeeze-num", "--t-max", "nan"], "t_max"),
+    (["figure", "qphase", "--w2", "1e-320"], "t_max"),   # pi / (xi w2) overflows
 ])
 def test_non_finite_inputs_are_usage_errors(argv, field, capsys):
     assert run_cli(argv) == cli.EXIT_USAGE
@@ -194,6 +198,34 @@ def test_non_finite_inputs_are_usage_errors(argv, field, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert field in captured.err and "finite" in captured.err
+
+
+def test_negative_exponent_values_are_read(capsys):
+    assert run_cli(["expect", "--t", "0.8", "--alpha-re", "-9.724225676131032e-05",
+                    "--alpha-im", "-2.5e-01"]) == 0
+    rec = json.loads(capsys.readouterr().out)["record"]
+    import kerrmoyal as km
+    state = km.SqueezedState.from_values(complex(-9.724225676131032e-05, -0.25),
+                                         0.0, 0.0, 1.0)
+    res = km.expectation_a_closed(0.8, state, km.KerrParams(1.0, 0.1, 1.0))
+    assert rec["a_re"] == float(format(res.value.real, ".17g"))
+    assert rec["a_im"] == float(format(res.value.imag, ".17g"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "squeeze-num", "--steps", "5", "--w1", "1e308"],
+    ["expect", "--t", "1e307", "--w1", "1e308"],
+    ["expect", "--alpha-re", "1e154"],
+    ["expect", "--alpha-re", "1e200"],                  # OverflowError inside
+])
+def test_non_finite_results_write_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert run_cli(argv) == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert not out.exists() and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error: ") for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +289,64 @@ def test_config_unknown_field_exit_code(tmp_path, capsys):
     cfg.write_text("wibble = 3\n")
     assert run_cli(["figure", "qampl", "--config", str(cfg)]) == 2
     assert "wibble" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,config,key,command", [
+    (["figure", "qampl", "--xi", "0.5"], None, "--xi", "figure qampl"),
+    (["expect", "--format", "csv"], None, "--format", "expect"),
+    (["figure", "squeeze-num", "--tau-abs", "9"], None, "--tau-abs", "figure squeeze-num"),
+    (["validate", "all", "--steps", "5"], None, "--steps", "validate"),
+    (["figure", "squeeze-num"], "t = 4\n", "'t'", "figure squeeze-num"),
+], ids=["qampl-xi", "expect-format", "squeeze-num-tau-abs", "validate-steps",
+        "squeeze-num-config-t"])
+def test_unread_parameters_are_usage_errors(argv, config, key, command, tmp_path,
+                                            capsys):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert run_cli(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert key in lines[0] and command in lines[0]
+
+
+# What each command reads, written out here apart from cli.PARAMETERS.
+READS = {
+    ("figure", "qampl"): {"steps", "out", "format"},
+    ("figure", "qphase"): {"xi", "w1", "w2", "t_max", "steps", "out", "format"},
+    ("figure", "squeeze-num"): {"xi", "w1", "w2", "alpha_re", "alpha_im", "t_max",
+                                "steps", "out", "format"},
+    ("figure", "squeeze-phase"): {"xi", "w1", "w2", "alpha_re", "alpha_im", "t_max",
+                                  "steps", "out", "format"},
+    ("expect",): {"xi", "w1", "w2", "alpha_re", "alpha_im", "tau_abs", "tau_phase",
+                  "t", "out", "check"},
+    ("validate", "all"): {"xi", "w1", "w2", "out"},
+}
+KEYS = {"xi", "w1", "w2", "alpha_re", "alpha_im", "tau_abs", "tau_phase", "t",
+        "t_max", "steps", "out", "format", "check"}
+VALUES = {"steps": "5", "format": "csv", "check": None}
+
+
+def test_every_unread_flag_and_config_key_is_a_usage_error(tmp_path, capsys):
+    values = dict(VALUES, out=str(tmp_path / "unused.txt"))
+    pairs = 0
+    for command, reads in READS.items():
+        for key in sorted(KEYS - reads):
+            pairs += 1
+            flag = "--" + key.replace("_", "-")
+            value = values.get(key, "0.5")
+            argv = list(command) + ([flag] if value is None else [flag, value])
+            assert run_cli(argv) == cli.EXIT_USAGE, argv
+            if value is not None:           # --check has no config key
+                cfg = tmp_path / "run.cfg"
+                cfg.write_text(f"{key} = {value}\n")
+                assert run_cli(list(command) + ["--config", str(cfg)]) == cli.EXIT_USAGE, key
+    assert pairs == 36
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "unused.txt").exists()
 
 
 def test_invalid_steps_rejected(tmp_path, capsys):
