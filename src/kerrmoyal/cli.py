@@ -3,8 +3,8 @@ records and validation suites.
 
 PARAMETERS holds what each command reads and its defaults. A value comes
 from its flag, else the --config file, else that table; an unread flag or
-config key and a non-finite float (the derived t_max included) are usage
-errors.
+config key, a non-finite float (the derived t_max included) and a
+non-positive xi are usage errors.
 
 Output is deterministic: floats are written with 17 significant digits,
 lines end with '\\n', and qampl and qphase grid points inside a singular-time
@@ -126,6 +126,8 @@ def resolve(command: str, args: argparse.Namespace) -> tuple[dict, dict]:
         raise ConfigError(f"{command} does not read {', '.join(unread)}")
     given = {**config, **flags}
     values = {**table, **given}
+    if values.get("xi", 1.0) <= 0:  # the KerrParams rule, before t_max divides by xi
+        raise ConfigError(f"xi must be positive, got {values['xi']!r}")
     if "t_max" in table and "t_max" not in given:  # one singular period
         xi_w2 = values["xi"] * values["w2"]
         values["t_max"] = math.pi / xi_w2 if xi_w2 else math.inf
@@ -299,7 +301,11 @@ def cmd_expect(p: dict, echo: dict) -> int:
 
 def cmd_validate(suite: str, p: dict) -> int:
     names = list(validate.SUITES) if suite == "all" else [suite]
-    reports = validate.run_suites(names, kerr.KerrParams(p["w1"], p["w2"], p["xi"]))
+    # a non-finite deviation is refused below, so numpy need not warn of it
+    with np.errstate(all="ignore"):
+        reports = validate.run_suites(names, kerr.KerrParams(p["w1"], p["w2"], p["xi"]))
+    # an informational check's tolerance is inf by design; a deviation never is
+    _check_finite([[c.max_deviation for r in reports for c in r.checks]])
     doc = {"passed": all(r.passed for r in reports),
            "suites": [r.to_dict() for r in reports]}
     _emit(p["out"], json.dumps(doc, sort_keys=True, indent=1, default=float) + "\n")
@@ -335,11 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _attach_values(argv: list[str]) -> Iterator[str]:
     """Join each value flag to its value as "--flag=value": argparse reads a
     value such as "-2.5e-01" as an option string (only -N and -N.N count as
-    negative numbers), never a value joined to its flag."""
+    negative numbers), never a value joined to its flag.  A flag is named in
+    full or, as argparse allows, by a prefix of exactly one option; an
+    ambiguous prefix is left for argparse to reject."""
     value_flags = {_flag(key) for key in _TYPES} | {"--config"}
+    options = value_flags | {"--check", "--help"}
     tokens = iter(argv)
     for token in tokens:
-        value = next(tokens, None) if token in value_flags else None
+        named = {token} if token in options else {
+            option for option in options if option.startswith(token)}
+        joins = len(named) == 1 and named <= value_flags
+        value = next(tokens, None) if joins else None
         yield token if value is None else f"{token}={value}"
 
 

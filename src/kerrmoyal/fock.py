@@ -9,10 +9,7 @@ Hamiltonian is diagonal, so Heisenberg evolution is an exact elementwise
 phase multiplication with no time-stepping error, and (a^dag)^s a^m is a
 single band at offset m - s: a sweep over times is one phase array against
 that band.  This is what makes the basis a trustworthy oracle for the
-closed-form results.  The dense builders (annihilation_matrix,
-build_operators, squeeze_operator) and the sparse power_operator are
-references for tests; in the dense ones [a, a^dag] = xi I except in the last
-diagonal entry, which truncation corrupts.
+closed-form results.
 """
 
 from __future__ import annotations
@@ -22,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import diags, spmatrix
 
 from .errors import TruncationInsufficient
 from .kerr import KerrParams, ObservableIndex
@@ -49,26 +44,8 @@ class FockSpace:
             raise ValueError("xi must be positive")
 
 
-def annihilation_matrix(space: FockSpace) -> np.ndarray:
-    n = np.arange(1, space.dim)
-    return np.diag(np.sqrt(space.xi * n), k=1).astype(complex)
-
-
-def build_operators(space: FockSpace, params: KerrParams):
-    """(a, a_dag, N, H) as dense matrices.
-
-    H is diagonal with entries w2 xi^2 n(n-1) + w1 xi n; N = a^dag a has
-    diagonal xi n.
-    """
-    a = annihilation_matrix(space)
-    adag = a.conj().T
-    n = np.arange(space.dim)
-    n_op = np.diag(space.xi * n).astype(complex)
-    h_op = np.diag(energies(space, params)).astype(complex)
-    return a, adag, n_op, h_op
-
-
 def energies(space: FockSpace, params: KerrParams) -> np.ndarray:
+    """Diagonal of H in the number basis: w2 xi^2 n(n-1) + w1 xi n."""
     n = np.arange(space.dim, dtype=float)
     return params.w2 * space.xi**2 * n * (n - 1) + params.w1 * space.xi * n
 
@@ -94,24 +71,6 @@ def coherent_vector(alpha: complex, space: FockSpace) -> np.ndarray:
         raise TruncationInsufficient(
             f"coherent tail mass {truncation_report(v, space):.3e} at dim {space.dim}")
     return v / np.linalg.norm(v)
-
-
-def _squeeze_generator(tau: complex, space: FockSpace):
-    """Sparse tau (a^dag)^2 - tau* a^2; couples n to n +/- 2 only."""
-    s = np.sqrt(space.xi * np.arange(1, space.dim))
-    band = s[:-1] * s[1:]
-    return diags([tau * band, -np.conj(tau) * band], offsets=[-2, 2],
-                 format="csr", dtype=complex)
-
-
-def squeeze_operator(tau: complex, space: FockSpace) -> np.ndarray:
-    """Dense V(tau) = expm[tau (a^dag)^2 - tau* a^2] with a unitarity post-check."""
-    v_op = expm(_squeeze_generator(tau, space).toarray())
-    defect = np.max(np.abs(v_op.conj().T @ v_op - np.eye(space.dim)))
-    if defect > 1e-10:
-        raise TruncationInsufficient(
-            f"squeeze operator unitarity defect {defect:.3e} at dim {space.dim}")
-    return v_op
 
 
 def squeezed_vector(state: SqueezedState, space: FockSpace) -> np.ndarray:
@@ -188,14 +147,6 @@ def _band(idx: ObservableIndex, space: FockSpace) -> np.ndarray:
         for i in range(1, k + 1):
             band *= np.sqrt(space.xi * (l + i))
     return band
-
-
-def power_operator(idx: ObservableIndex, space: FockSpace) -> spmatrix:
-    """(a^dag)^s a^m as the sparse single band at offset m - s (a test reference)."""
-    diagonal = np.zeros(space.dim - abs(idx.m - idx.s), dtype=complex)
-    diagonal[min(idx.s, idx.m):] = _band(idx, space)
-    return diags(diagonal, offsets=idx.m - idx.s, shape=(space.dim, space.dim),
-                 format="csr")
 
 
 def _evolved_band(idx: ObservableIndex, times, v_left: np.ndarray,

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import IndexCapExceeded, SingularTime, SingularWindow
 from .phase_space import POISSON_J, GaussPolySymbol, PhasePoint, ZPoly
@@ -26,9 +25,8 @@ from .phase_space import POISSON_J, GaussPolySymbol, PhasePoint, ZPoly
 # |cos t~| below this is treated as a singular time.
 SINGULAR_COS_WINDOW = 1e-9
 
-# (s, m) cap and the largest index handled by exact integer factorials.
+# Largest s or m of an observable index.
 INDEX_CAP = 30
-_EXACT_FACTORIAL_LIMIT = 20
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -100,18 +98,13 @@ class ClassicalState:
 
 
 def w_coefficient(m: int, s: int, l: int) -> float:
-    """W(m, s, l) = s! m! / [l! (s-l)! (m-l)!].
+    """W(m, s, l) = s! m! / [l! (s-l)! (m-l)!] = C(s, l) C(m, l) l!.
 
-    Exact integer arithmetic up to indices of 20, log-gamma beyond.
+    An exact integer, rounded once to float.
     """
     if l < 0 or l > min(s, m):
         return 0.0
-    if max(s, m) <= _EXACT_FACTORIAL_LIMIT:
-        num = math.factorial(s) * math.factorial(m)
-        den = math.factorial(l) * math.factorial(s - l) * math.factorial(m - l)
-        return num / den
-    return float(np.exp(gammaln(s + 1) + gammaln(m + 1)
-                        - gammaln(l + 1) - gammaln(s - l + 1) - gammaln(m - l + 1)))
+    return float(math.comb(s, l) * math.comb(m, l) * math.factorial(l))
 
 
 # ---------------------------------------------------------------------------

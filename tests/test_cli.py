@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +202,16 @@ def test_non_finite_inputs_are_usage_errors(argv, field, capsys):
     assert field in captured.err and "finite" in captured.err
 
 
+def test_qphase_zero_xi_names_xi(capsys):
+    # xi is checked before the default t_max = pi / (xi w2) divides by it
+    assert run_cli(["figure", "qphase", "--xi", "0"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: xi ")
+    assert "t_max" not in lines[0]
+
+
 def test_negative_exponent_values_are_read(capsys):
     assert run_cli(["expect", "--t", "0.8", "--alpha-re", "-9.724225676131032e-05",
                     "--alpha-im", "-2.5e-01"]) == 0
@@ -212,11 +224,28 @@ def test_negative_exponent_values_are_read(capsys):
     assert rec["a_im"] == float(format(res.value.imag, ".17g"))
 
 
+def test_abbreviated_flag_takes_a_negative_exponent_value(capsys):
+    assert run_cli(["expect", "--t", "0.8", "--alpha-r", "-1e-5"]) == 0
+    rec = json.loads(capsys.readouterr().out)["record"]
+    import kerrmoyal as km
+    state = km.SqueezedState.from_values(complex(-1e-5, 0.0), 0.0, 0.0, 1.0)
+    res = km.expectation_a_closed(0.8, state, km.KerrParams(1.0, 0.1, 1.0))
+    assert rec["a_re"] == float(format(res.value.real, ".17g"))
+    assert rec["a_im"] == float(format(res.value.imag, ".17g"))
+    # --c is a prefix of both --check and --config, so argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["expect", "--c", "x"])
+    assert exc.value.code == 2
+    assert "ambiguous" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["figure", "squeeze-num", "--steps", "5", "--w1", "1e308"],
     ["expect", "--t", "1e307", "--w1", "1e308"],
     ["expect", "--alpha-re", "1e154"],
     ["expect", "--alpha-re", "1e200"],                  # OverflowError inside
+    pytest.param(["validate", "all", "--w1", "1e308"],  # NaN deviations, no warning
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ])
 def test_non_finite_results_write_nothing(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -359,3 +388,22 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("# config:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["expect", "--check"],
+    ["validate", "all"],
+    ["figure", "squeeze-num", "--steps", "11"],
+], ids=["expect-check", "validate-all", "figure-squeeze-num"])
+def test_commands_run_without_scipy(argv):
+    # scipy serves only the tests' references; a None entry in sys.modules
+    # makes any import of it fail
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; sys.modules['scipy'] = None; "
+            f"import kerrmoyal.cli as cli; sys.exit(cli.main({argv!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -7,7 +7,8 @@ import pytest
 
 import kerrmoyal as km
 from kerrmoyal import TruncationInsufficient
-from kerrmoyal.fock import annihilation_matrix, power_operator, squeeze_operator
+
+from fock_reference import annihilation_matrix, build_operators, squeeze_operator
 
 XI = 1.0
 PARAMS = km.KerrParams(w1=1.0, w2=0.1, xi=XI)
@@ -25,7 +26,7 @@ def test_commutator_on_leading_block():
 
 def test_number_commutators():
     space = km.FockSpace(40, 0.6)
-    a, adag, n_op, _ = km.build_operators(space, km.KerrParams(1.0, 0.1, 0.6))
+    a, adag, n_op, _ = build_operators(space, km.KerrParams(1.0, 0.1, 0.6))
     lhs = (n_op @ a - a @ n_op)[:-1, :-1]
     assert np.max(np.abs(lhs - (-0.6) * a[:-1, :-1])) <= 1e-12
     lhs = (n_op @ adag - adag @ n_op)[1:, 1:]
@@ -34,7 +35,7 @@ def test_number_commutators():
 
 def test_hamiltonian_diagonal():
     space = km.FockSpace(16, XI)
-    _, _, n_op, h_op = km.build_operators(space, PARAMS)
+    _, _, n_op, h_op = build_operators(space, PARAMS)
     vac = np.zeros(16)
     vac[0] = 1.0
     assert np.allclose(h_op @ vac, 0.0)
@@ -44,7 +45,7 @@ def test_hamiltonian_diagonal():
     assert np.allclose(h_op @ two, expected * two)
     assert np.allclose(np.diag(n_op), XI * np.arange(16))
     # H equals the Wick-ordered operator built from the ladder matrices
-    a, adag, _, _ = km.build_operators(space, PARAMS)
+    a, adag, _, _ = build_operators(space, PARAMS)
     wick = PARAMS.w2 * adag @ adag @ a @ a + PARAMS.w1 * adag @ a
     assert np.max(np.abs(h_op - wick)) <= 1e-12
 
@@ -197,8 +198,12 @@ def test_sweep_band_matches_dense_products():
             ref = np.array([np.conj(w) @ (dense @ w) for w in phases * v])
             swept = km.heisenberg_expectation_sweep(idx, times, v, space, PARAMS)
             assert np.max(np.abs(swept - ref)) <= 1e-13, idx
-            op = power_operator(idx, space)
-            assert np.max(np.abs(op.toarray() - dense)) <= 1e-12, idx
+            # the band is the dense product's diagonal at offset m - s, past
+            # its leading min(s, m) zeros
+            diagonal = np.diagonal(dense, offset=m - s)
+            assert not np.any(diagonal[:min(s, m)]), idx
+            band = km.fock._band(idx, space)
+            assert np.max(np.abs(diagonal[min(s, m):] - band)) <= 1e-12, idx
 
 
 def test_matrix_element_agreement_with_closed_form():

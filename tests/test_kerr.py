@@ -1,6 +1,7 @@
 """Closed-form Moyal solutions, classical flow and semiclassical structure."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import kerrmoyal as km
 from kerrmoyal import IndexCapExceeded, SingularTime, SingularWindow
 from kerrmoyal.kerr import (
+    INDEX_CAP,
     angular_eigenvalue_residual,
     hamiltonian_classical,
     hamiltonian_h1,
@@ -106,10 +108,19 @@ def test_w_coefficient_values():
     assert w_coefficient(2, 2, 2) == 2.0
     assert w_coefficient(1, 1, 1) == 1.0
     assert w_coefficient(3, 2, 1) == 6.0  # 2! 3! / (1! 1! 2!)
-    # log-gamma branch stays close to the exact integers
+    # large indices agree with the quotient of factorials
     exact = (math.factorial(25) * math.factorial(24)
              / (math.factorial(10) * math.factorial(14) * math.factorial(15)))
     assert w_coefficient(24, 25, 10) == pytest.approx(exact, rel=1e-12)
+
+
+def test_w_coefficient_is_the_exact_integer_rounded_once():
+    f = math.factorial
+    for s in range(INDEX_CAP + 1):
+        for m in range(INDEX_CAP + 1):
+            for l in range(min(s, m) + 1):
+                exact = Fraction(f(s) * f(m), f(l) * f(s - l) * f(m - l))
+                assert w_coefficient(m, s, l) == float(exact), (m, s, l)
 
 
 def test_index_cap():
