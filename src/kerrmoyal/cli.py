@@ -304,11 +304,12 @@ def cmd_validate(suite: str, p: dict) -> int:
     # a non-finite deviation is refused below, so numpy need not warn of it
     with np.errstate(all="ignore"):
         reports = validate.run_suites(names, kerr.KerrParams(p["w1"], p["w2"], p["xi"]))
-    # an informational check's tolerance is inf by design; a deviation never is
+    # tolerances are finite or None (informational); a deviation must be finite
     _check_finite([[c.max_deviation for r in reports for c in r.checks]])
     doc = {"passed": all(r.passed for r in reports),
            "suites": [r.to_dict() for r in reports]}
-    _emit(p["out"], json.dumps(doc, sort_keys=True, indent=1, default=float) + "\n")
+    _emit(p["out"], json.dumps(doc, sort_keys=True, indent=1, default=float,
+                               allow_nan=False) + "\n")
     return EXIT_OK if doc["passed"] else EXIT_VALIDATION
 
 

@@ -44,12 +44,6 @@ class FockSpace:
             raise ValueError("xi must be positive")
 
 
-def energies(space: FockSpace, params: KerrParams) -> np.ndarray:
-    """Diagonal of H in the number basis: w2 xi^2 n(n-1) + w1 xi n."""
-    n = np.arange(space.dim, dtype=float)
-    return params.w2 * space.xi**2 * n * (n - 1) + params.w1 * space.xi * n
-
-
 def truncation_report(v: np.ndarray, space: FockSpace) -> float:
     """Tail mass sum_{n >= dim-5} |c_n|^2; used to auto-grow the dimension."""
     return float(np.sum(np.abs(v[space.dim - _TAIL_WINDOW:]) ** 2))

@@ -17,6 +17,12 @@ def annihilation_matrix(space):
     return np.diag(np.sqrt(space.xi * n), k=1).astype(complex)
 
 
+def energies(space, params):
+    """Diagonal of H in the number basis: w2 xi^2 n(n-1) + w1 xi n."""
+    n = np.arange(space.dim, dtype=float)
+    return params.w2 * space.xi**2 * n * (n - 1) + params.w1 * space.xi * n
+
+
 def build_operators(space, params):
     """(a, a_dag, N, H) as dense matrices.
 
@@ -26,7 +32,7 @@ def build_operators(space, params):
     a = annihilation_matrix(space)
     adag = a.conj().T
     n_op = np.diag(space.xi * np.arange(space.dim)).astype(complex)
-    h_op = np.diag(km.fock.energies(space, params)).astype(complex)
+    h_op = np.diag(energies(space, params)).astype(complex)
     return a, adag, n_op, h_op
 
 

@@ -273,6 +273,17 @@ def test_validate_all_passes(tmp_path):
             assert "max_deviation" in check and "tolerance" in check
 
 
+def test_validate_report_is_strict_json(capsys):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    assert run_cli(["validate", "all"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    checks = [c for suite in doc["suites"] for c in suite["checks"]]
+    assert all((c["tolerance"] is None) == c["informational"] for c in checks)
+    assert any(c["informational"] for c in checks)
+
+
 def test_validate_catches_injected_sign_flip(monkeypatch, tmp_path, capsys):
     # a deliberate w2 sign fault in the solution must fail the moyal suite
     true_solution = kerr.moyal_solution

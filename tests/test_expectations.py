@@ -5,10 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kerrmoyal as km
 from kerrmoyal import InvalidState, SingularWindow, ToleranceNotMet
-from kerrmoyal.expectations import branch_winding
+from kerrmoyal.expectations import _GL_W, _GL_X, _PANEL_CHUNK, _axis_sums, branch_winding
 from kerrmoyal.phase_space import PhasePoint
 
 XI = 1.0
@@ -94,6 +96,42 @@ def test_smooth_through_singular_time():
     scale = abs(vals[5])
     for left, right in zip(vals, vals[1:]):
         assert abs(right - left) <= 1e-4 * scale
+
+
+def _slope_bound_at_pole(state, params):
+    """Bound on |d<a>/dt~| at t~ = pi/2, for 0 < s <= 1.
+
+    Write <a> = alpha * bracket * exp(E - i(w1 t + t~ - Delta_phi/2)) / z^{3/2}
+    as in expectation_a_closed.  At c = cos t~ = 0, sigma = 1: n12 = -1, z = 1
+    and E = -2|alpha|^2/xi, so |<a>| <= |alpha| e^{-2|alpha|^2/xi} / s, and
+    the terms of d log<a>/dt~ are bounded by
+      bracket'/bracket: 1/s^2      (|bracket'| <= 1/s, |bracket| >= s)
+      phase:            w1/(xi w2) + 1
+      -3/2 z'/z:        3/2 (2 + s^2 + 1/s^2)      (n12'/n12 = i(s^2 + 1/s^2))
+      E':               2|alpha|^2 |A - s^2 - 1/s^2| / xi <= 2|alpha|^2/(xi s^2)
+    since s^2 <= A <= 1/s^2.  Within 1e-8 of the pole the slope moves by a
+    relative O(1e-6), which the factor 1.01 at the call covers.
+    """
+    s, xi, a = state.s, params.xi, abs(state.alpha)
+    log_slope = (1.0 / s**2 + params.w1 / (xi * params.w2) + 1.0
+                 + 1.5 * (2.0 + s**2 + 1.0 / s**2) + 2.0 * a**2 / (xi * s**2))
+    return a * math.exp(-2.0 * a**2 / xi) / s * log_slope
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta=st.floats(1e-12, 1e-8), s=st.floats(0.3, 1.0),
+       radius=st.floats(0.0, 1.5), arg=st.floats(-math.pi, math.pi),
+       delta_phi=st.floats(-math.pi, math.pi))
+def test_closed_form_continuous_through_pole(delta, s, radius, arg, delta_phi):
+    # a value on the wrong branch of z^{3/2} on one side jumps by 2|<a>|
+    state = make_state(radius * np.exp(1j * arg), s, delta_phi)
+    t_pole = (math.pi / 2.0) / (XI * PARAMS.w2)
+    dt = delta / (XI * PARAMS.w2)
+    left = km.expectation_a_closed(t_pole - dt, state, PARAMS).value
+    right = km.expectation_a_closed(t_pole + dt, state, PARAMS).value
+    slope = _slope_bound_at_pole(state, PARAMS)
+    rounding = 1e-14 * radius / s          # |<a>| <= radius / s at the pole
+    assert abs(right - left) <= 1.01 * 2.0 * delta * slope + rounding
 
 
 def test_half_period_restores_t0_structure():
@@ -225,6 +263,45 @@ def test_quadrature_node_bound_raises_before_allocating():
         tracemalloc.stop()
     assert info.value.achieved == math.inf  # no refine level completed
     assert peak < 1_000_000
+
+
+def test_quadrature_peak_memory_is_bounded():
+    # 1.1e6 nodes on the wide axis; the panels are summed a chunk at a time
+    state = make_state(1.0, 0.1, math.pi)
+    t = (11.0 * math.pi / 24.0) / (XI * PARAMS.w2)
+    tracemalloc.start()
+    try:
+        km.expectation_a_quadrature(t, state, PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+def _complex_exp_sums(edges, scale, lin, big_t, xi):
+    """The axis sums with one complex exp per node, and sum w |f| (1 + |y|)."""
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    y = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    w = (half[:, None] * _GL_W[None, :]).ravel()
+    f = np.exp((-(scale + 1j * big_t) * y**2 + 2.0 * lin * y) / xi)
+    return np.sum(w * f), np.sum(w * y * f), np.sum(w * np.abs(f) * (1.0 + np.abs(y)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_edges=st.integers(2, 3 * _PANEL_CHUNK), seed=st.integers(0, 2**32 - 1),
+       ends=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+       scale=st.floats(0.01, 100.0), lin=st.floats(-3.0, 3.0),
+       big_t=st.floats(-10.0, 10.0), xi=st.floats(0.5, 2.0))
+@example(n_edges=_PANEL_CHUNK + 2, seed=0, ends=(-4.0, 4.0), scale=0.01, lin=3.0,
+         big_t=10.0, xi=0.5)                    # two chunks, the second one panel
+def test_axis_sums_match_complex_exp_reference(n_edges, seed, ends, scale, lin,
+                                               big_t, xi):
+    edges = np.sort(np.random.default_rng(seed).uniform(min(ends), max(ends), n_edges))
+    ref0, ref1, bound = _complex_exp_sums(edges, scale, lin, big_t, xi)
+    sum0, sum1 = _axis_sums(edges, scale, lin, big_t, xi)
+    assert abs(sum0 - ref0) <= 1e-13 * bound
+    assert abs(sum1 - ref1) <= 1e-13 * bound
 
 
 # ---------------------------------------------------------------------------

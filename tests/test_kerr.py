@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import kerrmoyal as km
 from kerrmoyal import IndexCapExceeded, SingularTime, SingularWindow
@@ -179,6 +181,27 @@ def test_adjoint_symmetry():
             assert w.is_singular
         else:
             assert np.conj(v.value) == pytest.approx(w.value, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.integers(0, 3), m=st.integers(0, 3), q=st.floats(-1.5, 1.5),
+       p=st.floats(-1.5, 1.5), t=st.floats(0.0, 30.0), w2=st.floats(0.05, 1.0),
+       xi=st.floats(0.3, 2.0))
+def test_adjoint_symmetry_property(s, m, q, p, t, w2, xi):
+    params = km.KerrParams(1.0, w2, xi)
+    idx = km.ObservableIndex(s, m)
+    cos_tt = math.cos(idx.t_tilde(t, params))
+    assume(s == m or abs(cos_tt) >= 1e-3)
+    pt = PhasePoint(q, p)
+    v = km.moyal_solution(idx, t, pt, params).value
+    w = km.moyal_solution(km.ObservableIndex(m, s), t, pt, params).value
+    # relative to sum |terms| of the finite sum, the scale at which it is
+    # rounded: Theta_ss is real but its series can cancel to near zero
+    r = math.hypot(q, p) / math.sqrt(2.0)
+    scale = abs(cos_tt) ** -(s + m + 1) * sum(
+        w_coefficient(m, s, l) * (0.5 * xi * abs(cos_tt)) ** l * r ** (s + m - 2 * l)
+        for l in range(min(s, m) + 1))
+    assert abs(np.conj(v) - w) <= 1e-12 * scale
 
 
 def test_constants_of_motion_exact():
