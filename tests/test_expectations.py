@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import kerrmoyal as km
 from kerrmoyal import InvalidState, SingularWindow, ToleranceNotMet
-from kerrmoyal.expectations import _GL_W, _GL_X, _PANEL_CHUNK, _axis_sums, branch_winding
+from kerrmoyal.expectations import (_GL_W, _GL_X, _PANEL_CHUNK, _axis_edges, _axis_sums,
+                                    branch_winding)
 from kerrmoyal.phase_space import PhasePoint
 
 XI = 1.0
@@ -265,17 +266,27 @@ def test_quadrature_node_bound_raises_before_allocating():
     assert peak < 1_000_000
 
 
+# s = 0.1 at t~ = 11 pi/24: 1.1e6 nodes on the wide axis, a chirp phase of
+# about 5e4 rad at its ends
+STRONG_STATE = make_state(1.0, 0.1, math.pi)
+STRONG_T = (11.0 * math.pi / 24.0) / (XI * PARAMS.w2)
+
+
 def test_quadrature_peak_memory_is_bounded():
-    # 1.1e6 nodes on the wide axis; the panels are summed a chunk at a time
-    state = make_state(1.0, 0.1, math.pi)
-    t = (11.0 * math.pi / 24.0) / (XI * PARAMS.w2)
+    # the panels are summed a chunk at a time
     tracemalloc.start()
     try:
-        km.expectation_a_quadrature(t, state, PARAMS)
+        km.expectation_a_quadrature(STRONG_T, STRONG_STATE, PARAMS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000
+
+
+def test_quadrature_matches_closed_form_at_a_million_nodes():
+    closed = km.expectation_a_closed(STRONG_T, STRONG_STATE, PARAMS).value
+    quad = km.expectation_a_quadrature(STRONG_T, STRONG_STATE, PARAMS)
+    assert abs(quad - closed) <= 1e-8 * (1.0 + abs(closed))
 
 
 def _complex_exp_sums(edges, scale, lin, big_t, xi):
@@ -295,6 +306,8 @@ def _complex_exp_sums(edges, scale, lin, big_t, xi):
        big_t=st.floats(-10.0, 10.0), xi=st.floats(0.5, 2.0))
 @example(n_edges=_PANEL_CHUNK + 2, seed=0, ends=(-4.0, 4.0), scale=0.01, lin=3.0,
          big_t=10.0, xi=0.5)                    # two chunks, the second one panel
+@example(n_edges=3 * _PANEL_CHUNK, seed=0, ends=(-80.0, 80.0), scale=0.01, lin=0.8,
+         big_t=math.tan(11.0 * math.pi / 24.0), xi=1.0)  # mass near |T| y^2 = 5e4 rad
 def test_axis_sums_match_complex_exp_reference(n_edges, seed, ends, scale, lin,
                                                big_t, xi):
     edges = np.sort(np.random.default_rng(seed).uniform(min(ends), max(ends), n_edges))
@@ -302,6 +315,39 @@ def test_axis_sums_match_complex_exp_reference(n_edges, seed, ends, scale, lin,
     sum0, sum1 = _axis_sums(edges, scale, lin, big_t, xi)
     assert abs(sum0 - ref0) <= 1e-13 * bound
     assert abs(sum1 - ref1) <= 1e-13 * bound
+
+
+def _union1d_edges(mass_center, sigma, half_width, radius, big_t, xi, refine):
+    """The axis edges as np.union1d of the envelope grid and the phase points."""
+    lo = max(-radius, mass_center - half_width)
+    hi = min(radius, mass_center + half_width)
+    n_env = max(2, int(math.ceil((hi - lo) / (sigma / 2.0**refine))) + 1)
+    dphase = 2.0 * math.pi / 2.0**refine
+    k_max = int(math.floor(abs(big_t) * max(abs(lo), abs(hi))**2 / (xi * dphase)))
+    edges = np.linspace(lo, hi, n_env)
+    if k_max == 0:
+        return edges
+    y_phase = np.sqrt(np.arange(1, k_max + 1) * dphase * xi / abs(big_t))
+    y_phase = np.concatenate([-y_phase[::-1], y_phase])
+    return np.union1d(edges, y_phase[(y_phase > lo) & (y_phase < hi)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mass_center=st.floats(-20.0, 20.0), sigma=st.floats(0.05, 2.0),
+       half_width=st.floats(0.5, 20.0), radius=st.floats(0.5, 20.0),
+       big_t=st.floats(-20.0, 20.0), xi=st.floats(0.5, 2.0), refine=st.integers(0, 4))
+@example(mass_center=0.0, sigma=1.0, half_width=2.0, radius=10.0,
+         big_t=2.0 * math.pi, xi=1.0, refine=0)   # grid -2..2 step 1 meets +-sqrt(k)
+@example(mass_center=0.0, sigma=0.5, half_width=3.0, radius=10.0,
+         big_t=0.0, xi=1.0, refine=2)             # k_max = 0: the grid alone
+@example(mass_center=5.0, sigma=0.3, half_width=2.0, radius=10.0,
+         big_t=-7.5, xi=0.7, refine=3)            # window [3, 7], one side of zero
+@example(mass_center=30.0, sigma=0.3, half_width=5.0, radius=10.0,
+         big_t=1.5, xi=1.0, refine=1)             # window misses the disk: lo > hi
+def test_axis_edges_match_union1d_reference(mass_center, sigma, half_width, radius,
+                                            big_t, xi, refine):
+    args = (mass_center, sigma, half_width, radius, big_t, xi, refine)
+    assert np.array_equal(_axis_edges(*args), _union1d_edges(*args))
 
 
 # ---------------------------------------------------------------------------
