@@ -40,20 +40,29 @@ from .states import SqueezedState, rotation_matrix
 
 _SQRT2 = math.sqrt(2.0)
 
-# Quadrature domain: disk radius |xbar| + RADIUS_SCALE sqrt(xi) max(1, 1/s).
+# Quadrature domain: on each principal axis the window center +- RADIUS_SCALE
+# sqrt(xi / scale), outside which the envelope exp(-scale (y - center)^2 / xi)
+# is below exp(-RADIUS_SCALE^2).
 RADIUS_SCALE = 8.0
 # Most Gauss-Legendre nodes one axis may take at one refine level.  Near a
 # pole the count grows as |tan t~| without limit.  The acceptance grid and
-# the oracle benchmark workloads need at most 1.12e6 (s = 0.1 at
-# t~ = 11 pi/24); the bound leaves 120x headroom.
+# the oracle benchmark workloads need at most 1.92e5 (s = 0.1 at
+# t~ = 11 pi/24, refine level 1); the bound leaves 700x headroom.
 MAX_AXIS_NODES = 2**27
-# Panels per numpy pass in _axis_sums: 2**12 panels are 32768 nodes, so the
-# pass's float64 temporaries (256 kB each, about six alive at once: nodes,
-# envelope, h = tan(phi/2), h^2, 1 + h^2, envelope times y) stay in L2 cache,
-# and memory stays set by the edge array however many nodes an axis takes.
-# 2**11 and 2**13 panels were slower on a Xeon with 2 MB of L2 per core.
-_PANEL_CHUNK = 2**12
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+# Level-0 panels: at most 8 pi radians of chirp phase and 4 sigma of
+# envelope; each refine level halves both.  On panels this size the 24-point
+# rule is within 3e-11 of the closed form at level 0 over the oracle
+# benchmark pools, so level 1 only confirms level 0.
+_PANEL_PHASE = 8.0 * math.pi
+_PANEL_SIGMAS = 4.0
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+# Panels per numpy pass in _axis_sums: about 16384 nodes, so the pass's
+# float64 temporaries (128 kB each, about six alive at once: nodes, envelope,
+# h = tan(phi/2), h^2, 1 + h^2, envelope times y) stay in L2 cache, and
+# memory stays set by the edge array however many nodes an axis takes.  On
+# a Xeon with 2 MB of L2 per core, the oracle-strong pool ran 12% slower in
+# passes of 2**15 nodes, and the kernel alone 30% slower in passes of 2**16.
+_PANEL_CHUNK = 2**14 // _GL_X.size
 
 
 @dataclass(frozen=True)
@@ -176,52 +185,56 @@ def semiclassical_validity(t: float, state: SqueezedState, params: KerrParams) -
 # Direct phase-space quadrature
 # ---------------------------------------------------------------------------
 
-def _axis_edges(mass_center: float, sigma: float, half_width: float,
-                radius: float, big_t: float, xi: float, refine: int) -> np.ndarray:
+def _axis_edges(center: float, sigma: float, half_width: float, big_t: float,
+                xi: float, refine: int) -> np.ndarray:
     """Composite Gauss-Legendre panel edges on one principal axis.
 
-    Panel edges are the sorted union of an envelope-resolving uniform grid
-    (scale sigma) and equal-phase points of the radial oscillation
-    exp(-i T y^2 / xi), so no panel spans more than 2 pi / 2^refine radians
-    of phase regardless of where it sits.  Both counts are known before any
-    array is built; past MAX_AXIS_NODES nodes the call raises instead.  The
-    phase points come out sorted, so the union is a linear merge: the few
-    envelope points go in at their searchsorted positions and exact
-    duplicates are dropped.
+    The window is center +- half_width.  Panel edges are the sorted union of
+    an envelope-resolving uniform grid (step _PANEL_SIGMAS sigma / 2^refine)
+    and the points where the phase |T| y^2 / xi of the radial oscillation
+    exp(-i T y^2 / xi) is a multiple of dphase = _PANEL_PHASE / 2^refine,
+    y = 0 included, so no panel spans more than dphase radians of phase
+    regardless of where it sits (without the edge at y = 0 the middle panel
+    would span dphase on each side of it).  Both counts are known before any
+    array is built; past MAX_AXIS_NODES nodes the call raises instead.  Both
+    grids come out sorted, so the union is a linear merge: the few envelope
+    points go in at their searchsorted positions and exact duplicates are
+    dropped.
     """
-    lo = max(-radius, mass_center - half_width)
-    hi = min(radius, mass_center + half_width)
-    base = sigma / 2.0**refine
+    lo = center - half_width
+    hi = center + half_width
+    base = _PANEL_SIGMAS * sigma / 2.0**refine
     n_env = max(2, int(math.ceil((hi - lo) / base)) + 1)
-    dphase = 2.0 * math.pi / 2.0**refine
+    dphase = _PANEL_PHASE / 2.0**refine
     y_max = max(abs(lo), abs(hi))
     k_max = int(math.floor(abs(big_t) * y_max**2 / (xi * dphase)))
-    n_nodes = _GL_X.size * (n_env + 2 * k_max - 1)
+    n_nodes = _GL_X.size * (n_env + 2 * k_max)
     if n_nodes > MAX_AXIS_NODES:
         raise ToleranceNotMet(
             f"quadrature needs {n_nodes:.3e} nodes on one axis at refine level "
             f"{refine} (|tan t~| = {abs(big_t):.3e}), above {MAX_AXIS_NODES}",
             achieved=math.inf)
     edges = np.linspace(lo, hi, n_env)
-    if k_max > 0:
-        y_phase = np.sqrt(np.arange(1, k_max + 1) * dphase * xi / abs(big_t))
-        y_phase = np.concatenate([-y_phase[::-1], y_phase])
+    if big_t != 0.0:
+        y_phase = np.sqrt(np.arange(k_max + 1) * dphase * xi / abs(big_t))
+        y_phase = np.concatenate([-y_phase[:0:-1], y_phase])
         y_phase = y_phase[np.searchsorted(y_phase, lo, "right"):
                           np.searchsorted(y_phase, hi, "left")]
-        edges.sort()  # a window that misses the disk (lo > hi) runs downward
         edges = np.insert(y_phase, np.searchsorted(y_phase, edges), edges)
         edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     return edges
 
 
-def _axis_sums(edges: np.ndarray, scale: float, lin: float, big_t: float,
+def _axis_sums(edges: np.ndarray, scale: float, center: float, big_t: float,
                xi: float) -> tuple[complex, complex]:
-    """(sum w f, sum w y f) for f(y) = exp((-(scale + iT) y^2 + 2 lin y) / xi).
+    """(sum w f, sum w y f) for f(y) = exp((-scale (y - center)^2 - i T y^2) / xi).
 
     A plain Gauss-Legendre sum in real arithmetic with one real exp and one
-    tan per node.  With h = tan(phi / 2) of the chirp phase phi = -T y^2 / xi,
+    tan per node.  The envelope is written with its square completed, so its
+    exponent is never positive and nothing overflows however small xi is.
+    With h = tan(phi / 2) of the chirp phase phi = -T y^2 / xi,
     cos phi = (1 - h^2) / (1 + h^2) and sin phi = 2 h / (1 + h^2); the common
-    1 / (1 + h^2) goes into the real envelope amp = w exp((2 lin y - scale y^2)
+    1 / (1 + h^2) goes into the real envelope amp = w exp(-scale (y - center)^2
     / xi) / (1 + h^2), and the two sums are four real dot products (amp and
     amp y, each against 1 - h^2 and h).  The panels are taken _PANEL_CHUNK at
     a time, nodes laid out node-major so each broadcast runs along the panels.
@@ -238,8 +251,9 @@ def _axis_sums(edges: np.ndarray, scale: float, lin: float, big_t: float,
         half = 0.5 * (part[1:] - part[:-1])
         y = (_GL_X[:, None] * half + mid).ravel()
         y2 = y * y
-        amp = (2.0 * lin) * y
-        amp -= scale * y2
+        amp = y - center
+        amp *= amp
+        amp *= -scale
         amp *= inv_xi
         np.exp(amp, out=amp)
         amp *= (_GL_W[:, None] * half).ravel()
@@ -261,10 +275,13 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
     """<a(t)> by adaptive tensor quadrature of the phase-space integral.
 
     Works in the rotated coordinates y = R(-phi) x, where the squeezed
-    Wigner weight is axis-aligned; the domain is the disk of radius
-    R = |xbar| + radius_scale sqrt(xi) max(1, 1/s), restricted per axis by
-    the Gaussian tail bound (contributions beyond exp(-radius_scale^2)).
-    Refines by panel halving until the change is below tol.
+    Wigner weight is a product of one Gaussian per axis,
+    exp(-scale (y - center)^2 / xi) with scale = s^2, 1/s^2 and center =
+    ybar_0 / s, s ybar_1.  The domain is the tensor product of the per-axis
+    windows center +- radius_scale sqrt(xi / scale), outside which the
+    Gaussian is below exp(-radius_scale^2).  Each axis is a composite
+    24-point Gauss-Legendre sum; refines by panel halving until the change
+    is below tol.
     """
     s = state.s
     if s <= 0:
@@ -276,17 +293,13 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
         raise SingularWindow("Theta_01 is pointwise singular here")
     big_t = math.tan(tt)
     phi = state.squeeze.phase
-    xbar = state.coherent.mean_x
-    ybar = rotation_matrix(-phi) @ xbar
-    radius = float(np.linalg.norm(xbar)) + radius_scale * math.sqrt(xi) * max(1.0, 1.0 / s)
+    ybar = rotation_matrix(-phi) @ state.coherent.mean_x
 
     # Theta_01(t|y) = pref * exp(-i|y|^2 T/xi) * (y1 + i y2)/sqrt(2)
     pref = (np.exp(-1j * params.w1 * t) / math.cos(tt) ** 2 * np.exp(2j * tt))
-    const = np.exp(-float(ybar @ ybar) / xi)
 
     scales = np.array([s * s, 1.0 / (s * s)])        # Lambda(s^2) diagonal
-    lin = np.array([s, 1.0 / s]) * ybar              # Lambda(s) ybar
-    centers = lin / scales
+    centers = np.array([1.0 / s, s]) * ybar          # Lambda(1/s) ybar
     sigmas = np.sqrt(xi / (2.0 * scales))
     half_widths = radius_scale * np.sqrt(xi) / np.sqrt(scales)
 
@@ -295,12 +308,12 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
         sums1 = []
         for axis in range(2):
             edges = _axis_edges(centers[axis], sigmas[axis], half_widths[axis],
-                                radius, big_t, xi, refine)
-            sum0, sum1 = _axis_sums(edges, scales[axis], lin[axis], big_t, xi)
+                                big_t, xi, refine)
+            sum0, sum1 = _axis_sums(edges, scales[axis], centers[axis], big_t, xi)
             sums0.append(sum0)
             sums1.append(sum1)
         integral = (sums1[0] * sums0[1] + 1j * sums0[0] * sums1[1]) / _SQRT2
-        return (np.exp(1j * phi / 2.0) / (np.pi * xi)) * pref * const * integral
+        return (np.exp(1j * phi / 2.0) / (np.pi * xi)) * pref * integral
 
     prev = tensor_value(0)
     err = math.inf

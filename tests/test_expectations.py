@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import kerrmoyal as km
 from kerrmoyal import InvalidState, SingularWindow, ToleranceNotMet
-from kerrmoyal.expectations import (_GL_W, _GL_X, _PANEL_CHUNK, _axis_edges, _axis_sums,
+from kerrmoyal.expectations import (_GL_W, _GL_X, _PANEL_CHUNK, _PANEL_PHASE,
+                                    _PANEL_SIGMAS, _axis_edges, _axis_sums,
                                     branch_winding)
 from kerrmoyal.phase_space import PhasePoint
 
@@ -266,8 +267,46 @@ def test_quadrature_node_bound_raises_before_allocating():
     assert peak < 1_000_000
 
 
-# s = 0.1 at t~ = 11 pi/24: 1.1e6 nodes on the wide axis, a chirp phase of
-# about 5e4 rad at its ends
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quadrature_small_xi_does_not_overflow():
+    # without exp(-|ybar|^2 / xi) folded in, the envelope would peak at
+    # exp(|ybar|^2 / xi) = exp(800) and overflow; the completed square keeps
+    # every envelope factor <= 1
+    state = make_state(2.0, 0.5, 0.0, xi=0.01)
+    params = km.KerrParams(w1=1.0, w2=0.1, xi=0.01)
+    quad = km.expectation_a_quadrature(0.0, state, params)
+    assert abs(quad - bogoliubov_mean(state)) <= 1e-8
+
+
+def test_quadrature_finds_mass_far_from_the_mean():
+    # on the wide axis the mass sits at ybar_0 / s = 10.6, outside the disk
+    # |y| <= |xbar| + 8 sqrt(xi) max(1, 1/s) = 6.1 around the mean: the
+    # domain has to follow the mass
+    state = make_state(1.5, 0.2, 0.0, xi=0.01)
+    params = km.KerrParams(w1=1.0, w2=0.1, xi=0.01)
+    quad = km.expectation_a_quadrature(0.0, state, params)
+    assert abs(quad - bogoliubov_mean(state)) <= 1e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(s=st.floats(0.1, 1.0), radius=st.floats(0.0, 1.5),
+       arg=st.floats(-math.pi, math.pi), delta_phi=st.floats(-math.pi, math.pi),
+       xi=st.floats(0.01, 2.0),
+       u=st.floats(-11.0 * math.pi / 24.0, 11.0 * math.pi / 24.0), turns=st.integers(-2, 2))
+@example(s=0.5, radius=2.0, arg=0.0, delta_phi=0.0, xi=0.01, u=0.0, turns=0)
+@example(s=0.2, radius=1.5, arg=0.0, delta_phi=0.0, xi=0.01, u=0.0, turns=0)
+def test_quadrature_matches_closed_form_property(s, radius, arg, delta_phi, xi, u, turns):
+    # t~ = u + turns pi keeps |cos t~| >= cos(11 pi/24) on every branch
+    params = km.KerrParams(w1=1.0, w2=0.1, xi=xi)
+    state = make_state(radius * np.exp(1j * arg), s, delta_phi, xi=xi)
+    t = (u + turns * math.pi) / (xi * params.w2)
+    closed = km.expectation_a_closed(t, state, params).value
+    quad = km.expectation_a_quadrature(t, state, params)
+    assert abs(quad - closed) <= 1e-9 * (1.0 + abs(closed))
+
+
+# s = 0.1 at t~ = 11 pi/24: 1.86e5 nodes on the wide axis at refine level 1,
+# a chirp phase of about 5e4 rad at its ends
 STRONG_STATE = make_state(1.0, 0.1, math.pi)
 STRONG_T = (11.0 * math.pi / 24.0) / (XI * PARAMS.w2)
 
@@ -283,71 +322,83 @@ def test_quadrature_peak_memory_is_bounded():
     assert peak < 8_000_000
 
 
-def test_quadrature_matches_closed_form_at_a_million_nodes():
+def test_quadrature_matches_closed_form_strong_squeeze_near_pole():
     closed = km.expectation_a_closed(STRONG_T, STRONG_STATE, PARAMS).value
     quad = km.expectation_a_quadrature(STRONG_T, STRONG_STATE, PARAMS)
-    assert abs(quad - closed) <= 1e-8 * (1.0 + abs(closed))
+    assert abs(quad - closed) <= 1e-12 * (1.0 + abs(closed))
 
 
-def _complex_exp_sums(edges, scale, lin, big_t, xi):
+def _complex_exp_sums(edges, scale, center, big_t, xi):
     """The axis sums with one complex exp per node, and sum w |f| (1 + |y|)."""
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     y = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
     w = (half[:, None] * _GL_W[None, :]).ravel()
-    f = np.exp((-(scale + 1j * big_t) * y**2 + 2.0 * lin * y) / xi)
+    f = np.exp((-scale * (y - center)**2 - 1j * big_t * y**2) / xi)
     return np.sum(w * f), np.sum(w * y * f), np.sum(w * np.abs(f) * (1.0 + np.abs(y)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(n_edges=st.integers(2, 3 * _PANEL_CHUNK), seed=st.integers(0, 2**32 - 1),
        ends=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
-       scale=st.floats(0.01, 100.0), lin=st.floats(-3.0, 3.0),
+       scale=st.floats(0.01, 100.0), center=st.floats(-8.0, 8.0),
        big_t=st.floats(-10.0, 10.0), xi=st.floats(0.5, 2.0))
-@example(n_edges=_PANEL_CHUNK + 2, seed=0, ends=(-4.0, 4.0), scale=0.01, lin=3.0,
+@example(n_edges=_PANEL_CHUNK + 2, seed=0, ends=(-4.0, 4.0), scale=0.01, center=4.0,
          big_t=10.0, xi=0.5)                    # two chunks, the second one panel
-@example(n_edges=3 * _PANEL_CHUNK, seed=0, ends=(-80.0, 80.0), scale=0.01, lin=0.8,
+@example(n_edges=3 * _PANEL_CHUNK, seed=0, ends=(-80.0, 80.0), scale=0.01, center=80.0,
          big_t=math.tan(11.0 * math.pi / 24.0), xi=1.0)  # mass near |T| y^2 = 5e4 rad
-def test_axis_sums_match_complex_exp_reference(n_edges, seed, ends, scale, lin,
+def test_axis_sums_match_complex_exp_reference(n_edges, seed, ends, scale, center,
                                                big_t, xi):
     edges = np.sort(np.random.default_rng(seed).uniform(min(ends), max(ends), n_edges))
-    ref0, ref1, bound = _complex_exp_sums(edges, scale, lin, big_t, xi)
-    sum0, sum1 = _axis_sums(edges, scale, lin, big_t, xi)
+    ref0, ref1, bound = _complex_exp_sums(edges, scale, center, big_t, xi)
+    sum0, sum1 = _axis_sums(edges, scale, center, big_t, xi)
     assert abs(sum0 - ref0) <= 1e-13 * bound
     assert abs(sum1 - ref1) <= 1e-13 * bound
 
 
-def _union1d_edges(mass_center, sigma, half_width, radius, big_t, xi, refine):
+def _union1d_edges(center, sigma, half_width, big_t, xi, refine):
     """The axis edges as np.union1d of the envelope grid and the phase points."""
-    lo = max(-radius, mass_center - half_width)
-    hi = min(radius, mass_center + half_width)
-    n_env = max(2, int(math.ceil((hi - lo) / (sigma / 2.0**refine))) + 1)
-    dphase = 2.0 * math.pi / 2.0**refine
+    lo = center - half_width
+    hi = center + half_width
+    n_env = max(2, int(math.ceil((hi - lo) / (_PANEL_SIGMAS * sigma / 2.0**refine))) + 1)
+    dphase = _PANEL_PHASE / 2.0**refine
     k_max = int(math.floor(abs(big_t) * max(abs(lo), abs(hi))**2 / (xi * dphase)))
     edges = np.linspace(lo, hi, n_env)
-    if k_max == 0:
+    if big_t == 0.0:
         return edges
-    y_phase = np.sqrt(np.arange(1, k_max + 1) * dphase * xi / abs(big_t))
-    y_phase = np.concatenate([-y_phase[::-1], y_phase])
+    y_phase = np.sqrt(np.arange(k_max + 1) * dphase * xi / abs(big_t))
+    y_phase = np.concatenate([-y_phase[:0:-1], y_phase])
     return np.union1d(edges, y_phase[(y_phase > lo) & (y_phase < hi)])
 
 
 @settings(max_examples=60, deadline=None)
-@given(mass_center=st.floats(-20.0, 20.0), sigma=st.floats(0.05, 2.0),
-       half_width=st.floats(0.5, 20.0), radius=st.floats(0.5, 20.0),
-       big_t=st.floats(-20.0, 20.0), xi=st.floats(0.5, 2.0), refine=st.integers(0, 4))
-@example(mass_center=0.0, sigma=1.0, half_width=2.0, radius=10.0,
-         big_t=2.0 * math.pi, xi=1.0, refine=0)   # grid -2..2 step 1 meets +-sqrt(k)
-@example(mass_center=0.0, sigma=0.5, half_width=3.0, radius=10.0,
-         big_t=0.0, xi=1.0, refine=2)             # k_max = 0: the grid alone
-@example(mass_center=5.0, sigma=0.3, half_width=2.0, radius=10.0,
-         big_t=-7.5, xi=0.7, refine=3)            # window [3, 7], one side of zero
-@example(mass_center=30.0, sigma=0.3, half_width=5.0, radius=10.0,
-         big_t=1.5, xi=1.0, refine=1)             # window misses the disk: lo > hi
-def test_axis_edges_match_union1d_reference(mass_center, sigma, half_width, radius,
-                                            big_t, xi, refine):
-    args = (mass_center, sigma, half_width, radius, big_t, xi, refine)
-    assert np.array_equal(_axis_edges(*args), _union1d_edges(*args))
+@given(center=st.floats(-20.0, 20.0), sigma=st.floats(0.05, 2.0),
+       half_width=st.floats(0.5, 20.0), big_t=st.floats(-20.0, 20.0),
+       xi=st.floats(0.5, 2.0), refine=st.integers(0, 4))
+@example(center=0.0, sigma=0.25, half_width=2.0, big_t=8.0 * math.pi,
+         xi=1.0, refine=0)                        # grid -2..2 step 1 meets 0, +-sqrt(k)
+@example(center=0.3, sigma=0.25, half_width=2.0, big_t=8.0 * math.pi,
+         xi=1.0, refine=0)                        # y = 0 between two grid points
+@example(center=0.0, sigma=0.5, half_width=3.0, big_t=0.0,
+         xi=1.0, refine=2)                        # T = 0: the grid alone
+@example(center=0.0, sigma=1.0, half_width=0.5, big_t=7.0,
+         xi=0.5, refine=2)                        # k_max = 0: y = 0 alone
+@example(center=5.0, sigma=0.3, half_width=2.0, big_t=-7.5,
+         xi=0.7, refine=3)                        # window [3, 7], one side of zero
+@example(center=-30.0, sigma=0.3, half_width=5.0, big_t=1.5,
+         xi=1.0, refine=1)                        # window [-35, -25], far out
+def test_axis_edges_match_union1d_reference(center, sigma, half_width, big_t, xi, refine):
+    args = (center, sigma, half_width, big_t, xi, refine)
+    edges = _axis_edges(*args)
+    assert np.array_equal(edges, _union1d_edges(*args))
+    # no panel spans more than 4 sigma / 2^refine, or more than
+    # 8 pi / 2^refine radians of the phase |T| y^2 / xi, which turns at y = 0
+    a, b = edges[:-1], edges[1:]
+    assert np.all(b - a <= _PANEL_SIGMAS * sigma / 2.0**refine * (1.0 + 1e-12))
+    rise = np.where(a * b >= 0.0, np.abs(b * b - a * a), a * a + b * b)
+    y_max = max(abs(edges[0]), abs(edges[-1]))
+    assert np.all(abs(big_t) * rise / xi
+                  <= _PANEL_PHASE / 2.0**refine + 1e-12 * abs(big_t) * y_max**2 / xi)
 
 
 # ---------------------------------------------------------------------------
