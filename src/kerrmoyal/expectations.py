@@ -36,7 +36,7 @@ from .kerr import (
     classical_amplitude,
 )
 from .phase_space import PhasePoint
-from .states import SqueezedState, rotation_matrix
+from .states import SqueezedState
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -47,12 +47,13 @@ RADIUS_SCALE = 8.0
 # Most Gauss-Legendre nodes one axis may take at one refine level.  Near a
 # pole the count grows as |tan t~| without limit.  The acceptance grid and
 # the oracle benchmark workloads need at most 1.92e5 (s = 0.1 at
-# t~ = 11 pi/24, refine level 1); the bound leaves 700x headroom.
+# t~ = 11 pi/24, refine level 1, on the closed-form edges of _axis_edges);
+# the bound leaves 700x headroom.
 MAX_AXIS_NODES = 2**27
-# Level-0 panels: at most 8 pi radians of chirp phase and 4 sigma of
-# envelope; each refine level halves both.  On panels this size the 24-point
-# rule is within 3e-11 of the closed form at level 0 over the oracle
-# benchmark pools, so level 1 only confirms level 0.
+# Level-0 panels: width / (4 sigma) plus chirp phase rise / (8 pi) at most 1;
+# each refine level halves both units.  On panels this size the 24-point
+# rule at level 0 is within 1e-12 of level 1 over the oracle benchmark
+# pools, so level 1 only confirms level 0.
 _PANEL_PHASE = 8.0 * math.pi
 _PANEL_SIGMAS = 4.0
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
@@ -189,39 +190,34 @@ def _axis_edges(center: float, sigma: float, half_width: float, big_t: float,
                 xi: float, refine: int) -> np.ndarray:
     """Composite Gauss-Legendre panel edges on one principal axis.
 
-    The window is center +- half_width.  Panel edges are the sorted union of
-    an envelope-resolving uniform grid (step _PANEL_SIGMAS sigma / 2^refine)
-    and the points where the phase |T| y^2 / xi of the radial oscillation
-    exp(-i T y^2 / xi) is a multiple of dphase = _PANEL_PHASE / 2^refine,
-    y = 0 included, so no panel spans more than dphase radians of phase
-    regardless of where it sits (without the edge at y = 0 the middle panel
-    would span dphase on each side of it).  Both counts are known before any
-    array is built; past MAX_AXIS_NODES nodes the call raises instead.  Both
-    grids come out sorted, so the union is a linear merge: the few envelope
-    points go in at their searchsorted positions and exact duplicates are
-    dropped.
+    The window is center +- half_width.  With base = _PANEL_SIGMAS sigma /
+    2^refine and dphase = _PANEL_PHASE / 2^refine, the edges inside it are
+    where g(y) = y / base + sign(y) |T| y^2 / (xi dphase), odd and increasing,
+    crosses an integer k: y_k = 2k / (b + sqrt(b^2 + 4a|k|)) with b = 1 / base
+    and a = |T| / (xi dphase), written without cancellation (at T = 0 the
+    uniform grid k base).  So the edges come out sorted, y = 0, where the
+    chirp phase |T| y^2 / xi turns, is one of them whenever the window holds
+    it, and on every panel width / base + phase rise / dphase <= 1.  The
+    window ends close the grid.  The panel count is known before any array
+    is built; past MAX_AXIS_NODES nodes the call raises instead.
     """
     lo = center - half_width
     hi = center + half_width
-    base = _PANEL_SIGMAS * sigma / 2.0**refine
-    n_env = max(2, int(math.ceil((hi - lo) / base)) + 1)
-    dphase = _PANEL_PHASE / 2.0**refine
-    y_max = max(abs(lo), abs(hi))
-    k_max = int(math.floor(abs(big_t) * y_max**2 / (xi * dphase)))
-    n_nodes = _GL_X.size * (n_env + 2 * k_max)
+    b = 2.0**refine / (_PANEL_SIGMAS * sigma)
+    a = abs(big_t) * 2.0**refine / (xi * _PANEL_PHASE)
+    k_lo = math.floor(math.copysign(abs(lo) * (b + a * abs(lo)), lo))
+    k_hi = math.ceil(math.copysign(abs(hi) * (b + a * abs(hi)), hi))
+    n_nodes = _GL_X.size * (k_hi - k_lo)
     if n_nodes > MAX_AXIS_NODES:
         raise ToleranceNotMet(
             f"quadrature needs {n_nodes:.3e} nodes on one axis at refine level "
             f"{refine} (|tan t~| = {abs(big_t):.3e}), above {MAX_AXIS_NODES}",
             achieved=math.inf)
-    edges = np.linspace(lo, hi, n_env)
-    if big_t != 0.0:
-        y_phase = np.sqrt(np.arange(k_max + 1) * dphase * xi / abs(big_t))
-        y_phase = np.concatenate([-y_phase[:0:-1], y_phase])
-        y_phase = y_phase[np.searchsorted(y_phase, lo, "right"):
-                          np.searchsorted(y_phase, hi, "left")]
-        edges = np.insert(y_phase, np.searchsorted(y_phase, edges), edges)
-        edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+    k = np.arange(k_lo, k_hi + 1, dtype=float)
+    edges = 2.0 * k / (b + np.sqrt(b * b + 4.0 * a * np.abs(k)))
+    # the root next to either end can round onto it or past it
+    edges = edges[int(edges[1] <= lo):edges.size - int(edges[-2] >= hi)]
+    edges[0], edges[-1] = lo, hi
     return edges
 
 
@@ -280,40 +276,43 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
     ybar_0 / s, s ybar_1.  The domain is the tensor product of the per-axis
     windows center +- radius_scale sqrt(xi / scale), outside which the
     Gaussian is below exp(-radius_scale^2).  Each axis is a composite
-    24-point Gauss-Legendre sum; refines by panel halving until the change
-    is below tol.
+    24-point Gauss-Legendre sum on the closed-form panel edges of
+    _axis_edges; refines by panel halving until the change is below tol.
+    radius_scale must be finite and positive, tol finite and non-negative
+    and max_refine an integer >= 1, or ValueError is raised.
     """
+    if not (math.isfinite(radius_scale) and radius_scale > 0):
+        raise ValueError(f"radius_scale must be finite and positive, got {radius_scale!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    if not isinstance(max_refine, int) or max_refine < 1:
+        raise ValueError(f"max_refine must be an integer >= 1, got {max_refine!r}")
     s = state.s
     if s <= 0:
         raise InvalidState("squeeze factor s must be positive")
     _check_xi(state, params)
     xi = params.xi
     tt = xi * params.w2 * t
-    if abs(math.cos(tt)) < SINGULAR_COS_WINDOW:
+    cos_tt = math.cos(tt)
+    if abs(cos_tt) < SINGULAR_COS_WINDOW:
         raise SingularWindow("Theta_01 is pointwise singular here")
     big_t = math.tan(tt)
-    phi = state.squeeze.phase
-    ybar = rotation_matrix(-phi) @ state.coherent.mean_x
-
+    # R(-phi) rotates the mean x = sqrt(2) (Re alpha, Im alpha) by -phi / 2
+    half_turn = cmath.exp(0.5j * state.squeeze.phase)
+    ybar = _SQRT2 * state.alpha / half_turn
     # Theta_01(t|y) = pref * exp(-i|y|^2 T/xi) * (y1 + i y2)/sqrt(2)
-    pref = (np.exp(-1j * params.w1 * t) / math.cos(tt) ** 2 * np.exp(2j * tt))
-
-    scales = np.array([s * s, 1.0 / (s * s)])        # Lambda(s^2) diagonal
-    centers = np.array([1.0 / s, s]) * ybar          # Lambda(1/s) ybar
-    sigmas = np.sqrt(xi / (2.0 * scales))
-    half_widths = radius_scale * np.sqrt(xi) / np.sqrt(scales)
+    pref = cmath.exp(-1j * params.w1 * t) / cos_tt ** 2 * cmath.exp(2j * tt)
+    norm = half_turn / (math.pi * xi) * pref / _SQRT2
+    axes = [(scale, center, math.sqrt(xi / (2.0 * scale)),
+             radius_scale * math.sqrt(xi / scale))
+            for scale, center in ((s * s, ybar.real / s), (1.0 / (s * s), s * ybar.imag))]
 
     def tensor_value(refine: int) -> complex:
-        sums0 = []
-        sums1 = []
-        for axis in range(2):
-            edges = _axis_edges(centers[axis], sigmas[axis], half_widths[axis],
-                                big_t, xi, refine)
-            sum0, sum1 = _axis_sums(edges, scales[axis], centers[axis], big_t, xi)
-            sums0.append(sum0)
-            sums1.append(sum1)
-        integral = (sums1[0] * sums0[1] + 1j * sums0[0] * sums1[1]) / _SQRT2
-        return (np.exp(1j * phi / 2.0) / (np.pi * xi)) * pref * integral
+        (sum0_0, sum1_0), (sum0_1, sum1_1) = (
+            _axis_sums(_axis_edges(center, sigma, half_width, big_t, xi, refine),
+                       scale, center, big_t, xi)
+            for scale, center, sigma, half_width in axes)
+        return norm * (sum1_0 * sum0_1 + 1j * sum0_0 * sum1_1)
 
     prev = tensor_value(0)
     err = math.inf
@@ -324,10 +323,10 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
             raise ToleranceNotMet(str(exc), achieved=err) from None
         err = abs(cur - prev)
         if err <= tol:
-            return complex(cur)
+            return cur
         prev = cur
     raise ToleranceNotMet(f"quadrature error estimate {err:.3e} > tol {tol:.3e}",
-                          achieved=float(err))
+                          achieved=err)
 
 
 # ---------------------------------------------------------------------------

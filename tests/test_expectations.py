@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import kerrmoyal as km
 from kerrmoyal import InvalidState, SingularWindow, ToleranceNotMet
+from kerrmoyal import expectations
 from kerrmoyal.expectations import (_GL_W, _GL_X, _PANEL_CHUNK, _PANEL_PHASE,
                                     _PANEL_SIGMAS, _axis_edges, _axis_sums,
                                     branch_winding)
@@ -267,6 +269,43 @@ def test_quadrature_node_bound_raises_before_allocating():
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"radius_scale": 0.0}, "radius_scale"),   # was 0j
+    ({"radius_scale": -8.0}, "radius_scale"),  # was a wrong value
+    ({"radius_scale": math.nan}, "radius_scale"),
+    ({"radius_scale": math.inf}, "radius_scale"),
+    ({"tol": math.nan}, "tol"),
+    ({"tol": -1e-8}, "tol"),
+    ({"tol": math.inf}, "tol"),
+    ({"max_refine": 0}, "max_refine"),
+    ({"max_refine": 1.5}, "max_refine"),
+])
+def test_quadrature_rejects_bad_arguments_before_any_node(kwargs, name):
+    state = make_state(1.0, 0.5, math.pi)
+    with mock.patch.object(expectations, "_axis_edges",
+                           side_effect=AssertionError("nodes built")):
+        with pytest.raises(ValueError, match=name):
+            km.expectation_a_quadrature(1.0, state, PARAMS, **kwargs)
+
+
+# phase squeezing at s = 0.1 puts the wide axis's mass near ybar_0 / s = 21,
+# where the chirp phase is about 3e3 rad; its rounding in the kernel leaves
+# up to 7e-12 there, against 2e-14 under number squeezing
+@pytest.mark.parametrize("delta_phi, bound", [(math.pi, 1e-12), (0.0, 2e-11)])
+def test_quadrature_stops_at_level_one_on_the_acceptance_grid(delta_phi, bound):
+    for s_target in (0.1, 0.5, 1.0):
+        for radius in (0.5, 1.5):
+            state = make_state(radius, s_target, delta_phi)
+            for k in range(25):
+                if k == 12:
+                    continue
+                t = (k * math.pi / 24.0) / (XI * PARAMS.w2)
+                ref = km.expectation_a_closed(t, state, PARAMS).value
+                quad = km.expectation_a_quadrature(t, state, PARAMS, tol=1e-8,
+                                                   max_refine=1)
+                assert abs(quad - ref) <= bound * (1.0 + abs(ref))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_quadrature_small_xi_does_not_overflow():
     # without exp(-|ybar|^2 / xi) folded in, the envelope would peak at
@@ -358,49 +397,50 @@ def test_axis_sums_match_complex_exp_reference(n_edges, seed, ends, scale, at,
     assert abs(sum1 - ref1) <= 1e-13 * bound
 
 
-def _union1d_edges(center, sigma, half_width, big_t, xi, refine):
-    """The axis edges as np.union1d of the envelope grid and the phase points."""
-    lo = center - half_width
-    hi = center + half_width
-    n_env = max(2, int(math.ceil((hi - lo) / (_PANEL_SIGMAS * sigma / 2.0**refine))) + 1)
-    dphase = _PANEL_PHASE / 2.0**refine
-    k_max = int(math.floor(abs(big_t) * max(abs(lo), abs(hi))**2 / (xi * dphase)))
-    edges = np.linspace(lo, hi, n_env)
-    if big_t == 0.0:
-        return edges
-    y_phase = np.sqrt(np.arange(k_max + 1) * dphase * xi / abs(big_t))
-    y_phase = np.concatenate([-y_phase[:0:-1], y_phase])
-    return np.union1d(edges, y_phase[(y_phase > lo) & (y_phase < hi)])
-
-
 @settings(max_examples=60, deadline=None)
 @given(center=st.floats(-20.0, 20.0), sigma=st.floats(0.05, 2.0),
        half_width=st.floats(0.5, 20.0), big_t=st.floats(-20.0, 20.0),
        xi=st.floats(0.5, 2.0), refine=st.integers(0, 4))
 @example(center=0.0, sigma=0.25, half_width=2.0, big_t=8.0 * math.pi,
-         xi=1.0, refine=0)                        # grid -2..2 step 1 meets 0, +-sqrt(k)
+         xi=1.0, refine=0)                        # window ends on the roots +-2
 @example(center=0.3, sigma=0.25, half_width=2.0, big_t=8.0 * math.pi,
-         xi=1.0, refine=0)                        # y = 0 between two grid points
+         xi=1.0, refine=0)                        # y = 0 off the window's middle
 @example(center=0.0, sigma=0.5, half_width=3.0, big_t=0.0,
-         xi=1.0, refine=2)                        # T = 0: the grid alone
+         xi=1.0, refine=2)                        # T = 0: the uniform grid
+@example(center=0.0, sigma=0.3, half_width=8.4, big_t=0.0,
+         xi=1.0, refine=0)                        # roots +-7 base round onto the ends
 @example(center=0.0, sigma=1.0, half_width=0.5, big_t=7.0,
-         xi=0.5, refine=2)                        # k_max = 0: y = 0 alone
+         xi=0.5, refine=2)                        # y = 0 the only root inside
 @example(center=5.0, sigma=0.3, half_width=2.0, big_t=-7.5,
          xi=0.7, refine=3)                        # window [3, 7], one side of zero
 @example(center=-30.0, sigma=0.3, half_width=5.0, big_t=1.5,
          xi=1.0, refine=1)                        # window [-35, -25], far out
-def test_axis_edges_match_union1d_reference(center, sigma, half_width, big_t, xi, refine):
+def test_axis_edges_invariants(center, sigma, half_width, big_t, xi, refine):
+    lo, hi = center - half_width, center + half_width
     args = (center, sigma, half_width, big_t, xi, refine)
     edges = _axis_edges(*args)
-    assert np.array_equal(edges, _union1d_edges(*args))
-    # no panel spans more than 4 sigma / 2^refine, or more than
-    # 8 pi / 2^refine radians of the phase |T| y^2 / xi, which turns at y = 0
+    assert np.all(edges[1:] > edges[:-1])
+    assert edges[0] == lo and edges[-1] == hi
+    assert (0.0 in edges[1:-1]) == (lo < 0.0 < hi)
+    # width / base plus chirp phase rise / dphase is at most 1 on every panel,
+    # up to the rounding of its edges, which moves g(y) = |y| / base +
+    # |T| y^2 / (xi dphase) by a few ulps of g at the panel's outer end
+    base = _PANEL_SIGMAS * sigma / 2.0**refine
+    dphase = _PANEL_PHASE / 2.0**refine
     a, b = edges[:-1], edges[1:]
-    assert np.all(b - a <= _PANEL_SIGMAS * sigma / 2.0**refine * (1.0 + 1e-12))
-    rise = np.where(a * b >= 0.0, np.abs(b * b - a * a), a * a + b * b)
-    y_max = max(abs(edges[0]), abs(edges[-1]))
-    assert np.all(abs(big_t) * rise / xi
-                  <= _PANEL_PHASE / 2.0**refine + 1e-12 * abs(big_t) * y_max**2 / xi)
+    assert np.all(a * b >= 0.0)                   # no panel straddles y = 0
+    spent = (b - a) / base + abs(big_t) * np.abs(b * b - a * a) / (xi * dphase)
+    reach = np.maximum(np.abs(a), np.abs(b))
+    assert np.all(spent <= 1.0 + 1e-12 + 1e-14 * (reach / base
+                                                  + abs(big_t) * reach**2 / (xi * dphase)))
+    # the node bound counts every node the edges give, and at most two
+    # panels more
+    nodes = _GL_X.size * (edges.size - 1)
+    with mock.patch.object(expectations, "MAX_AXIS_NODES", nodes - 1):
+        with pytest.raises(ToleranceNotMet, match="nodes on one axis"):
+            _axis_edges(*args)
+    with mock.patch.object(expectations, "MAX_AXIS_NODES", nodes + 2 * _GL_X.size):
+        _axis_edges(*args)
 
 
 # ---------------------------------------------------------------------------
