@@ -33,7 +33,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import expectations, fock, kerr, states, validate
-from .errors import KerrMoyalError
+from .errors import KerrMoyalError, SingularTime
 
 _QAMPL_XIS = (1.0, 0.5, 0.25, 0.1)
 _QPHASE_X2S = (0.5, 1.0, 2.0, 4.0)
@@ -199,11 +199,12 @@ def _figure_qampl(p) -> tuple[list[str], list[list[object]]]:
     for xi in _QAMPL_XIS:
         w2t_grid = np.linspace(0.0, math.pi / xi, p["steps"])
         for w2t in w2t_grid:
-            c = math.cos(xi * w2t)
-            if abs(c) < kerr.SINGULAR_COS_WINDOW:
-                rows.append([xi, float(w2t), "singular"])
-            else:
-                rows.append([xi, float(w2t), 1.0 / (c * c)])
+            try:
+                c = kerr.checked_cos(xi * w2t)
+                ratio = 1.0 / (c * c)
+            except SingularTime:
+                ratio = "singular"
+            rows.append([xi, float(w2t), ratio])
     return ["xi", "w2_t", "ratio_abs"], rows
 
 
@@ -215,10 +216,11 @@ def _figure_qphase(p) -> tuple[list[str], list[list[object]]]:
     for x2 in _QPHASE_X2S:
         pt = kerr.PhasePoint(math.sqrt(x2), 0.0)
         for t in t_grid:
-            if abs(math.cos(xi * w2 * t)) < kerr.SINGULAR_COS_WINDOW:
-                rows.append([float(t), x2, "singular"])
-            else:
-                rows.append([float(t), x2, kerr.quantum_phase(xi, pt, float(t), params)])
+            try:
+                phi = kerr.quantum_phase(xi, pt, float(t), params)
+            except SingularTime:
+                phi = "singular"
+            rows.append([float(t), x2, phi])
     return ["t", "x2", "phi"], rows
 
 
@@ -283,7 +285,7 @@ def cmd_expect(p: dict, echo: dict) -> int:
             record["quadrature_re"] = quad.real
             record["quadrature_im"] = quad.imag
             record["quadrature_deviation"] = abs(res.value - quad)
-        except expectations.SingularWindow:
+        except SingularTime:
             record["quadrature_re"] = "singular"
             record["quadrature_im"] = "singular"
             record["quadrature_deviation"] = "singular"

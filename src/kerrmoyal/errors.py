@@ -25,12 +25,8 @@ class IndexCapExceeded(KerrMoyalError):
     """Observable index (s, m) exceeds the configured cap."""
 
 
-class SingularWindow(KerrMoyalError):
-    """Evaluation requested inside a singular-time window |cos t~| < threshold."""
-
-
 class SingularTime(KerrMoyalError):
-    """A symbol cannot be constructed at a singular time."""
+    """Evaluation requested at a singular time, where kerr.checked_cos refuses cos t~."""
 
 
 class InvalidState(KerrMoyalError):

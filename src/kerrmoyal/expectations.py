@@ -15,9 +15,7 @@ A = cos^2(Delta_phi/2) / s^2 + s^2 sin^2(Delta_phi/2).  Since
 for every t~, the principal 3/2 power is the continuous branch from t = 0
 (where it equals 1), and n12 never vanishes (n12 = -1 at c = 0).  Nothing in
 the formula has a pole, so <a(t)> is evaluated the same way at the singular
-times of the Moyal solution as anywhere else.  gaussian_factors keeps the
-tan-based G and G^{3/2} as an independent reference for tests and
-validation.
+times of the Moyal solution as anywhere else.
 """
 
 from __future__ import annotations
@@ -28,13 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState, SingularWindow, ToleranceNotMet
-from .kerr import (
-    SINGULAR_COS_WINDOW,
-    KerrParams,
-    ObservableIndex,
-    classical_amplitude,
-)
+from .errors import InvalidState, ToleranceNotMet
+from .kerr import KerrParams, ObservableIndex, checked_cos, classical_amplitude
 from .phase_space import PhasePoint
 from .states import SqueezedState
 
@@ -44,6 +37,8 @@ _SQRT2 = math.sqrt(2.0)
 # sqrt(xi / scale), outside which the envelope exp(-scale (y - center)^2 / xi)
 # is below exp(-RADIUS_SCALE^2).
 RADIUS_SCALE = 8.0
+# Refine levels the quadrature may take after level 0 before it gives up.
+MAX_REFINE = 4
 # Most Gauss-Legendre nodes one axis may take at one refine level.  Near a
 # pole the count grows as |tan t~| without limit.  The acceptance grid and
 # the oracle benchmark workloads need at most 1.92e5 (s = 0.1 at
@@ -67,15 +62,6 @@ _PANEL_CHUNK = 2**14 // _GL_X.size
 
 
 @dataclass(frozen=True)
-class GaussianFactors:
-    """T = tan(xi w2 t), the ratio G(T, s), and its tracked 3/2 power."""
-
-    T: float
-    G: complex
-    sqrtG3: complex
-
-
-@dataclass(frozen=True)
 class ExpectationResult:
     """<a(t)> together with the canonical means and the pole count."""
 
@@ -96,21 +82,6 @@ def branch_winding(t: float, params: KerrParams) -> int:
     tt = params.xi * params.w2 * t
     count = int(math.floor((abs(tt) + math.pi / 2.0) / math.pi))
     return count if tt >= 0 else -count
-
-
-def gaussian_factors(t: float, state: SqueezedState, params: KerrParams) -> GaussianFactors:
-    """Branch-consistent (T, G, G^{3/2}) away from the singular window."""
-    s = state.s
-    tt = params.xi * params.w2 * t
-    cos_tt = math.cos(tt)
-    if abs(cos_tt) < SINGULAR_COS_WINDOW:
-        raise SingularWindow("T = tan(xi w2 t) has a pole here; factors via limits only")
-    big_t = math.tan(tt)
-    m1 = s * s + 1j * big_t
-    m2 = 1.0 / (s * s) + 1j * big_t
-    g = (1.0 + 1j * big_t) ** 2 / (m1 * m2)
-    sqrt_g3 = np.exp(3j * tt) / (cos_tt ** 3 * (np.sqrt(m1) * np.sqrt(m2)) ** 3)
-    return GaussianFactors(big_t, g, sqrt_g3)
 
 
 def _check_xi(state: SqueezedState, params: KerrParams) -> None:
@@ -151,13 +122,6 @@ def expectation_a_closed(t: float, state: SqueezedState,
              * cmath.exp(exponent - 1j * (params.w1 * t + tt - half))
              / (z * cmath.sqrt(z)))
     return ExpectationResult(complex(value), branch_winding(t, params))
-
-
-def expectation_a_sweep(times, state: SqueezedState,
-                        params: KerrParams) -> list[ExpectationResult]:
-    """Expectation values over a time grid with one consistent branch."""
-    return [expectation_a_closed(float(t), state, params)
-            for t in np.asarray(times, dtype=float)]
 
 
 def expectation_a_semiclassical(t: float, state: SqueezedState,
@@ -266,36 +230,29 @@ def _axis_sums(edges: np.ndarray, scale: float, center: float, big_t: float,
 
 
 def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
-                             tol: float = 1e-8, radius_scale: float = RADIUS_SCALE,
-                             max_refine: int = 4) -> complex:
+                             tol: float = 1e-8) -> complex:
     """<a(t)> by adaptive tensor quadrature of the phase-space integral.
 
     Works in the rotated coordinates y = R(-phi) x, where the squeezed
     Wigner weight is a product of one Gaussian per axis,
     exp(-scale (y - center)^2 / xi) with scale = s^2, 1/s^2 and center =
     ybar_0 / s, s ybar_1.  The domain is the tensor product of the per-axis
-    windows center +- radius_scale sqrt(xi / scale), outside which the
-    Gaussian is below exp(-radius_scale^2).  Each axis is a composite
+    windows center +- RADIUS_SCALE sqrt(xi / scale), outside which the
+    Gaussian is below exp(-RADIUS_SCALE^2).  Each axis is a composite
     24-point Gauss-Legendre sum on the closed-form panel edges of
-    _axis_edges; refines by panel halving until the change is below tol.
-    radius_scale must be finite and positive, tol finite and non-negative
-    and max_refine an integer >= 1, or ValueError is raised.
+    _axis_edges; refines by panel halving, at most MAX_REFINE times, until
+    the change is below tol.  tol must be finite and non-negative, or
+    ValueError is raised; at a pole of Theta_01 SingularTime is.
     """
-    if not (math.isfinite(radius_scale) and radius_scale > 0):
-        raise ValueError(f"radius_scale must be finite and positive, got {radius_scale!r}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    if not isinstance(max_refine, int) or max_refine < 1:
-        raise ValueError(f"max_refine must be an integer >= 1, got {max_refine!r}")
     s = state.s
     if s <= 0:
         raise InvalidState("squeeze factor s must be positive")
     _check_xi(state, params)
     xi = params.xi
     tt = xi * params.w2 * t
-    cos_tt = math.cos(tt)
-    if abs(cos_tt) < SINGULAR_COS_WINDOW:
-        raise SingularWindow("Theta_01 is pointwise singular here")
+    cos_tt = checked_cos(tt)
     big_t = math.tan(tt)
     # R(-phi) rotates the mean x = sqrt(2) (Re alpha, Im alpha) by -phi / 2
     half_turn = cmath.exp(0.5j * state.squeeze.phase)
@@ -304,7 +261,7 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
     pref = cmath.exp(-1j * params.w1 * t) / cos_tt ** 2 * cmath.exp(2j * tt)
     norm = half_turn / (math.pi * xi) * pref / _SQRT2
     axes = [(scale, center, math.sqrt(xi / (2.0 * scale)),
-             radius_scale * math.sqrt(xi / scale))
+             RADIUS_SCALE * math.sqrt(xi / scale))
             for scale, center in ((s * s, ybar.real / s), (1.0 / (s * s), s * ybar.imag))]
 
     def tensor_value(refine: int) -> complex:
@@ -316,7 +273,7 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
 
     prev = tensor_value(0)
     err = math.inf
-    for refine in range(1, max_refine + 1):
+    for refine in range(1, MAX_REFINE + 1):
         try:
             cur = tensor_value(refine)
         except ToleranceNotMet as exc:  # node bound: report the last estimate

@@ -7,9 +7,9 @@ Theta_sm(t|x) is an eigenfunction of the rotation generator (x.J d_x) and
 carries the characteristic secant amplitude that diverges periodically at
 cos((m-s) xi w2 t) = 0.
 
-All evaluators here are pure functions of their arguments; the periodic
-singular times are reported through typed values or errors, never as
-overflowed floats.
+All evaluators here are pure functions of their arguments; at a periodic
+singular time they raise SingularTime (see checked_cos), never return an
+overflowed float.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexCapExceeded, SingularTime, SingularWindow
+from .errors import IndexCapExceeded, SingularTime
 from .phase_space import POISSON_J, GaussPolySymbol, PhasePoint, ZPoly
 
-# |cos t~| below this is treated as a singular time.
+# |cos t~| below this is treated as a singular time; only checked_cos reads it.
 SINGULAR_COS_WINDOW = 1e-9
 
 # Largest s or m of an observable index.
@@ -54,32 +54,15 @@ class ObservableIndex:
 
     s: int
     m: int
-    cap: int = INDEX_CAP
 
     def __post_init__(self):
         if self.s < 0 or self.m < 0:
             raise IndexCapExceeded("s and m must be non-negative")
-        if self.s > self.cap or self.m > self.cap:
-            raise IndexCapExceeded(f"(s, m) = ({self.s}, {self.m}) exceeds cap {self.cap}")
+        if self.s > INDEX_CAP or self.m > INDEX_CAP:
+            raise IndexCapExceeded(f"(s, m) = ({self.s}, {self.m}) exceeds cap {INDEX_CAP}")
 
     def t_tilde(self, t: float, params: KerrParams) -> float:
         return (self.m - self.s) * params.xi * params.w2 * t
-
-
-@dataclass(frozen=True)
-class MoyalValue:
-    """Value of Theta_sm(t|x), or a singular-time marker carrying t~."""
-
-    value: complex | None
-    singular_t_tilde: float | None = None
-
-    @property
-    def is_singular(self) -> bool:
-        return self.value is None
-
-    @classmethod
-    def singular(cls, t_tilde: float) -> "MoyalValue":
-        return cls(None, t_tilde)
 
 
 @dataclass(frozen=True)
@@ -95,6 +78,14 @@ class ClassicalState:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.q_cl, self.p_cl], dtype=float)
+
+
+def checked_cos(t_tilde: float) -> float:
+    """cos t~, or SingularTime when |cos t~| < SINGULAR_COS_WINDOW."""
+    cos_tt = math.cos(t_tilde)
+    if abs(cos_tt) < SINGULAR_COS_WINDOW:
+        raise SingularTime(f"cos(t~) = {cos_tt:.3e} at t~ = {t_tilde!r}")
+    return cos_tt
 
 
 def w_coefficient(m: int, s: int, l: int) -> float:
@@ -156,16 +147,14 @@ def initial_symbol(idx: ObservableIndex, xi: float, x: PhasePoint) -> complex:
 # ---------------------------------------------------------------------------
 
 def moyal_solution(idx: ObservableIndex, t: float, x: PhasePoint,
-                   params: KerrParams) -> MoyalValue:
+                   params: KerrParams) -> complex:
     """Theta_sm(t|x) in closed form.
 
-    Returns a SingularTime marker whenever |cos t~| < 1e-9 and s != m;
-    for s = m the solution is a constant of motion and never singular.
+    Raises SingularTime at a pole of sec t~.  For s = m, t~ = 0: the solution
+    is a constant of motion and never singular.
     """
     tt = idx.t_tilde(t, params)
-    cos_tt = math.cos(tt)
-    if idx.s != idx.m and abs(cos_tt) < SINGULAR_COS_WINDOW:
-        return MoyalValue.singular(tt)
+    cos_tt = checked_cos(tt)
     sec_tt = 1.0 / cos_tt
     xi = params.xi
     a = x.z / _SQRT2
@@ -178,7 +167,7 @@ def moyal_solution(idx: ObservableIndex, t: float, x: PhasePoint,
     for l in range(min(idx.s, idx.m) + 1):
         series += (w_coefficient(idx.m, idx.s, l) * base ** l
                    * abar ** (idx.s - l) * a ** (idx.m - l))
-    return MoyalValue(pref * series)
+    return pref * series
 
 
 def moyal_solution_symbolic(idx: ObservableIndex, t: float,
@@ -189,9 +178,7 @@ def moyal_solution_symbolic(idx: ObservableIndex, t: float,
     phases are folded into the polynomial coefficients.
     """
     tt = idx.t_tilde(t, params)
-    cos_tt = math.cos(tt)
-    if idx.s != idx.m and abs(cos_tt) < SINGULAR_COS_WINDOW:
-        raise SingularTime(f"cos(t~) = {cos_tt:.3e} at t~ = {tt!r}")
+    cos_tt = checked_cos(tt)
     xi = params.xi
     sec_tt = 1.0 / cos_tt
     pref = (np.exp(-1j * (idx.m - idx.s) * params.w1 * t)
@@ -212,10 +199,7 @@ def moyal_solution_symbolic(idx: ObservableIndex, t: float,
 # ---------------------------------------------------------------------------
 
 def _theta_value(idx, t, q, p, params) -> complex:
-    val = moyal_solution(idx, t, PhasePoint(q, p), params)
-    if val.is_singular:
-        raise SingularWindow(f"stencil point at singular t~ = {val.singular_t_tilde!r}")
-    return val.value
+    return moyal_solution(idx, t, PhasePoint(q, p), params)
 
 
 def _d1(fun, u0: float, h: float) -> complex:
@@ -310,15 +294,11 @@ def ansatz_ode_check(m: int, t: float, params: KerrParams,
 
     def g(u: float) -> complex:
         phase = m * xi * w2 * u
-        if abs(math.cos(phase)) < SINGULAR_COS_WINDOW:
-            raise SingularWindow(f"cos(m xi w2 t) vanishes at t = {u!r}")
+        checked_cos(phase)
         return -1j * math.tan(phase) / xi
 
     def f(u: float) -> complex:
-        phase = m * xi * w2 * u
-        if abs(math.cos(phase)) < SINGULAR_COS_WINDOW:
-            raise SingularWindow(f"cos(m xi w2 t) vanishes at t = {u!r}")
-        return (1.0 / math.cos(phase)) ** (m + 1)
+        return (1.0 / checked_cos(m * xi * w2 * u)) ** (m + 1)
 
     g_dot = (g(t + h_t) - g(t - h_t)) / (2 * h_t)
     f_dot = (f(t + h_t) - f(t - h_t)) / (2 * h_t)
@@ -347,8 +327,7 @@ def classical_amplitude(t: float, x: PhasePoint, params: KerrParams) -> complex:
 def quantum_phase(xi: float, x: PhasePoint, t: float, params: KerrParams) -> float:
     """Phi = 2 xi w2 t + x^2 (w2 t - tan(xi w2 t)/xi); vanishes as xi -> 0."""
     phase = xi * params.w2 * t
-    if abs(math.cos(phase)) < SINGULAR_COS_WINDOW:
-        raise SingularWindow(f"cos(xi w2 t) vanishes at t = {t!r}")
+    checked_cos(phase)
     return 2.0 * xi * params.w2 * t + x.x2 * (params.w2 * t - math.tan(phase) / xi)
 
 
@@ -358,10 +337,7 @@ def quantum_trajectory(t: float, x: PhasePoint, params: KerrParams) -> complex:
     Real and imaginary parts give [q_hat(t)]_w / sqrt(2) and
     [p_hat(t)]_w / sqrt(2) respectively.
     """
-    phase = params.xi * params.w2 * t
-    if abs(math.cos(phase)) < SINGULAR_COS_WINDOW:
-        raise SingularWindow(f"cos(xi w2 t) vanishes at t = {t!r}")
-    sec2 = 1.0 / math.cos(phase) ** 2
+    sec2 = 1.0 / checked_cos(params.xi * params.w2 * t) ** 2
     phi = quantum_phase(params.xi, x, t, params)
     return sec2 * np.exp(1j * phi) * classical_amplitude(t, x, params)
 

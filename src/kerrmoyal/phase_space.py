@@ -20,7 +20,7 @@ can serve as an oracle for the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,7 +192,6 @@ class GaussPolySymbol:
     lin: np.ndarray
     const: complex
     poly: ZPoly
-    degree_cap: int = field(default=DEGREE_CAP, compare=False)
 
     def __post_init__(self):
         quad = np.array(self.quad, dtype=complex)
@@ -201,9 +200,9 @@ class GaussPolySymbol:
             raise ValueError("quadratic form must be 2x2")
         if not np.allclose(quad, quad.T, atol=1e-12):
             raise ValueError("quadratic form must be symmetric")
-        if self.poly.degree > self.degree_cap:
+        if self.poly.degree > DEGREE_CAP:
             raise DegreeCapExceeded(
-                f"polynomial degree {self.poly.degree} exceeds cap {self.degree_cap}")
+                f"polynomial degree {self.poly.degree} exceeds cap {DEGREE_CAP}")
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "const", complex(self.const))

@@ -119,7 +119,7 @@ def validate_moyal(params: kerr.KerrParams | None = None) -> SuiteReport:
         for m in range(3):
             idx = kerr.ObservableIndex(s, m)
             for pt in pts:
-                v0 = kerr.moyal_solution(idx, 0.0, pt, params).value
+                v0 = kerr.moyal_solution(idx, 0.0, pt, params)
                 dev = max(dev, abs(v0 - kerr.initial_symbol(idx, params.xi, pt)))
     report.checks.append(CheckResult("t0_reduction", float(dev), 1e-12))
 
@@ -130,8 +130,8 @@ def validate_moyal(params: kerr.KerrParams | None = None) -> SuiteReport:
             idx_t = kerr.ObservableIndex(m, s)
             for t in times:
                 for pt in pts[:2]:
-                    v = kerr.moyal_solution(idx, t, pt, params).value
-                    w = kerr.moyal_solution(idx_t, t, pt, params).value
+                    v = kerr.moyal_solution(idx, t, pt, params)
+                    w = kerr.moyal_solution(idx_t, t, pt, params)
                     dev = max(dev, abs(np.conj(v) - w))
     report.checks.append(CheckResult("adjoint_symmetry", float(dev), 1e-10))
 
@@ -139,8 +139,8 @@ def validate_moyal(params: kerr.KerrParams | None = None) -> SuiteReport:
     for m in range(1, 4):
         idx = kerr.ObservableIndex(m, m)
         for pt in pts[:2]:
-            v0 = kerr.moyal_solution(idx, 0.0, pt, params).value
-            vt = kerr.moyal_solution(idx, 7.31, pt, params).value
+            v0 = kerr.moyal_solution(idx, 0.0, pt, params)
+            vt = kerr.moyal_solution(idx, 7.31, pt, params)
             dev = max(dev, abs(vt - v0))
     report.checks.append(CheckResult("constants_of_motion", float(dev), 1e-12))
 
@@ -153,19 +153,19 @@ def validate_moyal(params: kerr.KerrParams | None = None) -> SuiteReport:
             for t in times[:2]:
                 for pt in pts[:2]:
                     dev = max(dev, kerr.moyal_residual(idx, t, pt, params))
-    report.checks.append(CheckResult("pde_residual", float(dev), 1e-5))
+    report.checks.append(CheckResult("pde_residual", float(dev), 2e-6))
 
     dev = 0.0
     for t in times[:2]:
         for pt in pts[:2]:
             dev = max(dev, kerr.angular_eigenvalue_residual(
                 kerr.ObservableIndex(0, 2), t, pt, params))
-    report.checks.append(CheckResult("angular_eigenvalue", float(dev), 1e-5))
+    report.checks.append(CheckResult("angular_eigenvalue", float(dev), 1e-9))
 
     dev = 0.0
     for t in times:
         for pt in pts[:2]:
-            theta01 = kerr.moyal_solution(kerr.ObservableIndex(0, 1), t, pt, params).value
+            theta01 = kerr.moyal_solution(kerr.ObservableIndex(0, 1), t, pt, params)
             dev = max(dev, abs(kerr.quantum_trajectory(t, pt, params) - theta01))
     report.checks.append(CheckResult("trajectory_consistency", float(dev), 1e-12))
 
@@ -177,7 +177,7 @@ def validate_moyal(params: kerr.KerrParams | None = None) -> SuiteReport:
         prod = star_gaussian(t10, t01, params.xi) + star_gaussian(t01, t10, params.xi)
         for pt in pts[:2]:
             dev = max(dev, abs(prod(pt) - pt.x2))
-    report.checks.append(CheckResult("z_star_z_conserved", float(dev), 1e-8))
+    report.checks.append(CheckResult("z_star_z_conserved", float(dev), 1e-13))
 
     # informational: growth exponent of the numerically obtained second
     # correction z2(t) ~ t^gamma (the closed form gives no z2 to assert)
@@ -253,7 +253,7 @@ def validate_states(params: kerr.KerrParams | None = None) -> SuiteReport:
     v = fock.squeezed_vector(state, space)
     mean_n = space.xi * float(np.arange(space.dim) @ np.abs(v) ** 2)
     dev = abs(mean_n - states.mean_photon_number(state))
-    report.checks.append(CheckResult("mean_photon_vs_fock", float(dev), 1e-8))
+    report.checks.append(CheckResult("mean_photon_vs_fock", float(dev), 1e-11))
 
     alpha, beta = 0.6 + 0.1j, -0.2 + 0.4j
     sp = fock.FockSpace(64, xi)
@@ -281,7 +281,7 @@ def validate_expectation(params: kerr.KerrParams | None = None) -> SuiteReport:
             for t, ref in zip(times, oracle):
                 val = expectations.expectation_a_closed(float(t), state, params).value
                 dev = max(dev, abs(val - ref) / (1.0 + abs(ref)))
-    report.checks.append(CheckResult("closed_vs_fock", float(dev), 1e-8))
+    report.checks.append(CheckResult("closed_vs_fock", float(dev), 1e-10))
 
     state = states.SqueezedState.from_values(1.0, -math.log(0.5) / (2.0 * xi), math.pi, xi)
     dev = 0.0
@@ -289,7 +289,7 @@ def validate_expectation(params: kerr.KerrParams | None = None) -> SuiteReport:
         quad = expectations.expectation_a_quadrature(t, state, params, tol=1e-9)
         closed = expectations.expectation_a_closed(t, state, params).value
         dev = max(dev, abs(quad - closed) / (1.0 + abs(closed)))
-    report.checks.append(CheckResult("quadrature_vs_closed", float(dev), 1e-6))
+    report.checks.append(CheckResult("quadrature_vs_closed", float(dev), 1e-13))
 
     coh = states.SqueezedState.from_values(0.8 + 0.3j, 0.0, 0.0, xi)
     dev = 0.0
@@ -301,13 +301,6 @@ def validate_expectation(params: kerr.KerrParams | None = None) -> SuiteReport:
             * np.exp(-1j * xi * params.w2 * t))
         dev = max(dev, abs(val - ref))
     report.checks.append(CheckResult("no_squeeze_reduction", float(dev), 1e-12))
-
-    state = states.SqueezedState.from_values(1.0, -math.log(0.2) / (2.0 * xi), math.pi, xi)
-    dev = 0.0
-    for t in np.linspace(0.1, math.pi / (xi * params.w2), 11):
-        f = expectations.gaussian_factors(float(t), state, params)
-        dev = max(dev, abs(f.sqrtG3**2 - f.G**3))
-    report.checks.append(CheckResult("branch_self_consistency", float(dev), 1e-12))
     return report
 
 

@@ -155,6 +155,17 @@ def test_expect_record_matches_library(tmp_path, capsys):
     assert rec["quadrature_deviation"] <= 1e-6
 
 
+def test_expect_check_at_a_pole_marks_the_quadrature_singular(capsys):
+    # xi w2 t = pi/2: the quadrature of Theta_01 has no value there, while the
+    # closed form and the Fock oracle still agree
+    assert run_cli(["expect", "--check", "--t", "15.707963267948966",
+                    "--tau-abs", "0.3", "--tau-phase", str(math.pi)]) == 0
+    rec = json.loads(capsys.readouterr().out)["record"]
+    for key in ("quadrature_re", "quadrature_im", "quadrature_deviation"):
+        assert rec[key] == "singular"
+    assert rec["fock_deviation"] <= 1e-12
+
+
 def test_expect_numerical_limit_exit_code(capsys):
     # s = e^{-2.4} needs a Fock basis past the default cap of 1024 states
     code = run_cli(["expect", "--tau-abs", "1.2", "--check"])
@@ -271,6 +282,15 @@ def test_validate_all_passes(tmp_path):
     for suite in doc["suites"]:
         for check in suite["checks"]:
             assert "max_deviation" in check and "tolerance" in check
+
+
+def test_validate_at_a_pole_is_a_numerical_limit(capsys):
+    # w2 = pi / 2.2 puts the moyal suite's t = 1.1 on the pole of Theta_01
+    code = run_cli(["validate", "moyal", "--w2", repr(math.pi / 2.2)])
+    assert code == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SingularTime")
 
 
 def test_validate_report_is_strict_json(capsys):

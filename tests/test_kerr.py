@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kerrmoyal as km
-from kerrmoyal import IndexCapExceeded, SingularTime, SingularWindow
+from kerrmoyal import IndexCapExceeded, SingularTime
 from kerrmoyal.kerr import (
     INDEX_CAP,
     angular_eigenvalue_residual,
@@ -140,7 +140,7 @@ def test_moyal_solution_identity_operator():
     idx = km.ObservableIndex(0, 0)
     for t in (0.0, 0.7, 13.2):
         for pt in POINTS[:3]:
-            assert km.moyal_solution(idx, t, pt, PARAMS).value == pytest.approx(1.0)
+            assert km.moyal_solution(idx, t, pt, PARAMS) == pytest.approx(1.0)
 
 
 def test_moyal_solution_number_is_constant():
@@ -148,16 +148,42 @@ def test_moyal_solution_number_is_constant():
     pt = PhasePoint(1.2, -0.3)
     expected = 0.5 * pt.x2 - 0.5 * PARAMS.xi
     for t in (0.0, 0.9, 4.2, math.pi / 2):
-        assert km.moyal_solution(idx, t, pt, PARAMS).value == pytest.approx(expected)
+        assert km.moyal_solution(idx, t, pt, PARAMS) == pytest.approx(expected)
 
 
-def test_moyal_solution_singular_marker():
-    val = km.moyal_solution(km.ObservableIndex(0, 1), math.pi / 2,
-                            PhasePoint(1.0, 0.0), PARAMS)
-    assert val.is_singular
-    assert val.singular_t_tilde == pytest.approx(math.pi / 2)
-    with pytest.raises(SingularTime):
-        km.moyal_solution_symbolic(km.ObservableIndex(0, 1), math.pi / 2, PARAMS)
+# With PARAMS, t = pi/2 puts t~ = pi/2 for (s, m) = (0, 1), for the
+# ansatz with m = 1 and for Theta_01 under the squeezed-state quadrature.
+T_POLE = math.pi / 2.0
+POLE_PT = PhasePoint(1.0, 0.0)
+IDX_01 = km.ObservableIndex(0, 1)
+POLE_CALLS = {
+    "moyal_solution": lambda: km.moyal_solution(IDX_01, T_POLE, POLE_PT, PARAMS),
+    "moyal_solution_symbolic": lambda: km.moyal_solution_symbolic(IDX_01, T_POLE, PARAMS),
+    "moyal_residual": lambda: km.moyal_residual(IDX_01, T_POLE, POLE_PT, PARAMS),
+    "angular_eigenvalue_residual":
+        lambda: angular_eigenvalue_residual(IDX_01, T_POLE, POLE_PT, PARAMS),
+    "quantum_phase": lambda: km.quantum_phase(PARAMS.xi, POLE_PT, T_POLE, PARAMS),
+    "quantum_trajectory": lambda: km.quantum_trajectory(T_POLE, POLE_PT, PARAMS),
+    "ansatz_ode_check": lambda: km.ansatz_ode_check(1, T_POLE, PARAMS),
+    "expectation_a_quadrature": lambda: km.expectation_a_quadrature(
+        T_POLE, km.SqueezedState.from_values(1.0, 0.3, math.pi, PARAMS.xi), PARAMS),
+}
+
+
+@pytest.mark.parametrize("name", POLE_CALLS)
+def test_every_pole_raises_singular_time(name):
+    with pytest.raises(SingularTime, match=r"t~ = 1\.5707963267948966"):
+        POLE_CALLS[name]()
+
+
+def test_diagonal_index_has_no_pole():
+    # t~ = (m - s) xi w2 t is exactly 0 for s = m
+    idx = km.ObservableIndex(2, 2)
+    for t in (T_POLE, 3.0 * T_POLE):
+        assert km.moyal_solution(idx, t, POLE_PT, PARAMS) == pytest.approx(
+            km.initial_symbol(idx, PARAMS.xi, POLE_PT))
+        assert km.moyal_solution_symbolic(idx, t, PARAMS)(POLE_PT) == pytest.approx(
+            km.initial_symbol(idx, PARAMS.xi, POLE_PT))
 
 
 def test_moyal_solution_t0_reduction():
@@ -165,7 +191,7 @@ def test_moyal_solution_t0_reduction():
         for m in range(5):
             idx = km.ObservableIndex(s, m)
             for pt in POINTS[:3]:
-                v0 = km.moyal_solution(idx, 0.0, pt, PARAMS).value
+                v0 = km.moyal_solution(idx, 0.0, pt, PARAMS)
                 assert abs(v0 - km.initial_symbol(idx, PARAMS.xi, pt)) <= 1e-12
 
 
@@ -177,10 +203,7 @@ def test_adjoint_symmetry():
         pt = PhasePoint(*rng.uniform(-1.5, 1.5, 2))
         v = km.moyal_solution(km.ObservableIndex(s, m), t, pt, PARAMS)
         w = km.moyal_solution(km.ObservableIndex(m, s), t, pt, PARAMS)
-        if v.is_singular:
-            assert w.is_singular
-        else:
-            assert np.conj(v.value) == pytest.approx(w.value, abs=1e-12)
+        assert np.conj(v) == pytest.approx(w, abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,8 +216,8 @@ def test_adjoint_symmetry_property(s, m, q, p, t, w2, xi):
     cos_tt = math.cos(idx.t_tilde(t, params))
     assume(s == m or abs(cos_tt) >= 1e-3)
     pt = PhasePoint(q, p)
-    v = km.moyal_solution(idx, t, pt, params).value
-    w = km.moyal_solution(km.ObservableIndex(m, s), t, pt, params).value
+    v = km.moyal_solution(idx, t, pt, params)
+    w = km.moyal_solution(km.ObservableIndex(m, s), t, pt, params)
     # relative to sum |terms| of the finite sum, the scale at which it is
     # rounded: Theta_ss is real but its series can cancel to near zero
     r = math.hypot(q, p) / math.sqrt(2.0)
@@ -208,9 +231,9 @@ def test_constants_of_motion_exact():
     for m in range(6):
         idx = km.ObservableIndex(m, m)
         for pt in POINTS[:2]:
-            v0 = km.moyal_solution(idx, 0.0, pt, PARAMS).value
+            v0 = km.moyal_solution(idx, 0.0, pt, PARAMS)
             for t in (0.37, 2.9, 11.0):
-                assert km.moyal_solution(idx, t, pt, PARAMS).value == v0
+                assert km.moyal_solution(idx, t, pt, PARAMS) == v0
 
 
 def test_harmonic_limit_phase_only():
@@ -218,7 +241,7 @@ def test_harmonic_limit_phase_only():
     idx = km.ObservableIndex(0, 1)
     for t in (0.5, 2.0, 7.7):
         for pt in POINTS[:3]:
-            val = km.moyal_solution(idx, t, pt, params).value
+            val = km.moyal_solution(idx, t, pt, params)
             ref = np.exp(-1j * params.w1 * t) * pt.z / math.sqrt(2.0)
             assert val == pytest.approx(ref, abs=1e-14)
 
@@ -232,9 +255,9 @@ def test_rotational_equivariance():
         idx = km.ObservableIndex(s, m)
         for pt in POINTS[:3]:
             mapped = PhasePoint(*(rot @ pt.as_array()))
-            lhs = km.moyal_solution(idx, 0.55, mapped, PARAMS).value
+            lhs = km.moyal_solution(idx, 0.55, mapped, PARAMS)
             rhs = (np.exp(1j * (m - s) * phi / 2.0)
-                   * km.moyal_solution(idx, 0.55, pt, PARAMS).value)
+                   * km.moyal_solution(idx, 0.55, pt, PARAMS))
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 
@@ -248,7 +271,7 @@ def test_symbolic_matches_pointwise():
             continue
         sym = km.moyal_solution_symbolic(idx, t, PARAMS)
         pt = PhasePoint(*rng.uniform(-1.5, 1.5, 2))
-        direct = km.moyal_solution(idx, t, pt, PARAMS).value
+        direct = km.moyal_solution(idx, t, pt, PARAMS)
         assert abs(sym(pt) - direct) <= 1e-12 * (1.0 + abs(direct))
 
 
@@ -307,22 +330,6 @@ def test_angular_eigenvalue_identity():
         res = angular_eigenvalue_residual(km.ObservableIndex(s, m), 0.4,
                                           PhasePoint(0.9, -0.6), PARAMS)
         assert res <= 1e-5
-
-
-def test_residual_inside_singular_window_raises():
-    with pytest.raises(SingularWindow):
-        km.moyal_residual(km.ObservableIndex(0, 1), math.pi / 2,
-                          PhasePoint(1.0, 0.0), PARAMS)
-
-
-def test_singular_window_raised_by_phase_and_trajectory():
-    pt = PhasePoint(1.0, 0.0)
-    with pytest.raises(SingularWindow):
-        km.quantum_phase(PARAMS.xi, pt, math.pi / 2.0, PARAMS)
-    with pytest.raises(SingularWindow):
-        km.quantum_trajectory(math.pi / 2.0, pt, PARAMS)
-    with pytest.raises(SingularWindow):
-        km.ansatz_ode_check(1, math.pi / 2.0, PARAMS)
 
 
 def test_ansatz_ode_check():
@@ -394,7 +401,7 @@ def test_quantum_trajectory_equals_moyal_solution():
     for _ in range(20):
         t = float(rng.uniform(0.05, 1.3))
         pt = PhasePoint(*rng.uniform(-1.5, 1.5, 2))
-        ref = km.moyal_solution(km.ObservableIndex(0, 1), t, pt, PARAMS).value
+        ref = km.moyal_solution(km.ObservableIndex(0, 1), t, pt, PARAMS)
         assert abs(km.quantum_trajectory(t, pt, PARAMS) - ref) <= 1e-12 * (1 + abs(ref))
 
 
