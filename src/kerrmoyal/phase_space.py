@@ -19,6 +19,7 @@ can serve as an oracle for the other.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -179,6 +180,31 @@ class ZPoly:
         return f"ZPoly({terms})"
 
 
+def _abs(z: complex) -> float:
+    """|z| as numpy computes it: inf, not OverflowError, past the float range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _isclose(x: complex, y: complex, atol: float) -> bool:
+    """``numpy.isclose(x, y, rtol=1e-5, atol=atol)`` on two complex scalars.
+
+    Like numpy it is not symmetric in (x, y), rejects NaN and accepts two
+    equal infinities.
+    """
+    if x == y:
+        return True
+    return cmath.isfinite(y) and _abs(x - y) <= atol + 1e-5 * _abs(y)
+
+
+def _allclose(xs, ys, atol: float) -> bool:
+    """``numpy.allclose(xs, ys, atol=atol)`` on two equal-shape arrays."""
+    return all(_isclose(x, y, atol)
+               for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist()))
+
+
 @dataclass(frozen=True)
 class GaussPolySymbol:
     """Symbol of the form poly(z, z*) * exp(x.A x + b.x + c).
@@ -186,6 +212,19 @@ class GaussPolySymbol:
     ``quad`` is a complex symmetric 2x2 matrix in real (q, p) coordinates,
     ``lin`` a complex 2-vector, ``const`` a complex scalar and ``poly`` the
     finite coefficient table of the polynomial prefactor.
+
+    Construction checks, in order:
+
+    * ``quad`` has shape 2x2, else ``ValueError``;
+    * ``quad`` is symmetric as ``numpy.allclose(quad, quad.T, atol=1e-12)``
+      judges it, else ``ValueError``: |a12 - a21| <= 1e-12 + 1e-5 |a21| and
+      the same with a12, a21 swapped, unless they are equal (two equal
+      infinities pass), and no entry holds a NaN;
+    * the polynomial degree is at most ``DEGREE_CAP``, else
+      ``DegreeCapExceeded``.
+
+    The checks run on Python scalars, not numpy reductions: every
+    derivative and product builds a new symbol.
     """
 
     quad: np.ndarray
@@ -198,7 +237,9 @@ class GaussPolySymbol:
         lin = np.array(self.lin, dtype=complex)
         if quad.shape != (2, 2):
             raise ValueError("quadratic form must be 2x2")
-        if not np.allclose(quad, quad.T, atol=1e-12):
+        (a11, a12), (a21, a22) = quad.tolist()
+        if not (a11 == a11 and a22 == a22            # no NaN on the diagonal
+                and _isclose(a12, a21, 1e-12) and _isclose(a21, a12, 1e-12)):
             raise ValueError("quadratic form must be symmetric")
         if self.poly.degree > DEGREE_CAP:
             raise DegreeCapExceeded(
@@ -226,8 +267,8 @@ class GaussPolySymbol:
     # -- structure ----------------------------------------------------
     @property
     def is_polynomial(self) -> bool:
-        return (not np.any(self.quad) and not np.any(self.lin)
-                and self.const == 0.0)
+        return (self.const == 0.0 and not any(self.lin.tolist())
+                and not any(self.quad.ravel().tolist()))
 
     @property
     def degree(self) -> int:
@@ -290,8 +331,8 @@ class GaussPolySymbol:
         return self.poly(x.z, x.zbar) * np.exp(expo)
 
     def __add__(self, other: "GaussPolySymbol") -> "GaussPolySymbol":
-        if (np.allclose(self.quad, other.quad, atol=1e-14)
-                and np.allclose(self.lin, other.lin, atol=1e-14)
+        if (_allclose(self.quad, other.quad, 1e-14)
+                and _allclose(self.lin, other.lin, 1e-14)
                 and abs(self.const - other.const) < 1e-14):
             return GaussPolySymbol(self.quad, self.lin, self.const,
                                    self.poly + other.poly)
@@ -314,21 +355,26 @@ def creation_symbol() -> GaussPolySymbol:
 # Fresnel-regularized complex Gaussian integrals
 # ---------------------------------------------------------------------------
 
-def _fresnel_sqrt_det(mat: np.ndarray, error_cls=DegenerateQuadraticForm):
-    """sqrt(det(-M)) continued from the damped form det(eps*I - M), eps -> 0+.
+def _fresnel_sqrt_det(lam, error_cls=DegenerateQuadraticForm) -> complex:
+    """sqrt(det(-M)) continued from the damped form det(eps*I - M), eps -> 0+,
+    given the eigenvalues ``lam`` of M.
 
     Adding -eps|u|^2 to the exponent and following the principal square root
     from large eps down to zero amounts to taking the principal square root
     of -lambda for every eigenvalue lambda of M; the path only degenerates
-    when an eigenvalue sits on the non-negative real axis.
+    when an eigenvalue sits on the non-negative real axis (within _EIG_TOL of
+    the largest modulus) or is not finite.
     """
-    lam = np.linalg.eigvals(mat)
-    scale = max(1.0, float(np.max(np.abs(lam))))
+    scale = max(1.0, max(_abs(ev) for ev in lam))
     for ev in lam:
+        if not cmath.isfinite(ev):
+            raise error_cls(f"quadratic form has eigenvalue {ev}")
         if abs(ev.imag) <= _EIG_TOL * scale and ev.real >= -_EIG_TOL * scale:
             raise error_cls(
                 f"quadratic form has eigenvalue {ev} on the non-negative real axis")
-    return complex(np.prod(np.sqrt(-lam)))
+    # numpy's complex sqrt, not cmath's: the two differ in the last bit when
+    # -lambda is near the imaginary axis
+    return math.prod(complex(np.sqrt(-ev)) for ev in lam)
 
 
 def _gaussian_moment(counts: tuple[int, ...], means: list[ZPoly],
@@ -349,12 +395,12 @@ def _gaussian_moment(counts: tuple[int, ...], means: list[ZPoly],
     reduced_t = tuple(reduced)
     total = means[i] * _gaussian_moment(reduced_t, means, cov, memo)
     for j, cnt in enumerate(reduced_t):
-        if cnt == 0 or cov[i, j] == 0:
+        if cnt == 0 or cov[i][j] == 0:
             continue
         further = list(reduced_t)
         further[j] -= 1
         total = total + _gaussian_moment(tuple(further), means, cov, memo).scale(
-            cov[i, j] * cnt)
+            cov[i][j] * cnt)
     memo[counts] = total
     return total
 
@@ -365,11 +411,6 @@ _FORMS_4D = np.array([
     [1.0, -1j, 0.0, 0.0],
     [0.0, 0.0, 1.0, 1j],
     [0.0, 0.0, 1.0, -1j],
-])
-
-_FORMS_2D = np.array([
-    [1.0, 1j],
-    [1.0, -1j],
 ])
 
 
@@ -393,7 +434,7 @@ def star_gaussian(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
     l0 = np.concatenate([f.lin, g.lin]).astype(complex)
     w_mat = np.vstack([-(2j / xi) * j, (2j / xi) * j]).astype(complex)
 
-    sqrt_det = _fresnel_sqrt_det(q_mat)
+    sqrt_det = _fresnel_sqrt_det(np.linalg.eigvals(q_mat))
     q_inv = np.linalg.inv(q_mat)
 
     quad_out = -0.25 * (w_mat.T @ q_inv @ w_mat)
@@ -484,20 +525,36 @@ def poisson_bracket(f: GaussPolySymbol, g: GaussPolySymbol) -> GaussPolySymbol:
 # ---------------------------------------------------------------------------
 
 def gauss_poly_integral(sym: GaussPolySymbol) -> complex:
-    """Closed form of int poly(z, z*) exp(x.A x + b.x + c) d^2x (Fresnel branch)."""
-    sqrt_det = _fresnel_sqrt_det(sym.quad, error_cls=DivergentIntegral)
-    a_inv = np.linalg.inv(sym.quad)
-    b = sym.lin
-    mu = -0.5 * (a_inv @ b)
-    cov = -0.5 * a_inv
-    means = [ZPoly.constant(lam @ mu) for lam in _FORMS_2D]
-    cov_forms = _FORMS_2D @ cov @ _FORMS_2D.T
+    """Closed form of int poly(z, z*) exp(x.A x + b.x + c) d^2x (Fresnel branch).
+
+    The 2x2 form is solved in closed form on scalars: eigenvalues
+    m +- sqrt(m^2 - det) with the root of larger modulus first and the other
+    as det over it, and the inverse through the adjugate.
+    """
+    (a11, a12), (a21, a22) = sym.quad.tolist()
+    b1, b2 = sym.lin.tolist()
+    m = 0.5 * (a11 + a22)
+    det = a11 * a22 - a12 * a21
+    half_gap = 0.5 * (a11 - a22)
+    root = cmath.sqrt(half_gap * half_gap + a12 * a21)   # m^2 - det, cancellation-free
+    lam1 = m + root if (m.conjugate() * root).real >= 0.0 else m - root
+    lam = (lam1, det / lam1) if lam1 else (0j, 0j)
+    sqrt_det = _fresnel_sqrt_det(lam, error_cls=DivergentIntegral)
+    # covariance -A^{-1}/2 and mean -A^{-1} b/2 of (q, p), A^{-1} = adj(A)/det
+    c11, c12, c21, c22 = -0.5 * a22 / det, 0.5 * a12 / det, 0.5 * a21 / det, -0.5 * a11 / det
+    mu_q = c11 * b1 + c12 * b2
+    mu_p = c21 * b1 + c22 * b2
+    means = [ZPoly.constant(mu_q + 1j * mu_p), ZPoly.constant(mu_q - 1j * mu_p)]
+    # the covariance carried to the forms z = q + ip, z* = q - ip
+    cov_forms = [[c11 - c22 + 1j * (c12 + c21), c11 + c22 + 1j * (c21 - c12)],
+                 [c11 + c22 + 1j * (c12 - c21), c11 - c22 - 1j * (c12 + c21)]]
     memo: dict = {}
     total = 0.0 + 0.0j
-    for (k, l), c in sym.poly.coeffs.items():
+    for (k, l), coeff in sym.poly.coeffs.items():
         mom = _gaussian_moment((k, l), means, cov_forms, memo)
-        total += c * mom.coeffs.get((0, 0), 0.0)
-    return total * (np.pi / sqrt_det) * np.exp(sym.const - 0.25 * (b @ a_inv @ b))
+        total += coeff * mom.coeffs.get((0, 0), 0.0)
+    # -b.A^{-1}.b/4 = b.mu/2
+    return total * (math.pi / sqrt_det) * cmath.exp(sym.const + 0.5 * (b1 * mu_q + b2 * mu_p))
 
 
 def phase_space_inner_product(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> complex:

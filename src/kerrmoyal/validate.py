@@ -28,6 +28,11 @@ from .phase_space import (
 
 _SEED = 20231123
 
+# Fock dimension cap of the oracle states.  Their photon number grows like
+# 1/xi: s = 0.2, |alpha| = 1 needs dim 2048 at xi = 0.1 and 4096 at xi = 0.02,
+# past the library default of fock.DIM_CAP.
+FOCK_DIM_CAP = 2 ** 13
+
 
 @dataclass
 class CheckResult:
@@ -249,7 +254,7 @@ def validate_states(params: kerr.KerrParams | None = None) -> SuiteReport:
     report.checks.append(CheckResult("squeeze_group_law", dev, 1e-12))
 
     state = states.SqueezedState.from_values(1.0, -math.log(0.5) / (2.0 * xi), math.pi, xi)
-    space = fock.fock_space_for(state)
+    space = fock.fock_space_for(state, cap=FOCK_DIM_CAP)
     v = fock.squeezed_vector(state, space)
     mean_n = space.xi * float(np.arange(space.dim) @ np.abs(v) ** 2)
     dev = abs(mean_n - states.mean_photon_number(state))
@@ -273,7 +278,7 @@ def validate_expectation(params: kerr.KerrParams | None = None) -> SuiteReport:
         for dphi in (0.0, math.pi):
             tau_abs = -math.log(s_target) / (2.0 * xi)
             state = states.SqueezedState.from_values(1.0, tau_abs, dphi, xi)
-            space = fock.fock_space_for(state)
+            space = fock.fock_space_for(state, cap=FOCK_DIM_CAP)
             v = fock.squeezed_vector(state, space)
             times = np.linspace(0.0, math.pi / (xi * params.w2), 7)[:-1]
             oracle = fock.heisenberg_expectation_sweep(

@@ -284,6 +284,12 @@ def test_validate_all_passes(tmp_path):
             assert "max_deviation" in check and "tolerance" in check
 
 
+def test_validate_expectation_passes_at_small_xi():
+    # the oracle states need Fock dim 2048 at xi = 0.1, past fock.DIM_CAP
+    report = validate.validate_expectation(kerr.KerrParams(w1=1.0, w2=0.1, xi=0.1))
+    assert report.passed, report.to_dict()
+
+
 def test_validate_at_a_pole_is_a_numerical_limit(capsys):
     # w2 = pi / 2.2 puts the moyal suite's t = 1.1 on the pole of Theta_01
     code = run_cli(["validate", "moyal", "--w2", repr(math.pi / 2.2)])

@@ -214,6 +214,14 @@ def test_inner_product_divergent_for_constants():
         km.phase_space_inner_product(one, one, XI)
 
 
+def test_inner_product_of_non_finite_form_raises():
+    # the symmetry check lets equal infinities through; the pairing's
+    # closed-form eigenvalues are then NaN and must not reach the result
+    steep = GaussPolySymbol.gaussian(np.diag([-math.inf, -1.0]))
+    with pytest.raises(DivergentIntegral):
+        km.phase_space_inner_product(steep, GaussPolySymbol.constant(1.0), XI)
+
+
 def test_star_gaussian_degenerate_form_raises():
     # exp(-(i/xi) x^2) paired with itself zeroes an eigenvalue of the
     # Berezin form: the eps-regularized determinant stays singular

@@ -1,0 +1,205 @@
+"""Property checks of the Gaussian-symbol class and the trace pairing.
+
+The library does its 2x2 algebra on Python scalars; these tests hold it to
+numpy: the symmetry check to ``numpy.allclose`` and the pairing to a
+reference built here from ``numpy.linalg.eigvals`` and ``inv``.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import kerrmoyal as km
+from kerrmoyal import DivergentIntegral
+from kerrmoyal.phase_space import GaussPolySymbol, ZPoly, gauss_poly_integral
+
+NON_FINITE = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
+              complex(-math.inf, 1.0), complex(0.0, math.inf), complex(math.inf, math.nan)]
+# None leaves the matrix finite; a tuple of entries gets the drawn value
+ENTRIES = [None, ((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),), ((0, 1), (1, 0))]
+
+
+def _complex(max_magnitude):
+    return st.complex_numbers(max_magnitude=max_magnitude, allow_nan=False,
+                              allow_infinity=False)
+
+
+# ---------------------------------------------------------------------------
+# symmetry check on construction
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=400, deadline=None)
+@given(a11=_complex(1e6), a22=_complex(1e6), a21=_complex(1e300),
+       gap=st.floats(0.0, 2.0), gap_arg=st.floats(-math.pi, math.pi),
+       entries=st.sampled_from(ENTRIES), bad=st.sampled_from(NON_FINITE))
+@example(a11=1.0, a22=1.0, a21=1.0, gap=1.0, gap_arg=0.0, entries=None, bad=NON_FINITE[0])
+@example(a11=1.0, a22=1.0, a21=1e5, gap=1.0, gap_arg=math.pi, entries=None,
+         bad=NON_FINITE[0])
+@example(a11=1.0, a22=1.0, a21=1e308 + 1e308j, gap=0.5, gap_arg=0.0, entries=None,
+         bad=NON_FINITE[0])
+def test_symmetry_check_matches_numpy_allclose(a11, a22, a21, gap, gap_arg, entries, bad):
+    # the off-diagonal gap is drawn in units of allclose's bound for the
+    # (0, 1) entry, 1e-12 + 1e-5 |a21|, so it straddles the boundary
+    with np.errstate(all="ignore"):
+        bound = 1e-12 + 1e-5 * float(np.abs(a21))
+    a12 = a21 + gap * bound * cmath.exp(1j * gap_arg) if math.isfinite(bound) else a21
+    quad = np.array([[a11, a12], [a21, a22]], dtype=complex)
+    for entry in entries or ():
+        quad[entry] = bad
+    with np.errstate(all="ignore"):
+        symmetric = bool(np.allclose(quad, quad.T, atol=1e-12))
+    if symmetric:
+        GaussPolySymbol(quad, np.zeros(2), 0.0, ZPoly.one())
+    else:
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussPolySymbol(quad, np.zeros(2), 0.0, ZPoly.one())
+
+
+def _symbol(slots, const):
+    """Symbol with quad [[s0, s1], [s1, s2]] and lin (s3, s4)."""
+    return GaussPolySymbol(np.array([[slots[0], slots[1]], [slots[1], slots[2]]]),
+                           np.array(slots[3:]), const, ZPoly.one())
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.lists(_complex(1e6), min_size=5, max_size=5),
+       slot=st.integers(0, 4), gap=st.floats(0.0, 2.0), gap_arg=st.floats(-math.pi, math.pi),
+       bad_side=st.sampled_from([None, "left", "right"]), bad=st.sampled_from(NON_FINITE[2:5]),
+       const_gap=st.sampled_from([0.0, 5e-15, 2e-14]))
+def test_add_accepts_exactly_numpy_allclose(base, slot, gap, gap_arg, bad_side, bad,
+                                            const_gap):
+    # the right operand's entry at slot moves by gap in units of allclose's
+    # bound 1e-14 + 1e-5 |right|; an infinity may replace either side
+    right = list(base)
+    left = list(base)
+    left[slot] = right[slot] + gap * (1e-14 + 1e-5 * abs(right[slot])) * cmath.exp(1j * gap_arg)
+    if bad_side is not None:
+        (left if bad_side == "left" else right)[slot] = bad
+    f, g = _symbol(left, const_gap), _symbol(right, 0.0)
+    with np.errstate(all="ignore"):
+        same = (np.allclose(f.quad, g.quad, atol=1e-14)
+                and np.allclose(f.lin, g.lin, atol=1e-14) and const_gap < 1e-14)
+    if same:
+        assert (f + g).poly.coeffs == {(0, 0): 2.0}
+    else:
+        with pytest.raises(ValueError, match="one Gaussian factor"):
+            f + g
+
+
+# ---------------------------------------------------------------------------
+# trace pairing against a LAPACK reference
+# ---------------------------------------------------------------------------
+
+def _double_factorial(n):
+    return math.prod(range(n, 0, -2))
+
+
+def _centered_moment(i, j, cuu, cuv, cvv):
+    """E[u^i v^j] of centred jointly Gaussian (u, v): r of the pairs join u
+    to v, the rest pair within u and within v."""
+    total = 0.0
+    for r in range(min(i, j) + 1):
+        if (i - r) % 2 or (j - r) % 2:
+            continue
+        total += (math.comb(i, r) * math.comb(j, r) * math.factorial(r) * cuv ** r
+                  * _double_factorial(i - r - 1) * cuu ** ((i - r) // 2)
+                  * _double_factorial(j - r - 1) * cvv ** ((j - r) // 2))
+    return total
+
+
+def reference_integral(sym):
+    """int poly(z, z*) exp(x.A x + b.x + c) d^2x through eigvals and inv."""
+    lam = np.linalg.eigvals(sym.quad)
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    if any(abs(ev.imag) <= 1e-12 * scale and ev.real >= -1e-12 * scale for ev in lam):
+        raise DivergentIntegral("eigenvalue on the non-negative real axis")
+    sqrt_det = complex(np.prod(np.sqrt(-lam)))
+    a_inv = np.linalg.inv(sym.quad)
+    mu = -0.5 * (a_inv @ sym.lin)
+    cov = -0.5 * a_inv
+    forms = np.array([[1.0, 1j], [1.0, -1j]])       # z = q + ip, z* = q - ip
+    mz, mzb = forms @ mu
+    (cuu, cuv), (_, cvv) = forms @ cov @ forms.T
+    total = 0.0
+    for (k, l), c in sym.poly.coeffs.items():
+        for i in range(k + 1):
+            for j in range(l + 1):
+                total += (c * math.comb(k, i) * math.comb(l, j) * mz ** (k - i)
+                          * mzb ** (l - j) * _centered_moment(i, j, cuu, cuv, cvv))
+    return complex(total * np.pi / sqrt_det
+                   * np.exp(sym.const - 0.25 * (sym.lin @ a_inv @ sym.lin)))
+
+
+def _rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+KINDS = ["damped", "scalar", "fresnel", "degenerate"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(KINDS),
+       eig=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+       osc=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+       angle=st.floats(0.0, math.pi), shear=st.floats(-5.0, 5.0),
+       lin=st.tuples(_complex(2.0), _complex(2.0)), const=_complex(1.0),
+       coeffs=st.dictionaries(
+           st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda kl: sum(kl) <= 4),
+           _complex(2.0).filter(lambda c: abs(c) > 1e-3), min_size=1, max_size=6),
+       zero_eig=st.sampled_from([0.0, 0.5, 3.0]))
+def test_pairing_matches_lapack_reference(kind, eig, osc, angle, shear, lin, const,
+                                          coeffs, zero_eig):
+    rot = _rotation(angle)
+    if kind == "damped":        # Re A negative definite, Im A any symmetric matrix
+        quad = (-(rot @ np.diag(eig) @ rot.T)
+                + 1j * np.array([[osc[0], shear], [shear, osc[1]]]))
+    elif kind == "scalar":      # a = d, b = 0: Theta_sm plus a coherent projector
+        quad = complex(-eig[0], osc[0]) * np.eye(2)
+    elif kind == "fresnel":     # purely oscillatory, eigenvalues i * osc
+        assume(min(abs(osc[0]), abs(osc[1])) >= 0.1)
+        quad = 1j * (rot @ np.diag(osc) @ rot.T)
+    else:                       # one eigenvalue on the non-negative real axis
+        quad = rot @ np.diag([zero_eig, complex(-eig[0], osc[0])]) @ rot.T
+    quad = 0.5 * (quad + quad.T)
+    sym = GaussPolySymbol(quad, np.array(lin), const, ZPoly(coeffs))
+    try:
+        ref = reference_integral(sym)
+    except DivergentIntegral:
+        with pytest.raises(DivergentIntegral):
+            gauss_poly_integral(sym)
+        return
+    assert kind != "degenerate"
+    val = gauss_poly_integral(sym)
+    # the polynomial's terms may cancel, so the scale is the largest of them
+    scale = max(abs(reference_integral(GaussPolySymbol(quad, np.array(lin), const,
+                                                       ZPoly({kl: c}))))
+                for kl, c in coeffs.items())
+    assert abs(val - ref) <= 1e-12 * max(abs(ref), scale)
+
+
+# ---------------------------------------------------------------------------
+# pairing of Theta_01 with the squeezed projector against the closed form
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(0.3, 1.0), radius=st.floats(0.0, 1.5),
+       arg=st.floats(-math.pi, math.pi), delta_phi=st.floats(-math.pi, math.pi),
+       xi=st.sampled_from([0.5, 1.0, 2.0]), w1=st.floats(0.0, 2.0),
+       w2=st.floats(0.05, 1.0), t_tilde=st.floats(0.0, math.pi))
+def test_pairing_of_theta01_matches_closed_form(s, radius, arg, delta_phi, xi, w1, w2,
+                                                t_tilde):
+    assume(abs(math.cos(t_tilde)) >= 1e-3)
+    alpha = radius * cmath.exp(1j * arg)
+    state = km.SqueezedState.from_values(alpha, -math.log(s) / (2.0 * xi),
+                                         delta_phi + 2.0 * arg, xi)
+    params = km.KerrParams(w1=w1, w2=w2, xi=xi)
+    t = t_tilde / (xi * w2)
+    theta = km.moyal_solution_symbolic(km.ObservableIndex(0, 1), t, params)
+    val = km.phase_space_inner_product(theta, km.squeezed_projector(state), xi)
+    ref = km.expectation_a_closed(t, state, params).value
+    assert abs(val / (2.0 * math.pi * xi) - ref) <= 1e-12 * (1.0 + abs(ref))
