@@ -19,25 +19,21 @@ from .expectations import (
     expectation_a_quadrature,
     expectation_a_semiclassical,
     matrix_element,
-    semiclassical_validity,
 )
 from .fock import (
     FockSpace,
     coherent_vector,
     fock_space_for,
-    heisenberg_expectation,
     heisenberg_expectation_sweep,
     heisenberg_matrix_element,
     squeezed_vector,
     truncation_report,
 )
 from .kerr import (
-    ClassicalState,
     KerrParams,
     ObservableIndex,
     ansatz_ode_check,
     classical_amplitude,
-    classical_flow,
     flow_correction_z1,
     hamiltonian_symbol,
     initial_symbol,

@@ -217,7 +217,7 @@ def _figure_qphase(p) -> tuple[list[str], list[list[object]]]:
         pt = kerr.PhasePoint(math.sqrt(x2), 0.0)
         for t in t_grid:
             try:
-                phi = kerr.quantum_phase(xi, pt, float(t), params)
+                phi = kerr.quantum_phase(pt, float(t), params)
             except SingularTime:
                 phi = "singular"
             rows.append([float(t), x2, phi])
@@ -275,8 +275,8 @@ def cmd_expect(p: dict, echo: dict) -> int:
     if p["check"]:
         space = fock.fock_space_for(state)
         v = fock.squeezed_vector(state, space)
-        oracle = fock.heisenberg_expectation(kerr.ObservableIndex(0, 1), t, v,
-                                             space, params)
+        oracle = fock.heisenberg_matrix_element(kerr.ObservableIndex(0, 1), t, v, v,
+                                                space, params)
         record["fock_re"] = oracle.real
         record["fock_im"] = oracle.imag
         record["fock_deviation"] = abs(res.value - oracle)

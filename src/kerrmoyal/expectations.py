@@ -141,11 +141,6 @@ def expectation_a_semiclassical(t: float, state: SqueezedState,
     return complex(a_cl * (1.0 + params.xi * corr))
 
 
-def semiclassical_validity(t: float, state: SqueezedState, params: KerrParams) -> bool:
-    """Advisory validity window of the first-order expansion."""
-    return (0.8 < state.s < 1.0) and abs(params.w2 * t) < 0.1
-
-
 # ---------------------------------------------------------------------------
 # Direct phase-space quadrature
 # ---------------------------------------------------------------------------
@@ -258,7 +253,7 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
     half_turn = cmath.exp(0.5j * state.squeeze.phase)
     ybar = _SQRT2 * state.alpha / half_turn
     # Theta_01(t|y) = pref * exp(-i|y|^2 T/xi) * (y1 + i y2)/sqrt(2)
-    pref = cmath.exp(-1j * params.w1 * t) / cos_tt ** 2 * cmath.exp(2j * tt)
+    pref = cmath.exp(-1j * (params.w1 * t)) / cos_tt ** 2 * cmath.exp(2j * tt)
     norm = half_turn / (math.pi * xi) * pref / _SQRT2
     axes = [(scale, center, math.sqrt(xi / (2.0 * scale)),
              RADIUS_SCALE * math.sqrt(xi / scale))

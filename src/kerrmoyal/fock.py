@@ -27,6 +27,7 @@ from .states import SqueezedState
 DIM_CAP = 1024
 TAIL_TOL = 1e-12
 _TAIL_WINDOW = 5
+_START_DIM = 64
 _RESCALE_AT = 1e16
 
 
@@ -115,10 +116,9 @@ def squeezed_vector(state: SqueezedState, space: FockSpace) -> np.ndarray:
     return v / norm
 
 
-def fock_space_for(state: SqueezedState, start_dim: int = 64,
-                   cap: int = DIM_CAP) -> FockSpace:
-    """Double the dimension until the truncation report is below 1e-12."""
-    dim = start_dim
+def fock_space_for(state: SqueezedState, cap: int = DIM_CAP) -> FockSpace:
+    """Double the dimension from 64 until the truncation report is below 1e-12."""
+    dim = _START_DIM
     while dim <= cap:
         space = FockSpace(dim, state.xi)
         try:
@@ -170,12 +170,6 @@ def heisenberg_matrix_element(idx: ObservableIndex, t: float, v_left: np.ndarray
     H is diagonal, so the evolution is an exact phase on each band entry.
     """
     return complex(_evolved_band(idx, [t], v_left, v_right, space, params)[0])
-
-
-def heisenberg_expectation(idx: ObservableIndex, t: float, v: np.ndarray,
-                           space: FockSpace, params: KerrParams) -> complex:
-    """<v|(a^dag(t))^s a(t)^m|v> via exact eigen-evolution."""
-    return heisenberg_matrix_element(idx, t, v, v, space, params)
 
 
 def heisenberg_expectation_sweep(idx: ObservableIndex, times, v: np.ndarray,

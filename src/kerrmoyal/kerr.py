@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexCapExceeded, SingularTime
-from .phase_space import POISSON_J, GaussPolySymbol, PhasePoint, ZPoly
+from .phase_space import GaussPolySymbol, PhasePoint, ZPoly
 
 # |cos t~| below this is treated as a singular time; only checked_cos reads it.
 SINGULAR_COS_WINDOW = 1e-9
@@ -65,21 +65,6 @@ class ObservableIndex:
         return (self.m - self.s) * params.xi * params.w2 * t
 
 
-@dataclass(frozen=True)
-class ClassicalState:
-    """Point of the classical Kerr flow; x^2 is conserved along it."""
-
-    q_cl: float
-    p_cl: float
-
-    @property
-    def a_cl(self) -> complex:
-        return (self.q_cl + 1j * self.p_cl) / _SQRT2
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q_cl, self.p_cl], dtype=float)
-
-
 def checked_cos(t_tilde: float) -> float:
     """cos t~, or SingularTime when |cos t~| < SINGULAR_COS_WINDOW."""
     cos_tt = math.cos(t_tilde)
@@ -108,22 +93,6 @@ def hamiltonian_symbol(params: KerrParams, x: PhasePoint) -> float:
     xi = params.xi
     return (params.w2 * (0.25 * x2 * x2 - xi * x2 + 0.5 * xi * xi)
             + params.w1 * (0.5 * x2 - 0.5 * xi))
-
-
-def hamiltonian_classical(params: KerrParams, x: PhasePoint) -> float:
-    """xi-independent part: H_cl = w2 x^4/4 + w1 x^2/2."""
-    x2 = x.x2
-    return 0.25 * params.w2 * x2 * x2 + 0.5 * params.w1 * x2
-
-
-def hamiltonian_h1(params: KerrParams, x: PhasePoint) -> float:
-    """Coefficient of xi in the expansion of H whose gradient drives z1: -w2 x^2."""
-    return -params.w2 * x.x2
-
-
-def hamiltonian_h2(params: KerrParams) -> float:
-    """x-independent xi^2 coefficient of H, w2/2."""
-    return 0.5 * params.w2
 
 
 def number_symbol(xi: float, x: PhasePoint) -> float:
@@ -213,23 +182,22 @@ def _d2(fun, u0: float, h: float) -> complex:
             + 16 * fun(u0 - h) - fun(u0 - 2 * h)) / (12 * h * h)
 
 
-def default_step(x: PhasePoint) -> float:
+def _x_step(x: PhasePoint) -> float:
     return 1e-4 * max(1.0, math.sqrt(x.x2))
 
 
-def moyal_residual(idx: ObservableIndex, t: float, x: PhasePoint, params: KerrParams,
-                   h_t: float = 5e-6, h_x: float | None = None) -> float:
+def moyal_residual(idx: ObservableIndex, t: float, x: PhasePoint,
+                   params: KerrParams) -> float:
     """Normalized residual of the reduced equation of motion.
 
     Checks d_t Theta = -i(m-s)[w2 K + w1] Theta with
     K = x^2 - 2 xi - xi^2 dz dz* (i.e. the real-coordinate Laplacian enters
     with weight xi^2/4), using a 2nd-order stencil in t and 4th-order in x.
-    The default time step keeps the stencil truncation below the 1e-5
+    The time step keeps the stencil truncation below the 1e-5
     residual target for indices up to s, m = 2 even close to a singular
     window, where the effective frequency grows like tan^2.
     """
-    if h_x is None:
-        h_x = default_step(x)
+    h_t, h_x = 5e-6, _x_step(x)
     xi = params.xi
     theta0 = _theta_value(idx, t, x.q, x.p, params)
     dt = (_theta_value(idx, t + h_t, x.q, x.p, params)
@@ -242,16 +210,14 @@ def moyal_residual(idx: ObservableIndex, t: float, x: PhasePoint, params: KerrPa
 
 
 def moyal_residual_third_order(idx: ObservableIndex, t: float, x: PhasePoint,
-                               params: KerrParams, h_t: float = 1e-4,
-                               h_x: float | None = None) -> float:
+                               params: KerrParams) -> float:
     """Normalized residual of the third-order form with the (x.J d_x) factor.
 
     d_t Theta + [w2 (x^2 - 2 xi - (xi^2/4) Lap) + w1] (x.J d_x) Theta = 0,
-    with nested central stencils.  The default x-step is larger than for
+    with nested central stencils.  The x-step is larger than for
     :func:`moyal_residual` because two stencil levels amplify rounding.
     """
-    if h_x is None:
-        h_x = 10.0 * default_step(x)
+    h_t, h_x = 1e-4, 10.0 * _x_step(x)
     xi = params.xi
 
     def rot(q: float, p: float) -> complex:
@@ -272,10 +238,9 @@ def moyal_residual_third_order(idx: ObservableIndex, t: float, x: PhasePoint,
 
 
 def angular_eigenvalue_residual(idx: ObservableIndex, t: float, x: PhasePoint,
-                                params: KerrParams, h_x: float | None = None) -> float:
+                                params: KerrParams) -> float:
     """Relative residual of (x.J d_x) Theta_sm = i(m-s) Theta_sm."""
-    if h_x is None:
-        h_x = default_step(x)
+    h_x = _x_step(x)
     theta0 = _theta_value(idx, t, x.q, x.p, params)
     dq = _d1(lambda u: _theta_value(idx, t, u, x.p, params), x.q, h_x)
     dp = _d1(lambda u: _theta_value(idx, t, x.q, u, params), x.p, h_x)
@@ -283,14 +248,14 @@ def angular_eigenvalue_residual(idx: ObservableIndex, t: float, x: PhasePoint,
     return float(abs(resid) / max(abs(theta0), 1e-300))
 
 
-def ansatz_ode_check(m: int, t: float, params: KerrParams,
-                     h_t: float = 1e-6) -> tuple[float, float]:
+def ansatz_ode_check(m: int, t: float, params: KerrParams) -> tuple[float, float]:
     """Residuals of the coupled ODEs for g(t) and f(t) in the one-sided ansatz.
 
     g(t) = -(i/xi) tan(m xi w2 t) and f(t) = sec^{m+1}(m xi w2 t) must satisfy
     g' = i m w2 (-1 + xi^2 g^2) and f' = i m (m+1) xi^2 w2 g f.
     """
     xi, w2 = params.xi, params.w2
+    h_t = 1e-6
 
     def g(u: float) -> complex:
         phase = m * xi * w2 * u
@@ -311,21 +276,15 @@ def ansatz_ode_check(m: int, t: float, params: KerrParams,
 # Classical flow and semiclassics
 # ---------------------------------------------------------------------------
 
-def classical_flow(t: float, x: PhasePoint, params: KerrParams) -> ClassicalState:
-    """Rotation of x by the amplitude-dependent angle (w2 x^2 + w1) t."""
-    angle = (params.w2 * x.x2 + params.w1) * t
-    c, s = math.cos(angle), math.sin(angle)
-    return ClassicalState(c * x.q + s * x.p, -s * x.q + c * x.p)
-
-
 def classical_amplitude(t: float, x: PhasePoint, params: KerrParams) -> complex:
     """a_cl(t|x) = exp(-i (w2 x^2 + w1) t) (q + i p)/sqrt(2)."""
     angle = (params.w2 * x.x2 + params.w1) * t
     return np.exp(-1j * angle) * x.z / _SQRT2
 
 
-def quantum_phase(xi: float, x: PhasePoint, t: float, params: KerrParams) -> float:
+def quantum_phase(x: PhasePoint, t: float, params: KerrParams) -> float:
     """Phi = 2 xi w2 t + x^2 (w2 t - tan(xi w2 t)/xi); vanishes as xi -> 0."""
+    xi = params.xi
     phase = xi * params.w2 * t
     checked_cos(phase)
     return 2.0 * xi * params.w2 * t + x.x2 * (params.w2 * t - math.tan(phase) / xi)
@@ -338,49 +297,39 @@ def quantum_trajectory(t: float, x: PhasePoint, params: KerrParams) -> complex:
     [p_hat(t)]_w / sqrt(2) respectively.
     """
     sec2 = 1.0 / checked_cos(params.xi * params.w2 * t) ** 2
-    phi = quantum_phase(params.xi, x, t, params)
+    phi = quantum_phase(x, t, params)
     return sec2 * np.exp(1j * phi) * classical_amplitude(t, x, params)
 
 
-def semiclassical_trajectory(t: float, x: PhasePoint, params: KerrParams,
-                             order: int = 1) -> complex:
-    """Small-xi expansion of Theta_01: a_cl at order 0, a_cl (1 + 2i w2 t xi) at order 1."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    a_cl = classical_amplitude(t, x, params)
-    if order == 0:
-        return a_cl
-    return a_cl * (1.0 + 2j * params.w2 * t * params.xi)
+def flow_correction_z1(t: float, x: PhasePoint, params: KerrParams) -> complex:
+    """Leading semiclassical correction z1 = d Theta_01/d xi at xi = 0: 2i w2 t a_cl.
 
-
-def flow_correction_z1(t: float, x: PhasePoint, params: KerrParams) -> np.ndarray:
-    """Leading semiclassical flow correction z1 = d Z(t, xi|x)/d xi at xi = 0.
-
-    In complex form the correction is 2i w2 t a_cl, i.e. the vector
-    -2 w2 t J Z_cl(t|x); it solves the inhomogeneous Jacobi equation with
-    source J grad(h1) along the classical flow and z1(0|x) = 0.
+    It solves the linearized classical flow along a_cl with the source of
+    h1 = -w2 x^2 and z1(0|x) = 0 (see jacobi_residual).
     """
-    z_cl = classical_flow(t, x, params).as_array()
-    return -2.0 * params.w2 * t * (POISSON_J @ z_cl)
+    return 2j * params.w2 * t * classical_amplitude(t, x, params)
 
 
-def classical_hessian(z_cl: np.ndarray, params: KerrParams) -> np.ndarray:
-    """Hessian of H_cl at a point of the flow."""
-    x2 = float(z_cl @ z_cl)
-    return (params.w2 * (x2 * np.eye(2) + 2.0 * np.outer(z_cl, z_cl))
-            + params.w1 * np.eye(2))
+def semiclassical_trajectory(t: float, x: PhasePoint, params: KerrParams) -> complex:
+    """Small-xi expansion of Theta_01 to first order: a_cl + xi z1."""
+    return classical_amplitude(t, x, params) + params.xi * flow_correction_z1(t, x, params)
 
 
-def jacobi_residual(t: float, x: PhasePoint, params: KerrParams,
-                    h_t: float = 1e-5) -> float:
-    """Residual of [d/dt - J H_cl''(Z_cl)] z1 = J grad(h1)(Z_cl).
+def jacobi_residual(t: float, x: PhasePoint, params: KerrParams) -> float:
+    """Residual of the linearized flow along a_cl driven by h1 = -w2 x^2:
 
-    The time derivative of z1 is taken by a central difference with step h_t;
-    the result is xi-independent.
+        dz1/dt = -i (4 w2 |a|^2 + w1) z1 - 2i w2 a^2 conj(z1) + 2i w2 a,
+
+    which is [d/dt - J H_cl''] z1 = J grad(h1) for H_cl = w2 x^4/4 + w1 x^2/2
+    in the complex amplitude (the real form divided by sqrt(2)).  The time
+    derivative of z1 is a central difference; the result is xi-independent.
     """
+    h_t = 1e-5
     z1_dot = (flow_correction_z1(t + h_t, x, params)
               - flow_correction_z1(t - h_t, x, params)) / (2 * h_t)
-    z_cl = classical_flow(t, x, params).as_array()
-    lhs = z1_dot - POISSON_J @ classical_hessian(z_cl, params) @ flow_correction_z1(t, x, params)
-    rhs = POISSON_J @ (-2.0 * params.w2 * z_cl)
-    return float(np.linalg.norm(lhs - rhs))
+    a = classical_amplitude(t, x, params)
+    z1 = flow_correction_z1(t, x, params)
+    w1, w2 = params.w1, params.w2
+    rhs = (-1j * (4.0 * w2 * abs(a) ** 2 + w1) * z1
+           - 2j * w2 * a * a * np.conj(z1) + 2j * w2 * a)
+    return float(abs(z1_dot - rhs))

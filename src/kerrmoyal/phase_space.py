@@ -568,9 +568,10 @@ def phase_space_inner_product(f: GaussPolySymbol, g: GaussPolySymbol, xi: float)
 # Symplectic covariance
 # ---------------------------------------------------------------------------
 
-def is_symplectic(s_matrix: np.ndarray, tol: float = 1e-12) -> bool:
+def is_symplectic(s_matrix: np.ndarray) -> bool:
+    """S J S^T = J within 1e-12."""
     s = np.asarray(s_matrix, dtype=float)
-    return bool(np.max(np.abs(s @ POISSON_J @ s.T - POISSON_J)) <= tol)
+    return bool(np.max(np.abs(s @ POISSON_J @ s.T - POISSON_J)) <= 1e-12)
 
 
 def symplectic_covariance_check(f: GaussPolySymbol, s_matrix: np.ndarray) -> GaussPolySymbol:

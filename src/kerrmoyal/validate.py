@@ -63,12 +63,7 @@ class SuiteReport:
         }
 
 
-def _default_params() -> kerr.KerrParams:
-    return kerr.KerrParams(w1=1.0, w2=0.1, xi=1.0)
-
-
-def validate_algebra(params: kerr.KerrParams | None = None) -> SuiteReport:
-    params = params or _default_params()
+def validate_algebra(params: kerr.KerrParams) -> SuiteReport:
     xi = params.xi
     report = SuiteReport("algebra")
     rng = np.random.RandomState(_SEED)
@@ -112,8 +107,7 @@ def validate_algebra(params: kerr.KerrParams | None = None) -> SuiteReport:
     return report
 
 
-def validate_moyal(params: kerr.KerrParams | None = None) -> SuiteReport:
-    params = params or _default_params()
+def validate_moyal(params: kerr.KerrParams) -> SuiteReport:
     report = SuiteReport("moyal")
     rng = np.random.RandomState(_SEED + 1)
     pts = [PhasePoint(q, p) for q, p in rng.uniform(-1.4, 1.4, size=(4, 2))]
@@ -217,8 +211,7 @@ def _z2_growth_exponent(params: kerr.KerrParams) -> float:
     return float(slope)
 
 
-def validate_states(params: kerr.KerrParams | None = None) -> SuiteReport:
-    params = params or _default_params()
+def validate_states(params: kerr.KerrParams) -> SuiteReport:
     xi = params.xi
     report = SuiteReport("states")
     rng = np.random.RandomState(_SEED + 2)
@@ -260,16 +253,17 @@ def validate_states(params: kerr.KerrParams | None = None) -> SuiteReport:
     dev = abs(mean_n - states.mean_photon_number(state))
     report.checks.append(CheckResult("mean_photon_vs_fock", float(dev), 1e-11))
 
+    # the dim grows like 1/xi with the photon number of |alpha>, the larger state
     alpha, beta = 0.6 + 0.1j, -0.2 + 0.4j
-    sp = fock.FockSpace(64, xi)
+    sp = fock.fock_space_for(states.SqueezedState.from_values(alpha, 0.0, 0.0, xi),
+                             cap=FOCK_DIM_CAP)
     ov_fock = complex(np.conj(fock.coherent_vector(alpha, sp)) @ fock.coherent_vector(beta, sp))
     dev = abs(ov_fock - states.coherent_overlap(alpha, beta, xi))
     report.checks.append(CheckResult("coherent_overlap_vs_fock", float(dev), 1e-10))
     return report
 
 
-def validate_expectation(params: kerr.KerrParams | None = None) -> SuiteReport:
-    params = params or _default_params()
+def validate_expectation(params: kerr.KerrParams) -> SuiteReport:
     xi = params.xi
     report = SuiteReport("expectation")
 
@@ -288,9 +282,12 @@ def validate_expectation(params: kerr.KerrParams | None = None) -> SuiteReport:
                 dev = max(dev, abs(val - ref) / (1.0 + abs(ref)))
     report.checks.append(CheckResult("closed_vs_fock", float(dev), 1e-10))
 
-    state = states.SqueezedState.from_values(1.0, -math.log(0.5) / (2.0 * xi), math.pi, xi)
+    # two mild points and a strongly number-squeezed one at t~ = 11 pi/24
+    mild = states.SqueezedState.from_values(1.0, -math.log(0.5) / (2.0 * xi), math.pi, xi)
+    strong = states.SqueezedState.from_values(1.0, -math.log(0.1) / (2.0 * xi), math.pi, xi)
+    t_strong = 11.0 * math.pi / (24.0 * xi * params.w2)
     dev = 0.0
-    for t in (0.4, 1.7):
+    for state, t in ((mild, 0.4), (mild, 1.7), (strong, t_strong)):
         quad = expectations.expectation_a_quadrature(t, state, params, tol=1e-9)
         closed = expectations.expectation_a_closed(t, state, params).value
         dev = max(dev, abs(quad - closed) / (1.0 + abs(closed)))
@@ -317,5 +314,5 @@ SUITES = {
 }
 
 
-def run_suites(names, params: kerr.KerrParams | None = None) -> list[SuiteReport]:
+def run_suites(names, params: kerr.KerrParams) -> list[SuiteReport]:
     return [SUITES[name](params) for name in names]

@@ -284,9 +284,14 @@ def test_validate_all_passes(tmp_path):
             assert "max_deviation" in check and "tolerance" in check
 
 
-def test_validate_expectation_passes_at_small_xi():
+@pytest.mark.parametrize("suite, xi", [
     # the oracle states need Fock dim 2048 at xi = 0.1, past fock.DIM_CAP
-    report = validate.validate_expectation(kerr.KerrParams(w1=1.0, w2=0.1, xi=0.1))
+    (validate.validate_expectation, 0.1),
+    # the coherent overlap states need dim 128 at xi = 0.01
+    (validate.validate_states, 0.01),
+], ids=["expectation", "states"])
+def test_validate_expectation_passes_at_small_xi(suite, xi):
+    report = suite(kerr.KerrParams(w1=1.0, w2=0.1, xi=xi))
     assert report.passed, report.to_dict()
 
 
@@ -319,7 +324,7 @@ def test_validate_catches_injected_sign_flip(monkeypatch, tmp_path, capsys):
         return true_solution(idx, t, x, bad)
 
     monkeypatch.setattr(kerr, "moyal_solution", flipped)
-    report = validate.validate_moyal()
+    report = validate.validate_moyal(kerr.KerrParams(w1=1.0, w2=0.1, xi=1.0))
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
     assert "pde_residual" in failing

@@ -439,14 +439,6 @@ def test_semiclassical_expectation_convergence():
         assert 3.5 <= residuals[1] / residuals[2] <= 4.5
 
 
-def test_semiclassical_validity_flag():
-    good = km.SqueezedState.from_values(1.0, -math.log(0.9) / 2.0, 0.0, XI)
-    assert km.semiclassical_validity(0.5, good, PARAMS)          # w2 t = 0.05
-    assert not km.semiclassical_validity(5.0, good, PARAMS)      # w2 t = 0.5
-    strong = make_state(1.0, 0.2, 0.0)
-    assert not km.semiclassical_validity(0.5, strong, PARAMS)
-
-
 # ---------------------------------------------------------------------------
 # coherent matrix elements
 # ---------------------------------------------------------------------------

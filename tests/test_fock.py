@@ -153,9 +153,9 @@ def test_heisenberg_number_conserved():
     space = km.FockSpace(64, XI)
     v = km.coherent_vector(0.9, space)
     idx = km.ObservableIndex(1, 1)
-    ref = km.heisenberg_expectation(idx, 0.0, v, space, PARAMS)
+    ref = km.heisenberg_matrix_element(idx, 0.0, v, v, space, PARAMS)
     for t in (0.7, 3.0, 12.0):
-        assert km.heisenberg_expectation(idx, t, v, space, PARAMS) == pytest.approx(
+        assert km.heisenberg_matrix_element(idx, t, v, v, space, PARAMS) == pytest.approx(
             ref, abs=1e-12)
 
 
@@ -164,7 +164,7 @@ def test_heisenberg_harmonic_rotation():
     space = km.FockSpace(64, XI)
     v = km.coherent_vector(1.0, space)
     for t in (0.4, 2.2):
-        val = km.heisenberg_expectation(km.ObservableIndex(0, 1), t, v, space, params)
+        val = km.heisenberg_matrix_element(km.ObservableIndex(0, 1), t, v, v, space, params)
         assert val == pytest.approx(np.exp(-1j * params.w1 * t), abs=1e-10)
 
 
@@ -173,13 +173,13 @@ def test_heisenberg_time_reversible():
     state = km.SqueezedState.from_values(0.8, 0.2, 0.5, XI)
     v = km.squeezed_vector(state, space)
     idx = km.ObservableIndex(0, 1)
-    base = km.heisenberg_expectation(idx, 0.0, v, space, PARAMS)
+    base = km.heisenberg_matrix_element(idx, 0.0, v, v, space, PARAMS)
     t = 1.7
-    forward = km.heisenberg_expectation(idx, t, v, space, PARAMS)
+    forward = km.heisenberg_matrix_element(idx, t, v, v, space, PARAMS)
     # evolving the evolved observable backwards restores the t = 0 value
     phase = np.exp(-1j * energies(space, PARAMS) * t / XI)
     w = phase * v
-    undone = km.heisenberg_expectation(idx, -t, w, space, PARAMS)
+    undone = km.heisenberg_matrix_element(idx, -t, w, w, space, PARAMS)
     assert undone == pytest.approx(base, abs=1e-12)
     assert forward != pytest.approx(base, abs=1e-3)  # the dynamics is nontrivial
 

@@ -15,10 +15,12 @@ from test_fock import PARAMS, XI, _dense_squeezed
        arg=st.floats(-math.pi, math.pi), phi=st.floats(0.0, 2.0 * math.pi))
 def test_squeezed_vector_matches_dense_operator_property(s, radius, arg, phi):
     # the recurrence coefficients do not depend on dim, so the leading 128
-    # of a vector built at the dimension the state needs are compared
+    # of a vector built at the dimension the state needs (at least 128) are
+    # compared
     state = km.SqueezedState.from_values(radius * np.exp(1j * arg),
                                          -math.log(s) / (2.0 * XI), phi, XI)
-    via_vector = km.squeezed_vector(state, km.fock_space_for(state, start_dim=128))
+    space = km.FockSpace(max(128, km.fock_space_for(state).dim), XI)
+    via_vector = km.squeezed_vector(state, space)
     assert np.max(np.abs(via_vector[:128] - _dense_squeezed(state, 128))) <= 1e-12
 
 

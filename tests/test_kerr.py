@@ -9,13 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kerrmoyal as km
+import kerrmoyal.kerr as kerr_module
 from kerrmoyal import IndexCapExceeded, SingularTime
 from kerrmoyal.kerr import (
     INDEX_CAP,
     angular_eigenvalue_residual,
-    hamiltonian_classical,
-    hamiltonian_h1,
-    hamiltonian_h2,
     moyal_residual_third_order,
     w_coefficient,
 )
@@ -48,17 +46,6 @@ def test_hamiltonian_symbol_derived_zero():
     # w1 = w2 = xi = 1, x^2 = 2: (1 - 2 + 1/2) + (1 - 1/2) = 0
     pt = PhasePoint(math.sqrt(2.0), 0.0)
     assert km.hamiltonian_symbol(PARAMS, pt) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_hamiltonian_split_exact():
-    # H - H_cl - xi h1 - xi^2 h2 must be x-independent (the dropped -w1 xi/2)
-    params = km.KerrParams(w1=0.7, w2=1.3, xi=0.45)
-    remainders = {round(km.hamiltonian_symbol(params, pt)
-                        - hamiltonian_classical(params, pt)
-                        - params.xi * hamiltonian_h1(params, pt)
-                        - params.xi**2 * hamiltonian_h2(params), 12)
-                  for pt in POINTS}
-    assert remainders == {round(-0.5 * params.w1 * params.xi, 12)}
 
 
 def test_number_symbol():
@@ -162,7 +149,7 @@ POLE_CALLS = {
     "moyal_residual": lambda: km.moyal_residual(IDX_01, T_POLE, POLE_PT, PARAMS),
     "angular_eigenvalue_residual":
         lambda: angular_eigenvalue_residual(IDX_01, T_POLE, POLE_PT, PARAMS),
-    "quantum_phase": lambda: km.quantum_phase(PARAMS.xi, POLE_PT, T_POLE, PARAMS),
+    "quantum_phase": lambda: km.quantum_phase(POLE_PT, T_POLE, PARAMS),
     "quantum_trajectory": lambda: km.quantum_trajectory(T_POLE, POLE_PT, PARAMS),
     "ansatz_ode_check": lambda: km.ansatz_ode_check(1, T_POLE, PARAMS),
     "expectation_a_quadrature": lambda: km.expectation_a_quadrature(
@@ -297,7 +284,7 @@ def test_heisenberg_commutator_through_star_engine():
 
 def test_moyal_residual_explicit_point():
     idx = km.ObservableIndex(0, 1)
-    res = km.moyal_residual(idx, 0.2, PhasePoint(1.0, 0.5), PARAMS, h_t=1e-4)
+    res = km.moyal_residual(idx, 0.2, PhasePoint(1.0, 0.5), PARAMS)
     assert res <= 1e-5
 
 
@@ -347,40 +334,44 @@ def test_ansatz_ode_check():
 # classical flow, quantum phase and trajectory
 # ---------------------------------------------------------------------------
 
+def _classical_point(t, pt, params):
+    # Z_cl = sqrt(2) a_cl = q_cl + i p_cl
+    return math.sqrt(2.0) * km.classical_amplitude(t, pt, params)
+
+
 def test_classical_flow_t0():
     pt = PhasePoint(0.7, -0.2)
-    state = km.classical_flow(0.0, pt, PARAMS)
-    assert (state.q_cl, state.p_cl) == (pt.q, pt.p)
+    z_cl = _classical_point(0.0, pt, PARAMS)
+    assert z_cl == pytest.approx(complex(pt.q, pt.p), abs=1e-15)
 
 
 def test_classical_flow_quarter_period_harmonic():
     params = km.KerrParams(w1=1.0, w2=0.0, xi=1.0)
-    state = km.classical_flow(math.pi / 2.0, PhasePoint(1.0, 0.0), params)
-    assert state.q_cl == pytest.approx(0.0, abs=1e-15)
-    assert state.p_cl == pytest.approx(-1.0)
+    z_cl = _classical_point(math.pi / 2.0, PhasePoint(1.0, 0.0), params)
+    assert z_cl.real == pytest.approx(0.0, abs=1e-15)
+    assert z_cl.imag == pytest.approx(-1.0)
 
 
 def test_classical_flow_intensity_dependent_angle():
     # x^2 = 2, w1 = 0, w2 = 1, t = pi/4: rotation angle pi/2
     params = km.KerrParams(w1=0.0, w2=1.0, xi=1.0)
-    state = km.classical_flow(math.pi / 4.0, PhasePoint(1.0, 1.0), params)
-    assert state.q_cl == pytest.approx(1.0)
-    assert state.p_cl == pytest.approx(-1.0)
+    z_cl = _classical_point(math.pi / 4.0, PhasePoint(1.0, 1.0), params)
+    assert z_cl.real == pytest.approx(1.0)
+    assert z_cl.imag == pytest.approx(-1.0)
 
 
 def test_classical_flow_conserves_intensity():
     for t in (0.3, 2.0, 9.1):
         for pt in POINTS:
-            state = km.classical_flow(t, pt, PARAMS)
-            assert state.q_cl**2 + state.p_cl**2 == pytest.approx(pt.x2, abs=1e-12)
-            assert state.a_cl == pytest.approx(km.classical_amplitude(t, pt, PARAMS))
+            a_cl = km.classical_amplitude(t, pt, PARAMS)
+            assert 2.0 * abs(a_cl) ** 2 == pytest.approx(pt.x2, abs=1e-12)
 
 
 def test_quantum_phase_examples():
-    assert km.quantum_phase(1.0, PhasePoint(0.0, 0.0), math.pi / 4.0, PARAMS) == \
+    assert km.quantum_phase(PhasePoint(0.0, 0.0), math.pi / 4.0, PARAMS) == \
         pytest.approx(math.pi / 2.0)
     # xi = w2 = 1, t = 0.5, x^2 = 4 -> 1 + 4 (0.5 - tan 0.5)
-    val = km.quantum_phase(1.0, PhasePoint(2.0, 0.0), 0.5, PARAMS)
+    val = km.quantum_phase(PhasePoint(2.0, 0.0), 0.5, PARAMS)
     assert val == pytest.approx(0.8147900406248380, abs=1e-12)
 
 
@@ -390,7 +381,7 @@ def test_quantum_phase_vanishes_classically():
     ratios = []
     for xi in (1e-2, 1e-4):
         params = km.KerrParams(w1=1.0, w2=1.0, xi=xi)
-        ratios.append(km.quantum_phase(xi, pt, t, params) / xi)
+        ratios.append(km.quantum_phase(pt, t, params) / xi)
     # Phi = O(xi): the rescaled phase approaches the finite slope 2 w2 t
     assert ratios[1] == pytest.approx(2.0 * 0.7, rel=1e-3)
     assert ratios[0] == pytest.approx(ratios[1], rel=2e-2)
@@ -427,16 +418,15 @@ def test_trajectory_t0_is_annihilation_symbol():
 
 def test_semiclassical_orders_at_t0():
     pt = PhasePoint(0.9, 0.4)
-    for order in (0, 1):
-        assert km.semiclassical_trajectory(0.0, pt, PARAMS, order) == pytest.approx(
-            pt.z / math.sqrt(2.0))
+    for order in (km.classical_amplitude, km.semiclassical_trajectory):
+        assert order(0.0, pt, PARAMS) == pytest.approx(pt.z / math.sqrt(2.0))
 
 
 def test_semiclassical_exact_for_harmonic():
     params = km.KerrParams(w1=1.0, w2=0.0, xi=0.3)
     for t in (0.5, 2.2):
         for pt in POINTS[:3]:
-            assert km.semiclassical_trajectory(t, pt, params, 0) == pytest.approx(
+            assert km.classical_amplitude(t, pt, params) == pytest.approx(
                 km.quantum_trajectory(t, pt, params), abs=1e-13)
 
 
@@ -447,17 +437,17 @@ def test_semiclassical_convergence_rate():
         for xi in (2e-2, 1e-2, 5e-3):
             params = km.KerrParams(w1=1.0, w2=1.0, xi=xi)
             residuals.append(abs(km.quantum_trajectory(t, pt, params)
-                                 - km.semiclassical_trajectory(t, pt, params, 1)))
+                                 - km.semiclassical_trajectory(t, pt, params)))
         assert 3.5 <= residuals[0] / residuals[1] <= 4.5
         assert 3.5 <= residuals[1] / residuals[2] <= 4.5
 
 
 def test_flow_correction_z1_basics():
     pt = PhasePoint(1.0, 0.4)
-    assert np.allclose(km.flow_correction_z1(0.0, pt, PARAMS), 0.0)
+    assert km.flow_correction_z1(0.0, pt, PARAMS) == 0.0
     no_kerr = km.KerrParams(w1=1.0, w2=0.0, xi=1.0)
     for t in (0.5, 3.0):
-        assert np.allclose(km.flow_correction_z1(t, pt, no_kerr), 0.0)
+        assert km.flow_correction_z1(t, pt, no_kerr) == 0.0
 
 
 def _trajectory_vector_raw(t, pt, w1, w2, xi):
@@ -477,7 +467,7 @@ def test_flow_correction_z1_matches_xi_derivative():
         fd = (_trajectory_vector_raw(t, pt, 1.0, 1.0, h)
               - _trajectory_vector_raw(t, pt, 1.0, 1.0, -h)) / (2.0 * h)
         z1 = km.flow_correction_z1(t, pt, PARAMS)
-        assert np.max(np.abs(z1 - fd)) <= 1e-6
+        assert abs(math.sqrt(2.0) * z1 - complex(*fd)) <= 1e-6
         # the raw oracle agrees with the library route on the valid domain
         lib = km.quantum_trajectory(t, pt, km.KerrParams(1.0, 1.0, h))
         raw = _trajectory_vector_raw(t, pt, 1.0, 1.0, h)
@@ -487,6 +477,50 @@ def test_flow_correction_z1_matches_xi_derivative():
 def test_jacobi_residual():
     pt = PhasePoint(1.0, 0.0)
     for t in (0.1, 1.0, 5.0):
-        assert km.jacobi_residual(t, pt, PARAMS, h_t=1e-5) <= 1e-6
+        assert km.jacobi_residual(t, pt, PARAMS) <= 1e-6
     no_kerr = km.KerrParams(w1=1.0, w2=0.0, xi=1.0)
     assert km.jacobi_residual(2.0, pt, no_kerr) == pytest.approx(0.0, abs=1e-14)
+
+
+def _real_jacobi_residual(t, pt, params, z1_of, h_t=1e-5):
+    # [d/dt - J H_cl''(Z_cl)] z1 - J grad(h1)(Z_cl) in the real vector
+    # Z = sqrt(2) (Re a, Im a), with H_cl = w2 x^4/4 + w1 x^2/2, so that
+    # H_cl'' = (w2 x^2 + w1) I + 2 w2 Z Z^T, and h1 = -w2 x^2; the time step
+    # is the library's
+    def real(c):
+        return math.sqrt(2.0) * np.array([c.real, c.imag])
+
+    w1, w2 = params.w1, params.w2
+    z_cl = real(km.classical_amplitude(t, pt, params))
+    hessian = (w2 * (z_cl @ z_cl) + w1) * np.eye(2) + 2.0 * w2 * np.outer(z_cl, z_cl)
+    z1_dot = (real(z1_of(t + h_t, pt, params)) - real(z1_of(t - h_t, pt, params))) / (2 * h_t)
+    lhs = z1_dot - km.POISSON_J @ hessian @ real(z1_of(t, pt, params))
+    return float(np.linalg.norm(lhs - km.POISSON_J @ (-2.0 * w2 * z_cl)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(w1=st.floats(-5.0, 5.0), w2=st.floats(-5.0, 5.0), r=st.floats(0.0, 2.0),
+       arg=st.floats(-math.pi, math.pi), t=st.floats(0.0, 5.0))
+def test_jacobi_residual_matches_real_hessian_form(w1, w2, r, arg, t):
+    params = km.KerrParams(w1=w1, w2=w2, xi=1.0)
+    pt = PhasePoint(r * math.cos(arg), r * math.sin(arg))
+    # the central difference's truncation, h_t^2/6 |z1'''|, grows like
+    # |w2| |a| Omega^2 (1 + Omega t) with Omega = w2 x^2 + w1, so the exact
+    # z1 is held to 1e-6 of the size of dz1/dt
+    a_cl = km.classical_amplitude(t, pt, params)
+    omega = w2 * pt.x2 + w1
+    scale = 1.0 + abs(2.0 * w2 * a_cl) * (1.0 + abs(omega) * t)
+    assert km.jacobi_residual(t, pt, params) <= 1e-6 * scale
+
+    # a z1 off by eps t^2 a_cl leaves an O(eps) residual that both forms
+    # must see alike
+    exact_z1 = km.flow_correction_z1
+
+    def perturbed(u, x, p):
+        return exact_z1(u, x, p) + 0.1 * u * u * km.classical_amplitude(u, x, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kerr_module, "flow_correction_z1", perturbed)
+        complex_form = km.jacobi_residual(t, pt, params)
+    real_form = _real_jacobi_residual(t, pt, params, perturbed) / math.sqrt(2.0)
+    assert complex_form == pytest.approx(real_form, rel=1e-6)
