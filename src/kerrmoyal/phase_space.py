@@ -545,9 +545,12 @@ def gauss_poly_integral(sym: GaussPolySymbol) -> complex:
     mu_q = c11 * b1 + c12 * b2
     mu_p = c21 * b1 + c22 * b2
     means = [ZPoly.constant(mu_q + 1j * mu_p), ZPoly.constant(mu_q - 1j * mu_p)]
-    # the covariance carried to the forms z = q + ip, z* = q - ip
-    cov_forms = [[c11 - c22 + 1j * (c12 + c21), c11 + c22 + 1j * (c21 - c12)],
-                 [c11 + c22 + 1j * (c12 - c21), c11 - c22 - 1j * (c12 + c21)]]
+    # the covariance carried to the forms z = q + ip, z* = q - ip, summed on
+    # the entries of A before the division: c11 - c22 from the quotients
+    # cancels when a11 ~ a22
+    sym_off, skew_off = 0.5j * (a12 + a21), 0.5j * (a21 - a12)
+    cov_forms = [[(half_gap + sym_off) / det, (skew_off - m) / det],
+                 [(-skew_off - m) / det, (half_gap - sym_off) / det]]
     memo: dict = {}
     total = 0.0 + 0.0j
     for (k, l), coeff in sym.poly.coeffs.items():

@@ -152,6 +152,10 @@ KINDS = ["damped", "scalar", "fresnel", "degenerate"]
            st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda kl: sum(kl) <= 4),
            _complex(2.0).filter(lambda c: abs(c) > 1e-3), min_size=1, max_size=6),
        zero_eig=st.sampled_from([0.0, 0.5, 3.0]))
+# nearly equal diagonal: the z*^2 moment is a small difference of the two
+@example(kind="damped", eig=(1.0, 1.0), osc=(3.935546875, 3.9359844780091953),
+         angle=0.0, shear=0.0, lin=(0j, 0j), const=0j, coeffs={(0, 2): 1 + 0j},
+         zero_eig=0.0)
 def test_pairing_matches_lapack_reference(kind, eig, osc, angle, shear, lin, const,
                                           coeffs, zero_eig):
     rot = _rotation(angle)
