@@ -13,10 +13,6 @@ class DivergentIntegral(KerrMoyalError):
     """A phase-space integral has no finite Fresnel continuation."""
 
 
-class NotSymplectic(KerrMoyalError):
-    """A matrix fails S J S^T = J within tolerance."""
-
-
 class DegreeCapExceeded(KerrMoyalError):
     """Polynomial degree of a symbol exceeds the configured cap."""
 

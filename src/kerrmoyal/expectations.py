@@ -298,12 +298,3 @@ def matrix_element(idx: ObservableIndex, t: float, alpha: complex, beta: complex
     return complex(np.conj(alpha) ** s * beta ** m
                    * np.exp(-1j * (m - s) * t * (params.w1 + (m + s - 1) * xi * params.w2))
                    * np.exp(-(abs(alpha) ** 2 + abs(beta) ** 2) / (2.0 * xi) + rotated))
-
-
-def coherent_quantizer_element(alpha: complex, beta: complex, x: PhasePoint,
-                               xi: float) -> complex:
-    """<alpha|Delta(x)|beta> = (1/pi xi) exp(-z z*/xi + sqrt(2)(beta z* + alpha* z)/xi + C)."""
-    c = -(abs(alpha) ** 2 + abs(beta) ** 2 + 2.0 * beta * np.conj(alpha)) / (2.0 * xi)
-    return complex(np.exp(-x.z * x.zbar / xi
-                          + math.sqrt(2.0) / xi * (beta * x.zbar + np.conj(alpha) * x.z)
-                          + c) / (np.pi * xi))

@@ -82,8 +82,9 @@ def squeezed_vector(state: SqueezedState, space: FockSpace) -> np.ndarray:
     unit norm up to the truncated tail, which checks the recurrence sum and
     the truncation against a closed-form value.
     """
-    if abs(space.xi - state.xi) > 1e-14:
-        raise ValueError("state and space carry different xi")
+    if space.xi != state.xi:
+        raise ValueError(f"state and space carry different xi "
+                         f"({state.xi!r} != {space.xi!r})")
     beta = complex(state.alpha) / math.sqrt(space.xi)
     r = 2.0 * space.xi * state.squeeze.magnitude
     rot = cmath.exp(1j * state.squeeze.phase)

@@ -84,21 +84,8 @@ def w_coefficient(m: int, s: int, l: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Static symbols
+# Initial symbol
 # ---------------------------------------------------------------------------
-
-def hamiltonian_symbol(params: KerrParams, x: PhasePoint) -> float:
-    """H(xi, x) = w2 [x^4/4 - xi x^2 + xi^2/2] + w1 [x^2/2 - xi/2]."""
-    x2 = x.x2
-    xi = params.xi
-    return (params.w2 * (0.25 * x2 * x2 - xi * x2 + 0.5 * xi * xi)
-            + params.w1 * (0.5 * x2 - 0.5 * xi))
-
-
-def number_symbol(xi: float, x: PhasePoint) -> float:
-    """Symbol of the number operator, (x^2 - xi)/2."""
-    return 0.5 * (x.x2 - xi)
-
 
 def initial_symbol(idx: ObservableIndex, xi: float, x: PhasePoint) -> complex:
     """Theta_sm(0|x) = sum_l W(m,s,l) (-xi/2)^l abar^{s-l} a^{m-l}."""
@@ -209,34 +196,6 @@ def moyal_residual(idx: ObservableIndex, t: float, x: PhasePoint,
     return float(abs(resid) / max(abs(theta0), 1e-300))
 
 
-def moyal_residual_third_order(idx: ObservableIndex, t: float, x: PhasePoint,
-                               params: KerrParams) -> float:
-    """Normalized residual of the third-order form with the (x.J d_x) factor.
-
-    d_t Theta + [w2 (x^2 - 2 xi - (xi^2/4) Lap) + w1] (x.J d_x) Theta = 0,
-    with nested central stencils.  The x-step is larger than for
-    :func:`moyal_residual` because two stencil levels amplify rounding.
-    """
-    h_t, h_x = 1e-4, 10.0 * _x_step(x)
-    xi = params.xi
-
-    def rot(q: float, p: float) -> complex:
-        # (x.J d_x) Theta = q dp Theta - p dq Theta at (q, p)
-        dq = _d1(lambda u: _theta_value(idx, t, u, p, params), q, h_x)
-        dp = _d1(lambda u: _theta_value(idx, t, q, u, params), p, h_x)
-        return q * dp - p * dq
-
-    theta0 = _theta_value(idx, t, x.q, x.p, params)
-    dt = (_theta_value(idx, t + h_t, x.q, x.p, params)
-          - _theta_value(idx, t - h_t, x.q, x.p, params)) / (2 * h_t)
-    rot0 = rot(x.q, x.p)
-    lap_rot = (_d2(lambda q: rot(q, x.p), x.q, h_x)
-               + _d2(lambda p: rot(x.q, p), x.p, h_x))
-    k_rot = (x.x2 - 2 * xi) * rot0 - 0.25 * xi * xi * lap_rot
-    resid = dt + params.w2 * k_rot + params.w1 * rot0
-    return float(abs(resid) / max(abs(theta0), 1e-300))
-
-
 def angular_eigenvalue_residual(idx: ObservableIndex, t: float, x: PhasePoint,
                                 params: KerrParams) -> float:
     """Relative residual of (x.J d_x) Theta_sm = i(m-s) Theta_sm."""
@@ -246,30 +205,6 @@ def angular_eigenvalue_residual(idx: ObservableIndex, t: float, x: PhasePoint,
     dp = _d1(lambda u: _theta_value(idx, t, x.q, u, params), x.p, h_x)
     resid = (x.q * dp - x.p * dq) - 1j * (idx.m - idx.s) * theta0
     return float(abs(resid) / max(abs(theta0), 1e-300))
-
-
-def ansatz_ode_check(m: int, t: float, params: KerrParams) -> tuple[float, float]:
-    """Residuals of the coupled ODEs for g(t) and f(t) in the one-sided ansatz.
-
-    g(t) = -(i/xi) tan(m xi w2 t) and f(t) = sec^{m+1}(m xi w2 t) must satisfy
-    g' = i m w2 (-1 + xi^2 g^2) and f' = i m (m+1) xi^2 w2 g f.
-    """
-    xi, w2 = params.xi, params.w2
-    h_t = 1e-6
-
-    def g(u: float) -> complex:
-        phase = m * xi * w2 * u
-        checked_cos(phase)
-        return -1j * math.tan(phase) / xi
-
-    def f(u: float) -> complex:
-        return (1.0 / checked_cos(m * xi * w2 * u)) ** (m + 1)
-
-    g_dot = (g(t + h_t) - g(t - h_t)) / (2 * h_t)
-    f_dot = (f(t + h_t) - f(t - h_t)) / (2 * h_t)
-    res_g = abs(g_dot - 1j * m * w2 * (-1.0 + xi * xi * g(t) ** 2))
-    res_f = abs(f_dot - 1j * m * (m + 1) * xi * xi * w2 * g(t) * f(t))
-    return float(res_g), float(res_f)
 
 
 # ---------------------------------------------------------------------------

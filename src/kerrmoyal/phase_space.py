@@ -29,7 +29,6 @@ from .errors import (
     DegenerateQuadraticForm,
     DegreeCapExceeded,
     DivergentIntegral,
-    NotSymplectic,
 )
 
 # Poisson matrix J: rows (0, 1), (-1, 0).  J^2 = -I, J^T = -J.
@@ -41,23 +40,12 @@ DEGREE_CAP = 64
 _EIG_TOL = 1e-12
 
 
-def wedge(x1, x2) -> float:
-    """Symplectic wedge x1 ^ x2 = x1 . J x2."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    return float(x1 @ POISSON_J @ x2)
-
-
 @dataclass(frozen=True)
 class PhasePoint:
     """A point of dimensionless phase space with complex-coordinate views."""
 
     q: float
     p: float
-
-    @classmethod
-    def from_z(cls, z: complex) -> "PhasePoint":
-        return cls(float(np.real(z)), float(np.imag(z)))
 
     @property
     def z(self) -> complex:
@@ -153,20 +141,6 @@ class ZPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def substitute_linear(self, u: complex, v: complex, ub: complex, vb: complex) -> "ZPoly":
-        """Pullback under z -> u z + v z*, z* -> vb z + ub z*."""
-        zsub = ZPoly({(1, 0): u, (0, 1): v})
-        zbsub = ZPoly({(1, 0): vb, (0, 1): ub})
-        out = ZPoly.zero()
-        for (k, l), c in self.coeffs.items():
-            term = ZPoly.constant(c)
-            for _ in range(k):
-                term = term * zsub
-            for _ in range(l):
-                term = term * zbsub
-            out = out + term
-        return out
-
     def __call__(self, z: complex, zbar: complex | None = None) -> complex:
         if zbar is None:
             zbar = np.conj(z)
@@ -192,11 +166,18 @@ def _isclose(x: complex, y: complex, atol: float) -> bool:
     """``numpy.isclose(x, y, rtol=1e-5, atol=atol)`` on two complex scalars.
 
     Like numpy it is not symmetric in (x, y), rejects NaN and accepts two
-    equal infinities.
+    equal infinities.  Within a few ulps of the bound numpy decides: Python's
+    complex abs and numpy's array abs can round one ulp apart, which flips
+    the answer at |x - y| = atol + 1e-5 |y| exactly.
     """
     if x == y:
         return True
-    return cmath.isfinite(y) and _abs(x - y) <= atol + 1e-5 * _abs(y)
+    if not cmath.isfinite(y):
+        return False
+    diff, bound = _abs(x - y), atol + 1e-5 * _abs(y)
+    if abs(diff - bound) <= 1e-15 * bound:
+        return bool(np.isclose(np.array([x]), np.array([y]), atol=atol)[0])
+    return diff <= bound
 
 
 def _allclose(xs, ys, atol: float) -> bool:
@@ -297,33 +278,12 @@ class GaussPolySymbol:
         return GaussPolySymbol(self.quad, self.lin, self.const,
                                self.poly.dzbar() + self.poly * de)
 
-    def dq(self) -> "GaussPolySymbol":
-        out = self.dz()
-        out2 = self.dzbar()
-        return GaussPolySymbol(self.quad, self.lin, self.const, out.poly + out2.poly)
-
-    def dp(self) -> "GaussPolySymbol":
-        out = self.dz()
-        out2 = self.dzbar()
-        return GaussPolySymbol(self.quad, self.lin, self.const,
-                               out.poly.scale(1j) + out2.poly.scale(-1j))
-
     def conjugate(self) -> "GaussPolySymbol":
         return GaussPolySymbol(np.conj(self.quad), np.conj(self.lin),
                                np.conj(self.const), self.poly.conjugate())
 
     def scale(self, c: complex) -> "GaussPolySymbol":
         return GaussPolySymbol(self.quad, self.lin, self.const, self.poly.scale(c))
-
-    def pullback(self, s_matrix: np.ndarray) -> "GaussPolySymbol":
-        """Return x -> f(S x) for a real 2x2 matrix S."""
-        s = np.asarray(s_matrix, dtype=float)
-        quad = s.T @ self.quad @ s
-        lin = s.T @ self.lin
-        u = (s[0, 0] + s[1, 1] + 1j * (s[1, 0] - s[0, 1])) / 2.0
-        v = (s[0, 0] - s[1, 1] + 1j * (s[1, 0] + s[0, 1])) / 2.0
-        poly = self.poly.substitute_linear(u, v, np.conj(u), np.conj(v))
-        return GaussPolySymbol(quad, lin, self.const, poly)
 
     def __call__(self, x: PhasePoint) -> complex:
         xv = x.as_array()
@@ -511,15 +471,6 @@ def moyal_bracket(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
     return (fg - gf).scale(1.0 / (1j * xi))
 
 
-def poisson_bracket(f: GaussPolySymbol, g: GaussPolySymbol) -> GaussPolySymbol:
-    """{f, g} = dq f dp g - dp f dq g (result shares the Gaussian factors)."""
-    fq, fp = f.dq(), f.dp()
-    gq, gp = g.dq(), g.dp()
-    if not (f.is_polynomial and g.is_polynomial):
-        raise ValueError("poisson_bracket is provided for polynomial symbols")
-    return GaussPolySymbol.polynomial(fq.poly * gp.poly - fp.poly * gq.poly)
-
-
 # ---------------------------------------------------------------------------
 # Trace pairing
 # ---------------------------------------------------------------------------
@@ -565,39 +516,3 @@ def phase_space_inner_product(f: GaussPolySymbol, g: GaussPolySymbol, xi: float)
     combined = GaussPolySymbol(f.quad + g.quad, f.lin + g.lin,
                                f.const + g.const, f.poly * g.poly)
     return gauss_poly_integral(combined)
-
-
-# ---------------------------------------------------------------------------
-# Symplectic covariance
-# ---------------------------------------------------------------------------
-
-def is_symplectic(s_matrix: np.ndarray) -> bool:
-    """S J S^T = J within 1e-12."""
-    s = np.asarray(s_matrix, dtype=float)
-    return bool(np.max(np.abs(s @ POISSON_J @ s.T - POISSON_J)) <= 1e-12)
-
-
-def symplectic_covariance_check(f: GaussPolySymbol, s_matrix: np.ndarray) -> GaussPolySymbol:
-    """Return the pullback x -> f(S x) after validating S J S^T = J."""
-    if not is_symplectic(s_matrix):
-        raise NotSymplectic("matrix fails S J S^T = J within 1e-12")
-    return f.pullback(s_matrix)
-
-
-# ---------------------------------------------------------------------------
-# Quantizer
-# ---------------------------------------------------------------------------
-
-def quantizer_kernel(x: PhasePoint, qprime: float, qdprime: float, xi: float) -> complex:
-    """Smooth factor of <q'|Delta(x)|q''> = (1/pi xi) exp(i p (q'-q'')/xi) delta(2q-q'-q'').
-
-    The delta factor is never materialized; callers wanting the action on a
-    wave function should use :func:`quantizer_apply`.
-    """
-    return np.exp(1j * x.p * (qprime - qdprime) / xi) / (np.pi * xi)
-
-
-def quantizer_apply(x: PhasePoint, psi, qprime, xi: float):
-    """[Delta(q,p) psi](q') = (1/pi xi) exp(2i p (q'-q)/xi) psi(2q - q')."""
-    qprime = np.asarray(qprime, dtype=float)
-    return np.exp(2j * x.p * (qprime - x.q) / xi) * psi(2.0 * x.q - qprime) / (np.pi * xi)

@@ -30,10 +30,6 @@ class CoherentParams:
             raise ValueError(f"coherent amplitude alpha must be finite, got {self.alpha!r}")
 
     @property
-    def arg(self) -> float:
-        return cmath.phase(self.alpha) % (2.0 * math.pi)
-
-    @property
     def mean_x(self) -> np.ndarray:
         """Phase-space mean (sqrt(2) Re alpha, sqrt(2) Im alpha)."""
         return np.array([math.sqrt(2.0) * self.alpha.real,
@@ -99,13 +95,6 @@ class SqueezedState:
     def delta_phi(self) -> float:
         return _reduce_angle(self.squeeze.phase - 2.0 * cmath.phase(self.alpha))
 
-    def phase_shifted(self, delta: float) -> "SqueezedState":
-        """Phase shift of the mode: alpha -> alpha e^{-i delta}, tau -> tau e^{-2i delta}."""
-        return SqueezedState(
-            CoherentParams(self.alpha * np.exp(-1j * delta)),
-            SqueezeParams(self.squeeze.magnitude, self.squeeze.phase - 2.0 * delta),
-            self.xi)
-
 
 # ---------------------------------------------------------------------------
 # Symplectic matrices of the metaplectic action
@@ -117,16 +106,11 @@ def rotation_matrix(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def scaling_matrix(s: float) -> np.ndarray:
-    """Lambda(s) = diag(s, 1/s)."""
-    return np.array([[s, 0.0], [0.0, 1.0 / s]])
-
-
 def squeeze_matrix(squeeze: SqueezeParams, xi: float) -> np.ndarray:
     """S(tau) with V(tau) x_hat V(tau)^dag = S(tau) x_hat.
 
     Symmetric, positive definite, det = 1; equals
-    R(phi) Lambda(s) R(-phi) with s = exp(-2 xi |tau|).
+    R(phi) Lambda(s) R(-phi) with Lambda(s) = diag(s, 1/s), s = exp(-2 xi |tau|).
     """
     s = squeeze.s_factor(xi)
     phi = squeeze.phase
@@ -137,16 +121,8 @@ def squeeze_matrix(squeeze: SqueezeParams, xi: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Wave function and projector symbols
+# Projector symbols
 # ---------------------------------------------------------------------------
-
-def coherent_wavefunction(alpha: complex, xi: float, q):
-    """<q|alpha> = (pi xi)^(-1/4) exp[(1/xi)(-q^2/2 + sqrt(2) alpha q - alpha Re alpha)]."""
-    q = np.asarray(q, dtype=float)
-    return ((np.pi * xi) ** (-0.25)
-            * np.exp((-0.5 * q * q + math.sqrt(2.0) * alpha * q
-                      - alpha * alpha.real) / xi))
-
 
 def coherent_projector_symbol(alpha: complex, xi: float, x: PhasePoint) -> float:
     """[|alpha><alpha|]_w(x) = 2 exp{-(1/xi)[(q - qbar)^2 + (p - pbar)^2]}."""

@@ -1,0 +1,58 @@
+"""The public API holds only what the product or an acceptance check uses."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "kerrmoyal"
+
+# Exported names that serve an acceptance check rather than the product or
+# the benchmark, each with the test it serves.
+ACCEPTANCE_REFERENCES = {
+    # closed form against the Fock oracle, acceptance criterion 04
+    "matrix_element": ("test_acceptance.py", "test_criterion_04_matrix_elements"),
+    # half-angle convention of the rotational equivariance of Theta_sm
+    "rotation_matrix": ("test_kerr.py", "test_rotational_equivariance"),
+    # classical-limit asymptotics, acceptance criterion 08
+    "semiclassical_trajectory": ("test_acceptance.py",
+                                 "test_criterion_08_semiclassical_convergence"),
+    "flow_correction_z1": ("test_acceptance.py",
+                           "test_criterion_08_semiclassical_convergence"),
+    "jacobi_residual": ("test_acceptance.py",
+                        "test_criterion_08_semiclassical_convergence"),
+    "expectation_a_semiclassical": ("test_acceptance.py",
+                                    "test_criterion_08_semiclassical_convergence"),
+}
+
+
+def _referenced_names(tree):
+    """Names read as a Name or an Attribute node; docstrings and imports do not count."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported_names():
+    return {alias.asname or alias.name
+            for node in ast.walk(_parse(PACKAGE / "__init__.py"))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_export_has_a_caller_or_an_acceptance_test():
+    users = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    users += list((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(_referenced_names(_parse(path)) for path in users))
+    unused = _exported_names() - used - set(ACCEPTANCE_REFERENCES)
+    assert not unused, f"exported but called only by tests: {sorted(unused)}"
+
+
+def test_acceptance_references_are_exported_and_used_by_their_test():
+    exported = _exported_names()
+    for name, (module, test) in ACCEPTANCE_REFERENCES.items():
+        assert name in exported, name
+        [func] = [node for node in ast.walk(_parse(ROOT / "tests" / module))
+                  if isinstance(node, ast.FunctionDef) and node.name == test]
+        assert name in _referenced_names(func), (name, test)

@@ -332,6 +332,17 @@ def test_validate_catches_injected_sign_flip(monkeypatch, tmp_path, capsys):
     assert run_cli(["validate", "moyal", "--out", str(out)]) == 1
 
 
+def test_validate_keeps_a_nan_deviation():
+    # w1 t overflows, so every moyal_solution value at t > 0 is NaN; a fold
+    # that drops a NaN read 0.0 here and passed both checks
+    with np.errstate(all="ignore"):
+        report = validate.validate_moyal(kerr.KerrParams(w1=1e308, w2=0.1, xi=1.0))
+    checks = {c.name: c for c in report.checks}
+    for name in ("angular_eigenvalue", "adjoint_symmetry"):
+        assert math.isnan(checks[name].max_deviation)
+        assert not checks[name].passed
+
+
 # ---------------------------------------------------------------------------
 # config file handling
 # ---------------------------------------------------------------------------

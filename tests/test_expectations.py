@@ -183,12 +183,17 @@ def test_invalid_state_rejected():
 
 
 def test_xi_mismatch_rejected():
-    state = make_state(1.0, 0.5, math.pi, xi=1.0)
-    params = km.KerrParams(w1=1.0, w2=0.1, xi=0.5)
-    with pytest.raises(ValueError, match="different xi"):
-        km.expectation_a_closed(0.5, state, params)
-    with pytest.raises(ValueError, match="different xi"):
-        km.expectation_a_quadrature(0.5, state, params)
+    # one rule for params and Fock space alike: equal floats, no tolerance on
+    # a scale parameter (1e-15 against 9e-15 is a factor of nine)
+    for state_xi, other_xi in ((1.0, 0.5), (1e-15, 9e-15), (1.0, 1.0 + 2.0**-52)):
+        state = make_state(1.0, 0.5, math.pi, xi=state_xi)
+        params = km.KerrParams(w1=1.0, w2=0.1, xi=other_xi)
+        with pytest.raises(ValueError, match="different xi"):
+            km.expectation_a_closed(0.5, state, params)
+        with pytest.raises(ValueError, match="different xi"):
+            km.expectation_a_quadrature(0.5, state, params)
+        with pytest.raises(ValueError, match="different xi"):
+            km.squeezed_vector(state, km.FockSpace(8, other_xi))
 
 
 # ---------------------------------------------------------------------------
@@ -471,23 +476,3 @@ def test_matrix_element_finite_at_singular_times():
     for t in (T_SING, T_SING / 2.0, 3.0 * T_SING):
         val = km.matrix_element(idx, t, 1.0, 0.5 + 0.3j, PARAMS)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
-
-
-def test_coherent_quantizer_element_at_origin():
-    val = km.coherent_quantizer_element(0.0, 0.0, PhasePoint(0.0, 0.0), XI)
-    assert val == pytest.approx(1.0 / (math.pi * XI))
-
-
-def test_coherent_quantizer_element_resolution_of_identity():
-    # int <alpha|Delta(x)|alpha> d^2x = <alpha|alpha> = 1
-    alpha = 0.6 + 0.4j
-    grid = np.linspace(-8.0, 8.0, 401)
-    dq = grid[1] - grid[0]
-    qs, ps = np.meshgrid(grid, grid, indexing="ij")
-    zs = qs + 1j * ps
-    c_val = -(abs(alpha) ** 2 + abs(alpha) ** 2 + 2 * alpha * np.conj(alpha)) / (2 * XI)
-    vals = np.exp(-zs * np.conj(zs) / XI
-                  + math.sqrt(2.0) / XI * (alpha * np.conj(zs) + np.conj(alpha) * zs)
-                  + c_val) / (math.pi * XI)
-    total = np.sum(vals) * dq * dq
-    assert total == pytest.approx(1.0, abs=1e-6)

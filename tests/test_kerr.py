@@ -14,7 +14,6 @@ from kerrmoyal import IndexCapExceeded, SingularTime
 from kerrmoyal.kerr import (
     INDEX_CAP,
     angular_eigenvalue_residual,
-    moyal_residual_third_order,
     w_coefficient,
 )
 from kerrmoyal.phase_space import PhasePoint
@@ -28,32 +27,6 @@ POINTS = [PhasePoint(q, p) for q, p in RNG.uniform(-1.4, 1.4, size=(6, 2))]
 # ---------------------------------------------------------------------------
 # static symbols
 # ---------------------------------------------------------------------------
-
-def test_hamiltonian_symbol_at_origin():
-    val = km.hamiltonian_symbol(PARAMS, PhasePoint(0.0, 0.0))
-    assert val == pytest.approx(0.5 * PARAMS.w2 - 0.5 * PARAMS.w1)
-
-
-def test_hamiltonian_harmonic_limit_path():
-    pt = PhasePoint(1.1, -0.4)
-    for xi in (1e-3, 1e-6):
-        params = km.KerrParams(w1=1.0, w2=0.0, xi=xi)
-        assert km.hamiltonian_symbol(params, pt) == pytest.approx(
-            0.5 * pt.x2, abs=5e-4)
-
-
-def test_hamiltonian_symbol_derived_zero():
-    # w1 = w2 = xi = 1, x^2 = 2: (1 - 2 + 1/2) + (1 - 1/2) = 0
-    pt = PhasePoint(math.sqrt(2.0), 0.0)
-    assert km.hamiltonian_symbol(PARAMS, pt) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_number_symbol():
-    xi = 1.0
-    assert km.number_symbol(xi, PhasePoint(1.0, 0.0)) == pytest.approx(0.0)
-    assert km.number_symbol(xi, PhasePoint(0.0, 0.0)) == pytest.approx(-0.5 * xi)
-    assert km.number_symbol(1.0, PhasePoint(math.sqrt(3.0), 0.0)) == pytest.approx(1.0)
-
 
 def _initial_symbol_bruteforce(s, m, xi, z):
     # apply (zbar - xi d/dz)/sqrt(2) s times to (z/sqrt(2))^m on a dict poly
@@ -151,7 +124,6 @@ POLE_CALLS = {
         lambda: angular_eigenvalue_residual(IDX_01, T_POLE, POLE_PT, PARAMS),
     "quantum_phase": lambda: km.quantum_phase(POLE_PT, T_POLE, PARAMS),
     "quantum_trajectory": lambda: km.quantum_trajectory(T_POLE, POLE_PT, PARAMS),
-    "ansatz_ode_check": lambda: km.ansatz_ode_check(1, T_POLE, PARAMS),
     "expectation_a_quadrature": lambda: km.expectation_a_quadrature(
         T_POLE, km.SqueezedState.from_values(1.0, 0.3, math.pi, PARAMS.xi), PARAMS),
 }
@@ -306,28 +278,11 @@ def test_moyal_residual_grid():
     assert worst <= 1e-5
 
 
-def test_third_order_form_residual():
-    idx = km.ObservableIndex(0, 1)
-    res = moyal_residual_third_order(idx, 0.2, PhasePoint(1.0, 0.5), PARAMS)
-    assert res <= 1e-5
-
-
 def test_angular_eigenvalue_identity():
     for (s, m) in [(0, 1), (1, 1), (2, 0), (1, 2)]:
         res = angular_eigenvalue_residual(km.ObservableIndex(s, m), 0.4,
                                           PhasePoint(0.9, -0.6), PARAMS)
         assert res <= 1e-5
-
-
-def test_ansatz_ode_check():
-    res_g, res_f = km.ansatz_ode_check(1, 0.3, PARAMS)
-    assert res_g <= 1e-6 and res_f <= 1e-6
-    res_g, res_f = km.ansatz_ode_check(0, 0.9, PARAMS)
-    assert res_g == 0.0 and res_f == 0.0
-    # initial conditions: g(0) = 0, f(0) = 1
-    assert -1j * math.tan(0.0) == 0.0
-    res_g, res_f = km.ansatz_ode_check(2, 0.11, PARAMS)
-    assert res_g <= 1e-6 and res_f <= 1e-6
 
 
 # ---------------------------------------------------------------------------

