@@ -306,7 +306,7 @@ def cmd_validate(suite: str, p: dict) -> int:
     # a non-finite deviation is refused below, so numpy need not warn of it
     with np.errstate(all="ignore"):
         reports = validate.run_suites(names, kerr.KerrParams(p["w1"], p["w2"], p["xi"]))
-    # tolerances are finite or None (informational); a deviation must be finite
+    # tolerances are finite; a deviation must be finite too
     _check_finite([[c.max_deviation for r in reports for c in r.checks]])
     doc = {"passed": all(r.passed for r in reports),
            "suites": [r.to_dict() for r in reports]}

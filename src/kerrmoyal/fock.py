@@ -24,7 +24,9 @@ from .errors import TruncationInsufficient
 from .kerr import KerrParams, ObservableIndex
 from .states import SqueezedState
 
-DIM_CAP = 1024
+# Largest dimension fock_space_for tries.  The photon number of a state grows
+# like 1/xi: s = 0.2, |alpha| = 1 needs dim 2048 at xi = 0.1 and 4096 at 0.02.
+DIM_CAP = 2 ** 13
 TAIL_TOL = 1e-12
 _TAIL_WINDOW = 5
 _START_DIM = 64

@@ -102,6 +102,22 @@ def initial_symbol(idx: ObservableIndex, xi: float, x: PhasePoint) -> complex:
 # Exact Moyal solution
 # ---------------------------------------------------------------------------
 
+def _theta_parts(idx: ObservableIndex, t: float,
+                 params: KerrParams) -> tuple[float, complex, complex]:
+    """(t~, amplitude, base) of Theta_sm: the amplitude
+    exp(-i(m-s) w1 t) sec^{s+m+1} t~ and the series base -(xi/2) e^{-i t~} cos t~.
+
+    Raises SingularTime at a pole of sec t~.  w1 t is formed before the
+    factor m - s, so the phase is finite wherever w1 t is.
+    """
+    tt = idx.t_tilde(t, params)
+    cos_tt = checked_cos(tt)
+    amplitude = (np.exp(-1j * (idx.m - idx.s) * (params.w1 * t))
+                 * (1.0 / cos_tt) ** (idx.s + idx.m + 1))
+    base = -0.5 * params.xi * np.exp(-1j * tt) * cos_tt
+    return tt, amplitude, base
+
+
 def moyal_solution(idx: ObservableIndex, t: float, x: PhasePoint,
                    params: KerrParams) -> complex:
     """Theta_sm(t|x) in closed form.
@@ -109,21 +125,15 @@ def moyal_solution(idx: ObservableIndex, t: float, x: PhasePoint,
     Raises SingularTime at a pole of sec t~.  For s = m, t~ = 0: the solution
     is a constant of motion and never singular.
     """
-    tt = idx.t_tilde(t, params)
-    cos_tt = checked_cos(tt)
-    sec_tt = 1.0 / cos_tt
-    xi = params.xi
+    tt, amplitude, base = _theta_parts(idx, t, params)
     a = x.z / _SQRT2
     abar = x.zbar / _SQRT2
-    pref = (np.exp(-1j * (idx.m - idx.s) * params.w1 * t)
-            * sec_tt ** (idx.s + idx.m + 1)
-            * np.exp(2j * tt - 1j * x.x2 * math.tan(tt) / xi))
     series = 0.0 + 0.0j
-    base = -0.5 * xi * np.exp(-1j * tt) * cos_tt
     for l in range(min(idx.s, idx.m) + 1):
         series += (w_coefficient(idx.m, idx.s, l) * base ** l
                    * abar ** (idx.s - l) * a ** (idx.m - l))
-    return pref * series
+    return (amplitude * np.exp(2j * tt - 1j * x.x2 * math.tan(tt) / params.xi)
+            * series)
 
 
 def moyal_solution_symbolic(idx: ObservableIndex, t: float,
@@ -131,22 +141,15 @@ def moyal_solution_symbolic(idx: ObservableIndex, t: float,
     """Theta_sm(t|.) packaged as a GaussPolySymbol for star-product work.
 
     The Gaussian factor is exp(-(i/xi) tan(t~) x^2); the secant amplitude and
-    phases are folded into the polynomial coefficients.
+    phases are folded into the polynomial coefficients, one per l at the
+    distinct key (m - l, s - l).
     """
-    tt = idx.t_tilde(t, params)
-    cos_tt = checked_cos(tt)
-    xi = params.xi
-    sec_tt = 1.0 / cos_tt
-    pref = (np.exp(-1j * (idx.m - idx.s) * params.w1 * t)
-            * sec_tt ** (idx.s + idx.m + 1) * np.exp(2j * tt))
-    base = -0.5 * xi * np.exp(-1j * tt) * cos_tt
-    coeffs: dict[tuple[int, int], complex] = {}
-    for l in range(min(idx.s, idx.m) + 1):
-        c = (pref * w_coefficient(idx.m, idx.s, l) * base ** l
-             * 2.0 ** (-(idx.s + idx.m - 2 * l) / 2.0))
-        key = (idx.m - l, idx.s - l)
-        coeffs[key] = coeffs.get(key, 0.0) + c
-    quad = (-1j * math.tan(tt) / xi) * np.eye(2)
+    tt, amplitude, base = _theta_parts(idx, t, params)
+    pref = amplitude * np.exp(2j * tt)
+    coeffs = {(idx.m - l, idx.s - l): (pref * w_coefficient(idx.m, idx.s, l) * base ** l
+                                       * 2.0 ** (-(idx.s + idx.m - 2 * l) / 2.0))
+              for l in range(min(idx.s, idx.m) + 1)}
+    quad = (-1j * math.tan(tt) / params.xi) * np.eye(2)
     return GaussPolySymbol(quad, np.zeros(2), 0.0, ZPoly(coeffs))
 
 

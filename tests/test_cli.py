@@ -166,9 +166,17 @@ def test_expect_check_at_a_pole_marks_the_quadrature_singular(capsys):
     assert rec["fock_deviation"] <= 1e-12
 
 
+def test_expect_check_builds_its_oracle_under_the_one_fock_cap(capsys):
+    # s = 0.2, dphi = 0 at xi = 0.1: the Fock oracle state needs dim 2048
+    assert run_cli(["expect", "--check", "--xi", "0.1", "--t", "0.8",
+                    "--tau-abs", "8.047189562170502"]) == 0
+    rec = json.loads(capsys.readouterr().out)["record"]
+    assert rec["fock_deviation"] <= 1e-10
+
+
 def test_expect_numerical_limit_exit_code(capsys):
-    # s = e^{-2.4} needs a Fock basis past the default cap of 1024 states
-    code = run_cli(["expect", "--tau-abs", "1.2", "--check"])
+    # s = e^{-4} needs a Fock basis past fock.DIM_CAP = 8192 states
+    code = run_cli(["expect", "--tau-abs", "2.0", "--check"])
     assert code == cli.EXIT_NUMERICAL == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -285,7 +293,7 @@ def test_validate_all_passes(tmp_path):
 
 
 @pytest.mark.parametrize("suite, xi", [
-    # the oracle states need Fock dim 2048 at xi = 0.1, past fock.DIM_CAP
+    # the oracle states need Fock dim 2048 at xi = 0.1, under fock.DIM_CAP = 8192
     (validate.validate_expectation, 0.1),
     # the coherent overlap states need dim 128 at xi = 0.01
     (validate.validate_states, 0.01),
@@ -311,8 +319,10 @@ def test_validate_report_is_strict_json(capsys):
     assert run_cli(["validate", "all"]) == 0
     doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
     checks = [c for suite in doc["suites"] for c in suite["checks"]]
-    assert all((c["tolerance"] is None) == c["informational"] for c in checks)
-    assert any(c["informational"] for c in checks)
+    # every check asserts: a finite float tolerance, no informational entries
+    assert all(type(c["tolerance"]) is float and math.isfinite(c["tolerance"])
+               for c in checks)
+    assert not any("informational" in c for c in checks)
 
 
 def test_validate_catches_injected_sign_flip(monkeypatch, tmp_path, capsys):

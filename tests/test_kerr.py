@@ -154,6 +154,20 @@ def test_moyal_solution_t0_reduction():
                 assert abs(v0 - km.initial_symbol(idx, PARAMS.xi, pt)) <= 1e-12
 
 
+def test_t0_reduction_at_huge_w1():
+    # (m - s) * w1 overflows at w1 = 1e308; the phase takes w1 * t = 0 first
+    params = km.KerrParams(1e308, 0.1, 1.0)
+    pt = PhasePoint(0.5, 0.3)
+    assert km.initial_symbol(km.ObservableIndex(0, 2), params.xi, pt) == pytest.approx(
+        0.08 + 0.15j, abs=1e-15)
+    for s in range(4):
+        for m in range(4):
+            idx = km.ObservableIndex(s, m)
+            ref = km.initial_symbol(idx, params.xi, pt)
+            assert km.moyal_solution(idx, 0.0, pt, params) == ref
+            assert abs(km.moyal_solution_symbolic(idx, 0.0, params)(pt) - ref) <= 1e-15
+
+
 def test_adjoint_symmetry():
     rng = np.random.RandomState(8)
     for _ in range(10):
