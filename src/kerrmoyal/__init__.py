@@ -65,7 +65,6 @@ from .states import (
     rotation_matrix,
     squeeze_matrix,
     squeezed_projector,
-    squeezed_projector_symbol,
     variances,
 )
 

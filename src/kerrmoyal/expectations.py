@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidState, ToleranceNotMet
-from .kerr import KerrParams, ObservableIndex, checked_cos, classical_amplitude
+from .kerr import (KerrParams, ObservableIndex, checked_cos, classical_amplitude,
+                   kerr_angle)
 from .phase_space import PhasePoint
 from .states import SqueezedState
 
@@ -79,7 +80,7 @@ class ExpectationResult:
 
 def branch_winding(t: float, params: KerrParams) -> int:
     """Number of tan poles of xi w2 t crossed on the way from 0 to t."""
-    tt = params.xi * params.w2 * t
+    tt = kerr_angle(1, t, params)
     count = int(math.floor((abs(tt) + math.pi / 2.0) / math.pi))
     return count if tt >= 0 else -count
 
@@ -107,7 +108,7 @@ def expectation_a_closed(t: float, state: SqueezedState,
     xi = params.xi
     alpha = state.alpha
     half = 0.5 * state.delta_phi
-    tt = xi * params.w2 * t
+    tt = kerr_angle(1, t, params)
     c, sigma = math.cos(tt), math.sin(tt)
     s2 = s * s
 
@@ -246,7 +247,7 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
         raise InvalidState("squeeze factor s must be positive")
     _check_xi(state, params)
     xi = params.xi
-    tt = xi * params.w2 * t
+    tt = kerr_angle(1, t, params)
     cos_tt = checked_cos(tt)
     big_t = math.tan(tt)
     # R(-phi) rotates the mean x = sqrt(2) (Re alpha, Im alpha) by -phi / 2
@@ -294,7 +295,7 @@ def matrix_element(idx: ObservableIndex, t: float, alpha: complex, beta: complex
     """
     xi = params.xi
     s, m = idx.s, idx.m
-    rotated = beta * np.conj(alpha) / xi * np.exp(-2j * (m - s) * xi * params.w2 * t)
-    return complex(np.conj(alpha) ** s * beta ** m
-                   * np.exp(-1j * (m - s) * t * (params.w1 + (m + s - 1) * xi * params.w2))
+    rotated = beta * np.conj(alpha) / xi * np.exp(-2j * kerr_angle(m - s, t, params))
+    phase = (m - s) * (params.w1 * t) + kerr_angle((m - s) * (m + s - 1), t, params)
+    return complex(np.conj(alpha) ** s * beta ** m * np.exp(-1j * phase)
                    * np.exp(-(abs(alpha) ** 2 + abs(beta) ** 2) / (2.0 * xi) + rotated))

@@ -62,7 +62,13 @@ class ObservableIndex:
             raise IndexCapExceeded(f"(s, m) = ({self.s}, {self.m}) exceeds cap {INDEX_CAP}")
 
     def t_tilde(self, t: float, params: KerrParams) -> float:
-        return (self.m - self.s) * params.xi * params.w2 * t
+        return kerr_angle(self.m - self.s, t, params)
+
+
+def kerr_angle(n: int, t: float, params: KerrParams) -> float:
+    """t~ = n xi w2 t.  w2 t is formed first, so t = 0 gives 0 for every
+    finite w2 instead of inf * 0 = NaN once xi w2 overflows."""
+    return n * params.xi * (params.w2 * t)
 
 
 def checked_cos(t_tilde: float) -> float:
@@ -222,10 +228,9 @@ def classical_amplitude(t: float, x: PhasePoint, params: KerrParams) -> complex:
 
 def quantum_phase(x: PhasePoint, t: float, params: KerrParams) -> float:
     """Phi = 2 xi w2 t + x^2 (w2 t - tan(xi w2 t)/xi); vanishes as xi -> 0."""
-    xi = params.xi
-    phase = xi * params.w2 * t
-    checked_cos(phase)
-    return 2.0 * xi * params.w2 * t + x.x2 * (params.w2 * t - math.tan(phase) / xi)
+    tt = kerr_angle(1, t, params)
+    checked_cos(tt)
+    return 2.0 * tt + x.x2 * (params.w2 * t - math.tan(tt) / params.xi)
 
 
 def quantum_trajectory(t: float, x: PhasePoint, params: KerrParams) -> complex:
@@ -234,7 +239,7 @@ def quantum_trajectory(t: float, x: PhasePoint, params: KerrParams) -> complex:
     Real and imaginary parts give [q_hat(t)]_w / sqrt(2) and
     [p_hat(t)]_w / sqrt(2) respectively.
     """
-    sec2 = 1.0 / checked_cos(params.xi * params.w2 * t) ** 2
+    sec2 = 1.0 / checked_cos(kerr_angle(1, t, params)) ** 2
     phi = quantum_phase(x, t, params)
     return sec2 * np.exp(1j * phi) * classical_amplitude(t, x, params)
 

@@ -162,50 +162,21 @@ def _abs(z: complex) -> float:
         return math.inf
 
 
-def _isclose(x: complex, y: complex, atol: float) -> bool:
-    """``numpy.isclose(x, y, rtol=1e-5, atol=atol)`` on two complex scalars.
-
-    Like numpy it is not symmetric in (x, y), rejects NaN and accepts two
-    equal infinities.  Within a few ulps of the bound numpy decides: Python's
-    complex abs and numpy's array abs can round one ulp apart, which flips
-    the answer at |x - y| = atol + 1e-5 |y| exactly.
-    """
-    if x == y:
-        return True
-    if not cmath.isfinite(y):
-        return False
-    diff, bound = _abs(x - y), atol + 1e-5 * _abs(y)
-    if abs(diff - bound) <= 1e-15 * bound:
-        return bool(np.isclose(np.array([x]), np.array([y]), atol=atol)[0])
-    return diff <= bound
-
-
-def _allclose(xs, ys, atol: float) -> bool:
-    """``numpy.allclose(xs, ys, atol=atol)`` on two equal-shape arrays."""
-    return all(_isclose(x, y, atol)
-               for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist()))
-
-
 @dataclass(frozen=True)
 class GaussPolySymbol:
     """Symbol of the form poly(z, z*) * exp(x.A x + b.x + c).
 
-    ``quad`` is a complex symmetric 2x2 matrix in real (q, p) coordinates,
-    ``lin`` a complex 2-vector, ``const`` a complex scalar and ``poly`` the
-    finite coefficient table of the polynomial prefactor.
+    ``quad`` is a complex 2x2 matrix in real (q, p) coordinates, ``lin`` a
+    complex 2-vector, ``const`` a complex scalar and ``poly`` the finite
+    coefficient table of the polynomial prefactor.  The exponent x.A x sees
+    only the symmetric part of A, so that is what is stored: (a12 + a21)/2
+    on both off-diagonal entries, and a symmetric form as given.
 
-    Construction checks, in order:
-
-    * ``quad`` has shape 2x2, else ``ValueError``;
-    * ``quad`` is symmetric as ``numpy.allclose(quad, quad.T, atol=1e-12)``
-      judges it, else ``ValueError``: |a12 - a21| <= 1e-12 + 1e-5 |a21| and
-      the same with a12, a21 swapped, unless they are equal (two equal
-      infinities pass), and no entry holds a NaN;
-    * the polynomial degree is at most ``DEGREE_CAP``, else
-      ``DegreeCapExceeded``.
-
-    The checks run on Python scalars, not numpy reductions: every
-    derivative and product builds a new symbol.
+    Construction raises ``ValueError`` when ``quad`` is not 2x2 or a stored
+    entry is NaN (a NaN input, or opposite infinities across the diagonal),
+    and ``DegreeCapExceeded`` when the polynomial degree exceeds
+    ``DEGREE_CAP``.  The checks run on Python scalars, not numpy reductions:
+    every derivative and product builds a new symbol.
     """
 
     quad: np.ndarray
@@ -219,9 +190,10 @@ class GaussPolySymbol:
         if quad.shape != (2, 2):
             raise ValueError("quadratic form must be 2x2")
         (a11, a12), (a21, a22) = quad.tolist()
-        if not (a11 == a11 and a22 == a22            # no NaN on the diagonal
-                and _isclose(a12, a21, 1e-12) and _isclose(a21, a12, 1e-12)):
-            raise ValueError("quadratic form must be symmetric")
+        if a12 != a21:
+            a12 = quad[0, 1] = quad[1, 0] = 0.5 * (a12 + a21)
+        if not (a11 == a11 and a12 == a12 and a22 == a22):
+            raise ValueError("quadratic form has a NaN entry")
         if self.poly.degree > DEGREE_CAP:
             raise DegreeCapExceeded(
                 f"polynomial degree {self.poly.degree} exceeds cap {DEGREE_CAP}")
@@ -250,10 +222,6 @@ class GaussPolySymbol:
     def is_polynomial(self) -> bool:
         return (self.const == 0.0 and not any(self.lin.tolist())
                 and not any(self.quad.ravel().tolist()))
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree
 
     def _zform(self):
         """Quadratic exponent in (z, z*) coordinates: (Azz, Abb, Azb, bz, bb)."""
@@ -291,8 +259,15 @@ class GaussPolySymbol:
         return self.poly(x.z, x.zbar) * np.exp(expo)
 
     def __add__(self, other: "GaussPolySymbol") -> "GaussPolySymbol":
-        if (_allclose(self.quad, other.quad, 1e-14)
-                and _allclose(self.lin, other.lin, 1e-14)
+        """Sum of two symbols sharing one Gaussian factor: every entry x of
+        ``quad`` and ``lin`` and its partner y satisfy x == y or
+        |x - y| <= 1e-14 + 1e-5 max(|x|, |y|) with x - y finite, and
+        |const difference| < 1e-14.  The left operand's factor is kept."""
+        pairs = zip(self.quad.ravel().tolist() + self.lin.tolist(),
+                    other.quad.ravel().tolist() + other.lin.tolist())
+        if (all(x == y or (cmath.isfinite(x - y)
+                           and _abs(x - y) <= 1e-14 + 1e-5 * max(_abs(x), _abs(y)))
+                for x, y in pairs)
                 and abs(self.const - other.const) < 1e-14):
             return GaussPolySymbol(self.quad, self.lin, self.const,
                                    self.poly + other.poly)
@@ -398,7 +373,6 @@ def star_gaussian(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
     q_inv = np.linalg.inv(q_mat)
 
     quad_out = -0.25 * (w_mat.T @ q_inv @ w_mat)
-    quad_out = 0.5 * (quad_out + quad_out.T)
     lin_out = -0.5 * (w_mat.T @ q_inv @ l0)
     const_out = f.const + g.const - 0.25 * (l0 @ q_inv @ l0)
 
@@ -482,26 +456,25 @@ def gauss_poly_integral(sym: GaussPolySymbol) -> complex:
     m +- sqrt(m^2 - det) with the root of larger modulus first and the other
     as det over it, and the inverse through the adjugate.
     """
-    (a11, a12), (a21, a22) = sym.quad.tolist()
+    (a11, a12), (_, a22) = sym.quad.tolist()
     b1, b2 = sym.lin.tolist()
     m = 0.5 * (a11 + a22)
-    det = a11 * a22 - a12 * a21
+    det = a11 * a22 - a12 * a12
     half_gap = 0.5 * (a11 - a22)
-    root = cmath.sqrt(half_gap * half_gap + a12 * a21)   # m^2 - det, cancellation-free
+    root = cmath.sqrt(half_gap * half_gap + a12 * a12)   # m^2 - det, cancellation-free
     lam1 = m + root if (m.conjugate() * root).real >= 0.0 else m - root
     lam = (lam1, det / lam1) if lam1 else (0j, 0j)
     sqrt_det = _fresnel_sqrt_det(lam, error_cls=DivergentIntegral)
     # covariance -A^{-1}/2 and mean -A^{-1} b/2 of (q, p), A^{-1} = adj(A)/det
-    c11, c12, c21, c22 = -0.5 * a22 / det, 0.5 * a12 / det, 0.5 * a21 / det, -0.5 * a11 / det
+    c11, c12, c22 = -0.5 * a22 / det, 0.5 * a12 / det, -0.5 * a11 / det
     mu_q = c11 * b1 + c12 * b2
-    mu_p = c21 * b1 + c22 * b2
+    mu_p = c12 * b1 + c22 * b2
     means = [ZPoly.constant(mu_q + 1j * mu_p), ZPoly.constant(mu_q - 1j * mu_p)]
     # the covariance carried to the forms z = q + ip, z* = q - ip, summed on
     # the entries of A before the division: c11 - c22 from the quotients
     # cancels when a11 ~ a22
-    sym_off, skew_off = 0.5j * (a12 + a21), 0.5j * (a21 - a12)
-    cov_forms = [[(half_gap + sym_off) / det, (skew_off - m) / det],
-                 [(-skew_off - m) / det, (half_gap - sym_off) / det]]
+    cov_forms = [[(half_gap + 1j * a12) / det, -m / det],
+                 [-m / det, (half_gap - 1j * a12) / det]]
     memo: dict = {}
     total = 0.0 + 0.0j
     for (k, l), coeff in sym.poly.coeffs.items():

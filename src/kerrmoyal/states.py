@@ -140,12 +140,6 @@ def coherent_projector(alpha: complex, xi: float) -> GaussPolySymbol:
     return GaussPolySymbol(quad, lin, const, ZPoly.constant(2.0))
 
 
-def squeezed_projector_symbol(state: SqueezedState, x: PhasePoint) -> float:
-    """[|tau alpha><tau alpha|]_w(x) = [|alpha><alpha|]_w(S(tau) x)."""
-    sym = squeezed_projector(state)
-    return float(np.real(sym(x)))
-
-
 def squeezed_projector(state: SqueezedState) -> GaussPolySymbol:
     """2 exp{(1/xi)[-x.S(2 tau) x + 2 x.S(tau) xbar - xbar.xbar]}."""
     xi = state.xi

@@ -177,10 +177,11 @@ def validate_states(params: kerr.KerrParams) -> SuiteReport:
         phi = rng.uniform(0.0, 2.0 * math.pi)
         state = states.SqueezedState.from_values(alpha, tau_abs, phi, xi)
         s_mat = states.squeeze_matrix(state.squeeze, xi)
+        projector = states.squeezed_projector(state)
         for q, p in rng.uniform(-1.5, 1.5, size=(4, 2)):
             pt = PhasePoint(q, p)
             mapped = s_mat @ pt.as_array()
-            lhs = states.squeezed_projector_symbol(state, pt)
+            lhs = projector(pt).real
             rhs = states.coherent_projector_symbol(alpha, xi, PhasePoint(*mapped))
             devs.append(abs(lhs - rhs))
     report.checks.append(CheckResult("covariance_identity", _worst(devs), 1e-12))

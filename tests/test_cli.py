@@ -174,6 +174,13 @@ def test_expect_check_builds_its_oracle_under_the_one_fock_cap(capsys):
     assert rec["fock_deviation"] <= 1e-10
 
 
+def test_expect_at_t0_with_huge_w2_is_alpha(capsys):
+    # xi w2 = 2e308 overflows; the winding and t~ take w2 * t = 0 first
+    assert run_cli(["expect", "--xi", "2", "--w2", "1e308", "--t", "0"]) == 0
+    rec = json.loads(capsys.readouterr().out)["record"]
+    assert (rec["a_re"], rec["a_im"], rec["branch_winding"]) == (1.0, 0.0, 0)
+
+
 def test_expect_numerical_limit_exit_code(capsys):
     # s = e^{-4} needs a Fock basis past fock.DIM_CAP = 8192 states
     code = run_cli(["expect", "--tau-abs", "2.0", "--check"])

@@ -476,3 +476,18 @@ def test_matrix_element_finite_at_singular_times():
     for t in (T_SING, T_SING / 2.0, 3.0 * T_SING):
         val = km.matrix_element(idx, t, 1.0, 0.5 + 0.3j, PARAMS)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
+
+
+def test_huge_w2_at_t0_gives_the_initial_values():
+    # xi w2 overflows at w2 = 1e308; every t~ takes w2 * t = 0 first
+    params = km.KerrParams(1.0, 1e308, 2.0)
+    alpha, beta = 0.9 + 0.1j, -0.4 + 0.6j
+    slow = km.KerrParams(1.0, 0.1, 2.0)
+    state = km.SqueezedState.from_values(alpha, 0.3, 0.7, params.xi)
+    assert km.expectation_a_closed(0.0, state, params) == \
+        km.expectation_a_closed(0.0, state, slow)
+    for s in range(4):
+        for m in range(4):
+            idx = km.ObservableIndex(s, m)
+            assert km.matrix_element(idx, 0.0, alpha, beta, params) == \
+                km.matrix_element(idx, 0.0, alpha, beta, slow)

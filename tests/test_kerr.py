@@ -168,6 +168,21 @@ def test_t0_reduction_at_huge_w1():
             assert abs(km.moyal_solution_symbolic(idx, 0.0, params)(pt) - ref) <= 1e-15
 
 
+def test_t0_reduction_at_huge_w2():
+    # (m - s) xi w2 overflows at w2 = 1e308; t~ takes w2 * t = 0 first
+    pt = PhasePoint(0.5, 0.3)
+    for xi in (1.0, 2.0):
+        params = km.KerrParams(1.0, 1e308, xi)
+        for s in range(4):
+            for m in range(4):
+                idx = km.ObservableIndex(s, m)
+                ref = km.initial_symbol(idx, xi, pt)
+                assert km.moyal_solution(idx, 0.0, pt, params) == ref
+                assert abs(km.moyal_solution_symbolic(idx, 0.0, params)(pt) - ref) <= 1e-15
+        assert km.quantum_phase(pt, 0.0, params) == 0.0
+        assert km.quantum_trajectory(0.0, pt, params) == pt.z / math.sqrt(2.0)
+
+
 def test_adjoint_symmetry():
     rng = np.random.RandomState(8)
     for _ in range(10):

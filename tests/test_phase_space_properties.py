@@ -1,8 +1,12 @@
 """Property checks of the Gaussian-symbol class and the trace pairing.
 
-The library does its 2x2 algebra on Python scalars; these tests hold it to
-numpy: the symmetry check to ``numpy.allclose`` and the pairing to a
-reference built here from ``numpy.linalg.eigvals`` and ``inv``.
+A symbol stores the symmetric part of its quadratic form, since the
+exponent sees nothing else: its value, derivatives and pairing are those of
+a symbol built from that part, and a derivative agrees with a finite
+difference of the symbol's own values.  Adding symbols accepts f + g
+exactly when it accepts g + f.  The library does its 2x2 algebra on Python
+scalars; the pairing is held to a reference built here from
+``numpy.linalg.eigvals`` and ``inv``.
 """
 
 import cmath
@@ -15,7 +19,7 @@ from hypothesis import strategies as st
 
 import kerrmoyal as km
 from kerrmoyal import DivergentIntegral
-from kerrmoyal.phase_space import GaussPolySymbol, ZPoly, gauss_poly_integral
+from kerrmoyal.phase_space import GaussPolySymbol, PhasePoint, ZPoly, gauss_poly_integral
 
 NON_FINITE = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
               complex(-math.inf, 1.0), complex(0.0, math.inf), complex(math.inf, math.nan)]
@@ -29,8 +33,16 @@ def _complex(max_magnitude):
 
 
 # ---------------------------------------------------------------------------
-# symmetry check on construction
+# the stored form is the symmetric part
 # ---------------------------------------------------------------------------
+
+def _outcome(fn):
+    """fn()'s value, or the type of the exception it raised."""
+    try:
+        return fn()
+    except Exception as exc:    # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
 
 @settings(max_examples=400, deadline=None)
 @given(a11=_complex(1e6), a22=_complex(1e6), a21=_complex(1e300),
@@ -41,24 +53,56 @@ def _complex(max_magnitude):
          bad=NON_FINITE[0])
 @example(a11=1.0, a22=1.0, a21=1e308 + 1e308j, gap=0.5, gap_arg=0.0, entries=None,
          bad=NON_FINITE[0])
-# |a12 - a21| on the bound: Python's abs reads 1e-12, numpy's 1.0000000000000002e-12
 @example(a11=0j, a22=0j, a21=0j, gap=1.0, gap_arg=1.8125, entries=None, bad=NON_FINITE[0])
-def test_symmetry_check_matches_numpy_allclose(a11, a22, a21, gap, gap_arg, entries, bad):
-    # the off-diagonal gap is drawn in units of allclose's bound for the
-    # (0, 1) entry, 1e-12 + 1e-5 |a21|, so it straddles the boundary
+def test_stored_form_is_the_symmetric_part(a11, a22, a21, gap, gap_arg, entries, bad):
+    # the off-diagonal gap is drawn in units of 1e-12 + 1e-5 |a21|, the
+    # tolerance of the former symmetry check, so asymmetries on both sides
+    # of it are stored as their symmetric part
     with np.errstate(all="ignore"):
         bound = 1e-12 + 1e-5 * float(np.abs(a21))
     a12 = a21 + gap * bound * cmath.exp(1j * gap_arg) if math.isfinite(bound) else a21
     quad = np.array([[a11, a12], [a21, a22]], dtype=complex)
     for entry in entries or ():
         quad[entry] = bad
+    # (A + A^T)/2, with a pair that is already equal kept as given
     with np.errstate(all="ignore"):
-        symmetric = bool(np.allclose(quad, quad.T, atol=1e-12))
-    if symmetric:
-        GaussPolySymbol(quad, np.zeros(2), 0.0, ZPoly.one())
-    else:
-        with pytest.raises(ValueError, match="symmetric"):
-            GaussPolySymbol(quad, np.zeros(2), 0.0, ZPoly.one())
+        sym_part = np.where(quad == quad.T, quad, 0.5 * (quad + quad.T))
+    lin, poly = np.array([0.3 - 0.1j, -0.2j]), ZPoly({(0, 0): 1.0, (1, 2): 0.5 - 1j})
+    if np.isnan(sym_part).any():
+        with pytest.raises(ValueError, match="NaN"):
+            GaussPolySymbol(quad, lin, 0.1, poly)
+        return
+    sym = GaussPolySymbol(quad, lin, 0.1, poly)
+    ref = GaussPolySymbol(sym_part, lin, 0.1, poly)
+    np.testing.assert_array_equal(sym.quad, sym_part)
+    pt = PhasePoint(0.4, -0.3)
+    with np.errstate(all="ignore"):
+        np.testing.assert_equal(sym(pt), ref(pt))
+        for der in ("dz", "dzbar"):
+            got, want = getattr(sym, der)(), getattr(ref, der)()
+            np.testing.assert_array_equal(got.quad, want.quad)
+            np.testing.assert_equal(got.poly.coeffs, want.poly.coeffs)
+            np.testing.assert_equal(got(pt), want(pt))
+        np.testing.assert_equal(_outcome(lambda: gauss_poly_integral(sym)),
+                                _outcome(lambda: gauss_poly_integral(ref)))
+
+
+def test_derivative_of_an_asymmetric_form_matches_its_values():
+    # the exponent sees (a12 + a21)/2; a derivative that read a12 alone was
+    # off by 1.1e-6 relative here
+    sym = GaussPolySymbol(np.array([[-1.0, 1.0], [1.0 + 5e-6, -2.0]]),
+                          np.array([0.2, -0.1j]), 0.0, ZPoly({(1, 0): 1.0, (0, 1): 0.5j}))
+    q, p, h = 0.3, -0.2, 1e-3
+
+    def d1(fun):
+        # 4th-order central first derivative
+        return (-fun(2 * h) + 8 * fun(h) - 8 * fun(-h) + fun(-2 * h)) / (12 * h)
+
+    d_q = d1(lambda u: sym(PhasePoint(q + u, p)))
+    d_p = d1(lambda u: sym(PhasePoint(q, p + u)))
+    pt = PhasePoint(q, p)
+    for der, ref in ((sym.dz(), 0.5 * (d_q - 1j * d_p)), (sym.dzbar(), 0.5 * (d_q + 1j * d_p))):
+        assert abs(der(pt) - ref) <= 1e-9 * abs(ref)
 
 
 def _symbol(slots, const):
@@ -67,29 +111,37 @@ def _symbol(slots, const):
                            np.array(slots[3:]), const, ZPoly.one())
 
 
+def _adds(f, g):
+    try:
+        return (f + g).poly.coeffs == {(0, 0): 2.0}
+    except ValueError as exc:
+        assert "one Gaussian factor" in str(exc)
+        return False
+
+
 @settings(max_examples=300, deadline=None)
 @given(base=st.lists(_complex(1e6), min_size=5, max_size=5),
        slot=st.integers(0, 4), gap=st.floats(0.0, 2.0), gap_arg=st.floats(-math.pi, math.pi),
        bad_side=st.sampled_from([None, "left", "right"]), bad=st.sampled_from(NON_FINITE[2:5]),
        const_gap=st.sampled_from([0.0, 5e-15, 2e-14]))
-def test_add_accepts_exactly_numpy_allclose(base, slot, gap, gap_arg, bad_side, bad,
-                                            const_gap):
-    # the right operand's entry at slot moves by gap in units of allclose's
-    # bound 1e-14 + 1e-5 |right|; an infinity may replace either side
+def test_add_is_symmetric_in_its_operands(base, slot, gap, gap_arg, bad_side, bad, const_gap):
+    # the left operand's entry at slot moves by gap in units of
+    # 1e-14 + 1e-5 |right|, so both sides of the bound are drawn; an
+    # infinity may replace either side
     right = list(base)
     left = list(base)
     left[slot] = right[slot] + gap * (1e-14 + 1e-5 * abs(right[slot])) * cmath.exp(1j * gap_arg)
     if bad_side is not None:
         (left if bad_side == "left" else right)[slot] = bad
     f, g = _symbol(left, const_gap), _symbol(right, 0.0)
-    with np.errstate(all="ignore"):
-        same = (np.allclose(f.quad, g.quad, atol=1e-14)
-                and np.allclose(f.lin, g.lin, atol=1e-14) and const_gap < 1e-14)
-    if same:
-        assert (f + g).poly.coeffs == {(0, 0): 2.0}
-    else:
-        with pytest.raises(ValueError, match="one Gaussian factor"):
-            f + g
+    accepted = _adds(f, g)
+    assert _adds(g, f) == accepted
+    # the bound is 1e-14 + 1e-5 max(|x|, |y|) >= the unit of gap, and
+    # exceeds it by at most a factor 1 + 2e-5
+    if bad_side is not None or const_gap > 1e-14 or gap >= 1.001:
+        assert not accepted
+    elif gap <= 0.999:
+        assert accepted
 
 
 # ---------------------------------------------------------------------------

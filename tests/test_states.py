@@ -139,10 +139,10 @@ def test_coherent_projector_unit_trace():
 
 def test_squeezed_projector_reduces_to_coherent():
     alpha = 0.5 - 0.7j
-    state = km.SqueezedState.from_values(alpha, 0.0, 0.0, XI)
+    projector = km.squeezed_projector(km.SqueezedState.from_values(alpha, 0.0, 0.0, XI))
     for q, p in np.random.RandomState(3).uniform(-2, 2, size=(5, 2)):
         pt = PhasePoint(q, p)
-        assert km.squeezed_projector_symbol(state, pt) == pytest.approx(
+        assert projector(pt) == pytest.approx(
             km.coherent_projector_symbol(alpha, XI, pt), abs=1e-13)
 
 
@@ -153,10 +153,11 @@ def test_squeezed_projector_covariance_identity():
         state = km.SqueezedState.from_values(alpha, rng.uniform(0, 0.9),
                                              rng.uniform(0, 2 * math.pi), XI)
         s_mat = km.squeeze_matrix(state.squeeze, XI)
+        projector = km.squeezed_projector(state)
         for q, p in rng.uniform(-1.5, 1.5, size=(4, 2)):
             pt = PhasePoint(q, p)
             mapped = PhasePoint(*(s_mat @ pt.as_array()))
-            assert km.squeezed_projector_symbol(state, pt) == pytest.approx(
+            assert projector(pt) == pytest.approx(
                 km.coherent_projector_symbol(alpha, XI, mapped), abs=1e-12)
 
 
