@@ -55,11 +55,8 @@ from .phase_space import (
     star_product,
 )
 from .states import (
-    CoherentParams,
     SqueezedState,
-    SqueezeParams,
     coherent_overlap,
-    coherent_projector,
     coherent_projector_symbol,
     mean_photon_number,
     rotation_matrix,

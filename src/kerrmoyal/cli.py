@@ -233,7 +233,7 @@ def _figure_squeeze(p, delta_phi: float) -> tuple[list[str], list[list[object]]]
     for s in _SQUEEZE_FACTORS:
         tau_abs = -math.log(s) / (2.0 * xi)
         phi = delta_phi + 2.0 * np.angle(alpha)
-        state = states.SqueezedState.from_values(alpha, tau_abs, phi, xi)
+        state = states.SqueezedState(alpha, tau_abs, phi, xi)
         for t in t_grid.tolist():
             res = expectations.expectation_a_closed(t, state, params)
             rows.append([t, s, res.mean_q, res.mean_p])
@@ -260,8 +260,8 @@ def cmd_figure(name: str, p: dict, echo: dict) -> int:
 def cmd_expect(p: dict, echo: dict) -> int:
     xi = p["xi"]
     params = kerr.KerrParams(p["w1"], p["w2"], xi)
-    state = states.SqueezedState.from_values(complex(p["alpha_re"], p["alpha_im"]),
-                                             p["tau_abs"], p["tau_phase"], xi)
+    state = states.SqueezedState(complex(p["alpha_re"], p["alpha_im"]),
+                                 p["tau_abs"], p["tau_phase"], xi)
     t = p["t"]
     res = expectations.expectation_a_closed(t, state, params)
     record = {

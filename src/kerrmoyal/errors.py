@@ -26,7 +26,7 @@ class SingularTime(KerrMoyalError):
 
 
 class InvalidState(KerrMoyalError):
-    """State parameters outside their admissible range (e.g. squeeze factor s <= 0)."""
+    """A SqueezedState whose squeeze factor s = exp(-2 xi |tau|) underflows to 0."""
 
 
 class TruncationInsufficient(KerrMoyalError):

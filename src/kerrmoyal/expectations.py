@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState, ToleranceNotMet
+from .errors import ToleranceNotMet
 from .kerr import (KerrParams, ObservableIndex, checked_cos, classical_amplitude,
                    kerr_angle)
 from .phase_space import PhasePoint
@@ -85,12 +85,6 @@ def branch_winding(t: float, params: KerrParams) -> int:
     return count if tt >= 0 else -count
 
 
-def _check_xi(state: SqueezedState, params: KerrParams) -> None:
-    if state.xi != params.xi:
-        raise ValueError(f"state and params carry different xi "
-                         f"({state.xi!r} != {params.xi!r})")
-
-
 def expectation_a_closed(t: float, state: SqueezedState,
                          params: KerrParams) -> ExpectationResult:
     """Closed-form <a(t)> for a squeezed coherent state.
@@ -101,10 +95,8 @@ def expectation_a_closed(t: float, state: SqueezedState,
     every t and s > 0, singular times included (there G^{3/2} = 1 and the
     exponent is -2|alpha|^2/xi).
     """
+    state.check_xi(params.xi)
     s = state.s
-    if s <= 0:
-        raise InvalidState("squeeze factor s must be positive")
-    _check_xi(state, params)
     xi = params.xi
     alpha = state.alpha
     half = 0.5 * state.delta_phi
@@ -132,9 +124,9 @@ def expectation_a_semiclassical(t: float, state: SqueezedState,
     a_cl(t|xbar) {1 + xi [2|tau| e^{i dphi}
                           - 2|alpha|^2 w2 t (w2 t + 4i |tau| cos dphi)]}.
     """
-    xbar = state.coherent.mean_x
+    xbar = state.mean_x
     a_cl = classical_amplitude(t, PhasePoint(xbar[0], xbar[1]), params)
-    tau_abs = state.squeeze.magnitude
+    tau_abs = state.tau_abs
     dphi = state.delta_phi
     w2t = params.w2 * t
     corr = (2.0 * tau_abs * np.exp(1j * dphi)
@@ -242,16 +234,14 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    state.check_xi(params.xi)
     s = state.s
-    if s <= 0:
-        raise InvalidState("squeeze factor s must be positive")
-    _check_xi(state, params)
     xi = params.xi
     tt = kerr_angle(1, t, params)
     cos_tt = checked_cos(tt)
     big_t = math.tan(tt)
     # R(-phi) rotates the mean x = sqrt(2) (Re alpha, Im alpha) by -phi / 2
-    half_turn = cmath.exp(0.5j * state.squeeze.phase)
+    half_turn = cmath.exp(0.5j * state.tau_phase)
     ybar = _SQRT2 * state.alpha / half_turn
     # Theta_01(t|y) = pref * exp(-i|y|^2 T/xi) * (y1 + i y2)/sqrt(2)
     pref = cmath.exp(-1j * (params.w1 * t)) / cos_tt ** 2 * cmath.exp(2j * tt)

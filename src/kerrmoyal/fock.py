@@ -84,12 +84,10 @@ def squeezed_vector(state: SqueezedState, space: FockSpace) -> np.ndarray:
     unit norm up to the truncated tail, which checks the recurrence sum and
     the truncation against a closed-form value.
     """
-    if space.xi != state.xi:
-        raise ValueError(f"state and space carry different xi "
-                         f"({state.xi!r} != {space.xi!r})")
+    state.check_xi(space.xi)
     beta = complex(state.alpha) / math.sqrt(space.xi)
-    r = 2.0 * space.xi * state.squeeze.magnitude
-    rot = cmath.exp(1j * state.squeeze.phase)
+    r = 2.0 * space.xi * state.tau_abs
+    rot = cmath.exp(1j * state.tau_phase)
     cosh_r, tanh_r = math.cosh(r), math.tanh(r)
     drive = beta / cosh_r
     mixing = rot * tanh_r

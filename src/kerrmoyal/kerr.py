@@ -67,8 +67,12 @@ class ObservableIndex:
 
 def kerr_angle(n: int, t: float, params: KerrParams) -> float:
     """t~ = n xi w2 t.  w2 t is formed first, so t = 0 gives 0 for every
-    finite w2 instead of inf * 0 = NaN once xi w2 overflows."""
-    return n * params.xi * (params.w2 * t)
+    finite w2 instead of inf * 0 = NaN once xi w2 overflows.  A t~ that is
+    not finite (the product overflows) raises OverflowError."""
+    tt = n * params.xi * (params.w2 * t)
+    if not math.isfinite(tt):
+        raise OverflowError(f"t~ = {n} xi w2 t is not finite ({tt!r}) at t = {t!r}")
+    return tt
 
 
 def checked_cos(t_tilde: float) -> float:
@@ -221,8 +225,11 @@ def angular_eigenvalue_residual(idx: ObservableIndex, t: float, x: PhasePoint,
 # ---------------------------------------------------------------------------
 
 def classical_amplitude(t: float, x: PhasePoint, params: KerrParams) -> complex:
-    """a_cl(t|x) = exp(-i (w2 x^2 + w1) t) (q + i p)/sqrt(2)."""
-    angle = (params.w2 * x.x2 + params.w1) * t
+    """a_cl(t|x) = exp(-i (w2 x^2 + w1) t) (q + i p)/sqrt(2).
+
+    The angle is x^2 (w2 t) + w1 t, so t = 0 gives 0 for every finite w2.
+    """
+    angle = x.x2 * (params.w2 * t) + params.w1 * t
     return np.exp(-1j * angle) * x.z / _SQRT2
 
 

@@ -102,7 +102,7 @@ def validate_algebra(params: kerr.KerrParams) -> SuiteReport:
     dev = _worst(abs(br(pt) - 1.0) for pt in pts)
     report.checks.append(CheckResult("canonical_moyal_bracket", dev, 1e-12))
 
-    proj = states.coherent_projector(0.4 + 0.3j, xi)
+    proj = states.squeezed_projector(states.SqueezedState(0.4 + 0.3j, 0.0, 0.0, xi))
     trace = phase_space_inner_product(proj, GaussPolySymbol.constant(1.0), xi)
     dev = abs(trace - 2.0 * math.pi * xi)
     report.checks.append(CheckResult("projector_trace_2_pi_xi", float(dev), 1e-10))
@@ -165,7 +165,7 @@ def validate_states(params: kerr.KerrParams) -> SuiteReport:
     for s_target in (0.9, 0.5, 0.2):
         for phi in (0.0, 1.1, math.pi):
             tau_abs = -math.log(s_target) / (2.0 * xi)
-            state = states.SqueezedState.from_values(0.7 + 0.2j, tau_abs, phi, xi)
+            state = states.SqueezedState(0.7 + 0.2j, tau_abs, phi, xi)
             var_q, var_p, cov_f = states.variances(state)
             devs.append(abs(var_q * var_p - cov_f**2 - xi**2 / 4.0))
     report.checks.append(CheckResult("schroedinger_robertson_saturation", _worst(devs), 1e-12))
@@ -175,8 +175,8 @@ def validate_states(params: kerr.KerrParams) -> SuiteReport:
         alpha = complex(*rng.uniform(-1.0, 1.0, 2))
         tau_abs = rng.uniform(0.0, 0.8)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        state = states.SqueezedState.from_values(alpha, tau_abs, phi, xi)
-        s_mat = states.squeeze_matrix(state.squeeze, xi)
+        state = states.SqueezedState(alpha, tau_abs, phi, xi)
+        s_mat = states.squeeze_matrix(state.tau_abs, state.tau_phase, xi)
         projector = states.squeezed_projector(state)
         for q, p in rng.uniform(-1.5, 1.5, size=(4, 2)):
             pt = PhasePoint(q, p)
@@ -186,13 +186,12 @@ def validate_states(params: kerr.KerrParams) -> SuiteReport:
             devs.append(abs(lhs - rhs))
     report.checks.append(CheckResult("covariance_identity", _worst(devs), 1e-12))
 
-    sq = states.SqueezeParams(0.35, 0.8)
-    s1 = states.squeeze_matrix(sq, xi)
-    s2 = states.squeeze_matrix(states.SqueezeParams(0.7, 0.8), xi)
+    s1 = states.squeeze_matrix(0.35, 0.8, xi)
+    s2 = states.squeeze_matrix(0.7, 0.8, xi)
     dev = float(np.max(np.abs(s1 @ s1 - s2)))
     report.checks.append(CheckResult("squeeze_group_law", dev, 1e-12))
 
-    state = states.SqueezedState.from_values(1.0, -math.log(0.5) / (2.0 * xi), math.pi, xi)
+    state = states.SqueezedState(1.0, -math.log(0.5) / (2.0 * xi), math.pi, xi)
     space = fock.fock_space_for(state)
     v = fock.squeezed_vector(state, space)
     mean_n = space.xi * float(np.arange(space.dim) @ np.abs(v) ** 2)
@@ -201,7 +200,7 @@ def validate_states(params: kerr.KerrParams) -> SuiteReport:
 
     # the dim grows like 1/xi with the photon number of |alpha>, the larger state
     alpha, beta = 0.6 + 0.1j, -0.2 + 0.4j
-    sp = fock.fock_space_for(states.SqueezedState.from_values(alpha, 0.0, 0.0, xi))
+    sp = fock.fock_space_for(states.SqueezedState(alpha, 0.0, 0.0, xi))
     ov_fock = complex(np.conj(fock.coherent_vector(alpha, sp)) @ fock.coherent_vector(beta, sp))
     dev = abs(ov_fock - states.coherent_overlap(alpha, beta, xi))
     report.checks.append(CheckResult("coherent_overlap_vs_fock", float(dev), 1e-10))
@@ -216,7 +215,7 @@ def validate_expectation(params: kerr.KerrParams) -> SuiteReport:
     for s_target in (0.5, 0.2):
         for dphi in (0.0, math.pi):
             tau_abs = -math.log(s_target) / (2.0 * xi)
-            state = states.SqueezedState.from_values(1.0, tau_abs, dphi, xi)
+            state = states.SqueezedState(1.0, tau_abs, dphi, xi)
             space = fock.fock_space_for(state)
             v = fock.squeezed_vector(state, space)
             times = np.linspace(0.0, math.pi / (xi * params.w2), 7)[:-1]
@@ -228,8 +227,8 @@ def validate_expectation(params: kerr.KerrParams) -> SuiteReport:
     report.checks.append(CheckResult("closed_vs_fock", _worst(devs), 1e-10))
 
     # two mild points and a strongly number-squeezed one at t~ = 11 pi/24
-    mild = states.SqueezedState.from_values(1.0, -math.log(0.5) / (2.0 * xi), math.pi, xi)
-    strong = states.SqueezedState.from_values(1.0, -math.log(0.1) / (2.0 * xi), math.pi, xi)
+    mild = states.SqueezedState(1.0, -math.log(0.5) / (2.0 * xi), math.pi, xi)
+    strong = states.SqueezedState(1.0, -math.log(0.1) / (2.0 * xi), math.pi, xi)
     t_strong = 11.0 * math.pi / (24.0 * xi * params.w2)
     devs = []
     for state, t in ((mild, 0.4), (mild, 1.7), (strong, t_strong)):
@@ -238,7 +237,7 @@ def validate_expectation(params: kerr.KerrParams) -> SuiteReport:
         devs.append(abs(quad - closed) / (1.0 + abs(closed)))
     report.checks.append(CheckResult("quadrature_vs_closed", _worst(devs), 1e-13))
 
-    coh = states.SqueezedState.from_values(0.8 + 0.3j, 0.0, 0.0, xi)
+    coh = states.SqueezedState(0.8 + 0.3j, 0.0, 0.0, xi)
     devs = []
     for t in np.linspace(0.0, 20.0, 9):
         val = expectations.expectation_a_closed(float(t), coh, params).value

@@ -100,7 +100,7 @@ def test_criterion_04_matrix_elements():
     for s in range(4):
         for m in range(4):
             idx = km.ObservableIndex(s, m)
-            for t in (0.0, 0.4, 1.1, 2.7, 6.3):
+            for t in (0.0, 0.3, 0.4, 0.7, 1.1, 1.9, 2.7, 5.0, 6.3):
                 closed = km.matrix_element(idx, t, alpha, beta, PARAMS)
                 oracle = km.heisenberg_matrix_element(idx, t, va, vb, space, PARAMS)
                 worst = max(worst, abs(closed - oracle) / max(abs(oracle), 1e-30))
@@ -297,7 +297,7 @@ def test_criterion_09_state_suite():
         alpha = complex(*rng.uniform(-1, 1, 2))
         st = km.SqueezedState.from_values(alpha, rng.uniform(0, 1.0),
                                           rng.uniform(0, 2 * math.pi), XI)
-        s_mat = km.squeeze_matrix(st.squeeze, XI)
+        s_mat = km.squeeze_matrix(st.tau_abs, st.tau_phase, XI)
         projector = km.squeezed_projector(st)
         for q, p in rng.uniform(-1.5, 1.5, size=(4, 2)):
             pt = PhasePoint(q, p)

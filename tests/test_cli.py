@@ -181,6 +181,19 @@ def test_expect_at_t0_with_huge_w2_is_alpha(capsys):
     assert (rec["a_re"], rec["a_im"], rec["branch_winding"]) == (1.0, 0.0, 0)
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["--xi", "2", "--w2", "1e308", "--t", "1"], "OverflowError: t~"),
+    (["--tau-abs", "400"], "InvalidState"),
+], ids=["t-tilde-overflow", "s-underflow"])
+def test_expect_state_and_angle_limits_exit_code(capsys, argv, error):
+    # xi w2 t = 2e308 overflows t~; s = exp(-800) underflows to 0
+    assert run_cli(["expect"] + argv) == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {error}")
+
+
 def test_expect_numerical_limit_exit_code(capsys):
     # s = e^{-4} needs a Fock basis past fock.DIM_CAP = 8192 states
     code = run_cli(["expect", "--tau-abs", "2.0", "--check"])

@@ -180,7 +180,16 @@ def test_t0_reduction_at_huge_w2():
                 assert km.moyal_solution(idx, 0.0, pt, params) == ref
                 assert abs(km.moyal_solution_symbolic(idx, 0.0, params)(pt) - ref) <= 1e-15
         assert km.quantum_phase(pt, 0.0, params) == 0.0
-        assert km.quantum_trajectory(0.0, pt, params) == pt.z / math.sqrt(2.0)
+        # at x^2 = 2.34 x^2 w2 overflows too; the classical angle takes w2 t first
+        for x in (pt, PhasePoint(1.5, 0.3)):
+            assert km.quantum_trajectory(0.0, x, params) == x.z / math.sqrt(2.0)
+
+
+def test_t_tilde_overflow_raises():
+    # xi (w2 t) = 2e308 is inf: a typed error naming t~, not a math domain error
+    params = km.KerrParams(1.0, 1e308, 2.0)
+    with pytest.raises(OverflowError, match="t~"):
+        km.moyal_solution(km.ObservableIndex(0, 1), 1.0, PhasePoint(0.1, 0.2), params)
 
 
 def test_adjoint_symmetry():

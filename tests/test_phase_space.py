@@ -95,8 +95,8 @@ def test_engine_agreement_monomials(xi):
 def test_engine_agreement_gaussian_suite():
     # polynomial left factors against a fixed suite of Gaussian symbols
     gaussians = [
-        km.coherent_projector(0.0, XI),
-        km.coherent_projector(0.6 - 0.4j, XI),
+        km.squeezed_projector(km.SqueezedState(0.0, 0.0, 0.0, XI)),
+        km.squeezed_projector(km.SqueezedState(0.6 - 0.4j, 0.0, 0.0, XI)),
         GaussPolySymbol.gaussian(-0.7j * np.eye(2), np.array([0.2, -0.1j]), 0.1,
                                  ZPoly.monomial(1, 1, 0.5) + ZPoly.one()),
     ]
@@ -132,7 +132,7 @@ def test_involution():
     coeffs = {(k, l): complex(*rng.uniform(-1, 1, 2))
               for k in range(3) for l in range(3 - k)}
     f = GaussPolySymbol.polynomial(ZPoly(coeffs))
-    g = km.coherent_projector(0.3 + 0.5j, XI)
+    g = km.squeezed_projector(km.SqueezedState(0.3 + 0.5j, 0.0, 0.0, XI))
     lhs = km.star_differential(f, g, XI).conjugate()
     rhs = km.star_gaussian(g.conjugate(), f.conjugate(), XI)
     for pt in POINTS[:4]:
@@ -221,21 +221,21 @@ def test_poisson_bracket_canonical():
 # ---------------------------------------------------------------------------
 
 def test_inner_product_trace_of_projector():
-    proj = km.coherent_projector(0.7 + 0.1j, XI)
+    proj = km.squeezed_projector(km.SqueezedState(0.7 + 0.1j, 0.0, 0.0, XI))
     val = km.phase_space_inner_product(proj, GaussPolySymbol.constant(1.0), XI)
     assert val == pytest.approx(2.0 * math.pi * XI, abs=1e-10)
 
 
 def test_inner_product_purity():
-    proj = km.coherent_projector(0.5 - 0.3j, XI)
+    proj = km.squeezed_projector(km.SqueezedState(0.5 - 0.3j, 0.0, 0.0, XI))
     val = km.phase_space_inner_product(proj, proj, XI)
     assert val == pytest.approx(2.0 * math.pi * XI, abs=1e-10)
 
 
 def test_inner_product_overlap_structure():
     alpha, beta = 0.9 + 0.2j, -0.3 + 0.6j
-    pa = km.coherent_projector(alpha, XI)
-    pb = km.coherent_projector(beta, XI)
+    pa = km.squeezed_projector(km.SqueezedState(alpha, 0.0, 0.0, XI))
+    pb = km.squeezed_projector(km.SqueezedState(beta, 0.0, 0.0, XI))
     val = km.phase_space_inner_product(pa, pb, XI) / (2.0 * math.pi * XI)
     assert val == pytest.approx(abs(km.coherent_overlap(alpha, beta, XI)) ** 2, abs=1e-12)
 
@@ -268,6 +268,6 @@ def test_degree_cap_enforced():
 
 
 def test_star_differential_rejects_gaussian_left_factor():
-    gauss = km.coherent_projector(0.2, XI)
+    gauss = km.squeezed_projector(km.SqueezedState(0.2, 0.0, 0.0, XI))
     with pytest.raises(ValueError, match="star_gaussian"):
         km.star_differential(gauss, km.annihilation_symbol(), XI)

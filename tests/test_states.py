@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kerrmoyal as km
+from kerrmoyal import InvalidState
 from kerrmoyal.phase_space import GaussPolySymbol, PhasePoint
 
 XI = 1.0
@@ -24,22 +25,37 @@ def make_state(alpha=1.0, s_target=0.5, delta_phi=math.pi, xi=XI):
 def test_s_factor_derived():
     state = make_state(s_target=0.37)
     assert state.s == pytest.approx(0.37)
-    assert km.SqueezeParams(0.0).s_factor(XI) == 1.0
+    assert km.SqueezedState(1.0, 0.0, 0.0, XI).s == 1.0
 
 
 @pytest.mark.parametrize("cls,args,field", [
-    (km.SqueezeParams, (math.nan,), "magnitude"),
-    (km.SqueezeParams, (math.inf,), "magnitude"),
-    (km.SqueezeParams, (0.3, math.inf), "phase"),
-    (km.CoherentParams, (complex(0.5, math.nan),), "alpha"),
+    (km.SqueezedState, (1.0, math.nan, 0.0, XI), "magnitude"),
+    (km.SqueezedState, (1.0, math.inf, 0.0, XI), "magnitude"),
+    (km.SqueezedState, (1.0, 0.3, math.inf, XI), "phase"),
+    (km.SqueezedState, (complex(0.5, math.nan), 0.3, 0.0, XI), "alpha"),
+    (km.SqueezedState, (1.0, 0.3, 0.0, math.nan), "xi"),
+    (km.SqueezedState, (1.0, 0.3, 0.0, math.inf), "xi"),
     (km.KerrParams, (math.inf, 0.1, 1.0), "w1"),
     (km.KerrParams, (1.0, math.nan, 1.0), "w2"),
     (km.KerrParams, (1.0, 0.1, math.nan), "xi"),
-], ids=["magnitude-nan", "magnitude-inf", "phase-inf", "alpha-nan", "w1-inf",
-        "w2-nan", "xi-nan"])
+], ids=["magnitude-nan", "magnitude-inf", "phase-inf", "alpha-nan", "state-xi-nan",
+        "state-xi-inf", "w1-inf", "w2-nan", "xi-nan"])
 def test_non_finite_parameters_rejected(cls, args, field):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         cls(*args)
+
+
+def test_invalid_state_rejected():
+    # every check runs when the state is built, so no later function meets
+    # a state it cannot use
+    for args in ((1.0, 0.3, 0.0, 0.0), (1.0, 0.3, 0.0, -1.0)):
+        with pytest.raises(ValueError, match="xi must be positive"):
+            km.SqueezedState(*args)
+    with pytest.raises(ValueError, match="non-negative"):
+        km.SqueezedState(1.0, -0.1, 0.0, XI)
+    # s = exp(-800) underflows to 0
+    with pytest.raises(InvalidState, match="underflows"):
+        km.SqueezedState(1.0, 400.0, 0.0, XI)
 
 
 def test_delta_phi_reduction():
@@ -50,6 +66,7 @@ def test_delta_phi_reduction():
     assert phase.delta_phi == pytest.approx(0.0)
     wrapped = make_state(alpha=1.0, delta_phi=-3.0 * math.pi)
     assert wrapped.delta_phi == pytest.approx(math.pi)
+    assert km.SqueezedState(1.0, 0.3, -0.5, XI).tau_phase == 2.0 * math.pi - 0.5
 
 
 def test_phase_shift_convention():
@@ -59,8 +76,8 @@ def test_phase_shift_convention():
     state = make_state(alpha=0.8 + 0.4j, s_target=0.6, delta_phi=1.1)
     delta = 0.77
     shifted = km.SqueezedState.from_values(
-        state.alpha * np.exp(-1j * delta), state.squeeze.magnitude,
-        state.squeeze.phase - 2.0 * delta, XI)
+        state.alpha * np.exp(-1j * delta), state.tau_abs,
+        state.tau_phase - 2.0 * delta, XI)
     assert shifted.delta_phi == pytest.approx(state.delta_phi)
     assert shifted.alpha == pytest.approx(state.alpha * np.exp(-1j * delta))
     for t in (0.0, 0.9, 2.4):
@@ -74,27 +91,26 @@ def test_phase_shift_convention():
 # ---------------------------------------------------------------------------
 
 def test_squeeze_matrix_identity_at_zero():
-    assert np.allclose(km.squeeze_matrix(km.SqueezeParams(0.0, 1.3), XI), np.eye(2))
+    assert np.allclose(km.squeeze_matrix(0.0, 1.3, XI), np.eye(2))
 
 
 def test_squeeze_matrix_group_law_and_inverse():
-    sq = km.SqueezeParams(0.41, 2.2)
-    s1 = km.squeeze_matrix(sq, XI)
-    s2 = km.squeeze_matrix(km.SqueezeParams(0.82, 2.2), XI)
+    s1 = km.squeeze_matrix(0.41, 2.2, XI)
+    s2 = km.squeeze_matrix(0.82, 2.2, XI)
     assert np.max(np.abs(s1 @ s1 - s2)) <= 1e-12
-    inv = km.squeeze_matrix(km.SqueezeParams(0.41, 2.2 + math.pi), XI)
+    inv = km.squeeze_matrix(0.41, 2.2 + math.pi, XI)
     # tau -> -tau flips the phase by pi; S(tau) S(-tau) = I
     assert np.max(np.abs(s1 @ inv - np.eye(2))) <= 1e-12
 
 
 def test_squeeze_matrix_symplectic_and_factorized():
     state = make_state(alpha=0.3 + 0.9j, s_target=0.35, delta_phi=0.7)
-    s_mat = km.squeeze_matrix(state.squeeze, XI)
+    s_mat = km.squeeze_matrix(state.tau_abs, state.tau_phase, XI)
     j = km.POISSON_J
     assert np.max(np.abs(s_mat @ j @ s_mat.T - j)) <= 1e-12
     assert np.max(np.abs(s_mat - s_mat.T)) == 0.0
     assert np.linalg.det(s_mat) == pytest.approx(1.0, abs=1e-12)
-    phi = state.squeeze.phase
+    phi = state.tau_phase
     recon = (km.rotation_matrix(phi) @ np.diag([state.s, 1.0 / state.s])
              @ km.rotation_matrix(-phi))
     assert np.max(np.abs(s_mat - recon)) <= 1e-12
@@ -102,9 +118,8 @@ def test_squeeze_matrix_symplectic_and_factorized():
 
 def test_squeeze_matrix_eigenvalues_phi_independent():
     for phi in (0.0, 0.9, 2.5, math.pi):
-        sq = km.SqueezeParams(0.55, phi)
-        eig = np.sort(np.linalg.eigvalsh(km.squeeze_matrix(sq, XI)))
-        s = sq.s_factor(XI)
+        eig = np.sort(np.linalg.eigvalsh(km.squeeze_matrix(0.55, phi, XI)))
+        s = math.exp(-2.0 * XI * 0.55)
         assert eig[0] == pytest.approx(s, abs=1e-12)
         assert eig[1] == pytest.approx(1.0 / s, abs=1e-12)
 
@@ -123,7 +138,7 @@ def test_rotation_matrix_half_angle():
 
 def test_coherent_projector_peak_and_reality():
     alpha = 0.6 + 0.3j
-    xbar = km.CoherentParams(alpha).mean_x
+    xbar = km.SqueezedState(alpha, 0.0, 0.0, XI).mean_x
     peak = km.coherent_projector_symbol(alpha, XI, PhasePoint(*xbar))
     assert peak == pytest.approx(2.0)
     for q, p in np.random.RandomState(2).uniform(-2, 2, size=(5, 2)):
@@ -132,7 +147,7 @@ def test_coherent_projector_peak_and_reality():
 
 
 def test_coherent_projector_unit_trace():
-    proj = km.coherent_projector(-0.4 + 0.8j, XI)
+    proj = km.squeezed_projector(km.SqueezedState(-0.4 + 0.8j, 0.0, 0.0, XI))
     trace = km.phase_space_inner_product(proj, GaussPolySymbol.constant(1.0), XI)
     assert trace / (2.0 * math.pi * XI) == pytest.approx(1.0, abs=1e-12)
 
@@ -152,7 +167,7 @@ def test_squeezed_projector_covariance_identity():
         alpha = complex(*rng.uniform(-1, 1, 2))
         state = km.SqueezedState.from_values(alpha, rng.uniform(0, 0.9),
                                              rng.uniform(0, 2 * math.pi), XI)
-        s_mat = km.squeeze_matrix(state.squeeze, XI)
+        s_mat = km.squeeze_matrix(state.tau_abs, state.tau_phase, XI)
         projector = km.squeezed_projector(state)
         for q, p in rng.uniform(-1.5, 1.5, size=(4, 2)):
             pt = PhasePoint(q, p)
