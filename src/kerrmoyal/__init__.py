@@ -20,12 +20,10 @@ from .expectations import (
 )
 from .fock import (
     FockSpace,
-    coherent_vector,
     fock_space_for,
     heisenberg_expectation_sweep,
     heisenberg_matrix_element,
     squeezed_vector,
-    truncation_report,
 )
 from .kerr import (
     KerrParams,

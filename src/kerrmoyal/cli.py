@@ -270,7 +270,7 @@ def cmd_expect(p: dict, echo: dict) -> int:
         "a_im": res.value.imag,
         "mean_q": res.mean_q,
         "mean_p": res.mean_p,
-        "branch_winding": res.branch_winding,
+        "branch_winding": expectations.branch_winding(t, params),
     }
     if p["check"]:
         space = fock.fock_space_for(state)

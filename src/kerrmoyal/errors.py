@@ -26,11 +26,14 @@ class SingularTime(KerrMoyalError):
 
 
 class InvalidState(KerrMoyalError):
-    """A SqueezedState whose squeeze factor s = exp(-2 xi |tau|) underflows to 0."""
+    """A SqueezedState whose s^2 = exp(-4 xi |tau|) underflows below the smallest
+    normal float, so that 1/s^2 would not be finite."""
 
 
 class TruncationInsufficient(KerrMoyalError):
-    """Fock-space truncation leaves more tail mass than tolerated at the dimension cap."""
+    """A truncated Fock vector misses more than fock.TAIL_TOL of its mass,
+    |1 - ||v||^2|: at the given dimension in squeezed_vector, at every
+    dimension up to the cap in fock_space_for."""
 
 
 class ToleranceNotMet(KerrMoyalError):

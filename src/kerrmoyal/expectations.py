@@ -64,10 +64,9 @@ _PANEL_CHUNK = 2**14 // _GL_X.size
 
 @dataclass(frozen=True)
 class ExpectationResult:
-    """<a(t)> together with the canonical means and the pole count."""
+    """<a(t)> together with the canonical means."""
 
     value: complex
-    branch_winding: int
 
     @property
     def mean_q(self) -> float:
@@ -114,7 +113,7 @@ def expectation_a_closed(t: float, state: SqueezedState,
     value = (alpha * bracket
              * cmath.exp(exponent - 1j * (params.w1 * t + tt - half))
              / (z * cmath.sqrt(z)))
-    return ExpectationResult(complex(value), branch_winding(t, params))
+    return ExpectationResult(complex(value))
 
 
 def expectation_a_semiclassical(t: float, state: SqueezedState,

@@ -1,10 +1,11 @@
 """Independent truncated-Fock-space ground truth for the Kerr dynamics.
 
-Works in the xi-scaled number basis, <n-1|a|n> = sqrt(xi n).  A squeezed
-state is built coefficient by coefficient from the eigen-equation of its
-squeezed annihilator: a three-term recurrence started from the closed-form
-vacuum amplitude, so the kept coefficients do not depend on the truncation
-and the norm of the kept vector checks the whole construction.  The Kerr
+Works in the xi-scaled number basis, <n-1|a|n> = sqrt(xi n).  Every state
+(a coherent state is the squeezed state with tau = 0) is built by one
+routine, coefficient by coefficient from the eigen-equation of its squeezed
+annihilator: a three-term recurrence started from the closed-form vacuum
+amplitude.  So the kept coefficients do not depend on the truncation, and
+1 - ||v||^2 is the mass the truncation misses, the one tail test.  The Kerr
 Hamiltonian is diagonal, so Heisenberg evolution is an exact elementwise
 phase multiplication with no time-stepping error, and (a^dag)^s a^m is a
 single band at offset m - s: a sweep over times is one phase array against
@@ -28,7 +29,6 @@ from .states import SqueezedState
 # like 1/xi: s = 0.2, |alpha| = 1 needs dim 2048 at xi = 0.1 and 4096 at 0.02.
 DIM_CAP = 2 ** 13
 TAIL_TOL = 1e-12
-_TAIL_WINDOW = 5
 _START_DIM = 64
 _RESCALE_AT = 1e16
 
@@ -47,31 +47,8 @@ class FockSpace:
             raise ValueError("xi must be positive")
 
 
-def truncation_report(v: np.ndarray, space: FockSpace) -> float:
-    """Tail mass sum_{n >= dim-5} |c_n|^2; used to auto-grow the dimension."""
-    return float(np.sum(np.abs(v[space.dim - _TAIL_WINDOW:]) ** 2))
-
-
-def coherent_vector(alpha: complex, space: FockSpace) -> np.ndarray:
-    """|alpha> with c_n = e^{-|alpha|^2/(2 xi)} alpha^n / sqrt(xi^n n!)."""
-    if alpha == 0:
-        v = np.zeros(space.dim, dtype=complex)
-        v[0] = 1.0
-        return v
-    n = np.arange(space.dim)
-    # log-scale assembly avoids overflow of alpha^n / sqrt(n!) for large dim
-    log_mag = (n * math.log(abs(alpha)) - 0.5 * n * math.log(space.xi)
-               - 0.5 * np.array([math.lgamma(k + 1) for k in n])
-               - abs(alpha) ** 2 / (2.0 * space.xi))
-    v = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
-    if truncation_report(v, space) > TAIL_TOL:
-        raise TruncationInsufficient(
-            f"coherent tail mass {truncation_report(v, space):.3e} at dim {space.dim}")
-    return v / np.linalg.norm(v)
-
-
 def squeezed_vector(state: SqueezedState, space: FockSpace) -> np.ndarray:
-    """|tau alpha> = V(tau) D(alpha)|0>, tail- and norm-checked, then renormalized.
+    """|tau alpha> = V(tau) D(alpha)|0> in dim entries, then renormalized.
 
     With b = a/sqrt(xi), beta = alpha/sqrt(xi) and r = 2 xi |tau|, the state
     solves (cosh r b - e^{i phi} sinh r b^dag)|psi> = beta|psi>, that is
@@ -80,9 +57,9 @@ def squeezed_vector(state: SqueezedState, space: FockSpace) -> np.ndarray:
 
     started from the SU(1,1) disentangled vacuum amplitude
     c_0 = exp(-|beta|^2/2 - e^{-i phi} tanh r beta^2/2) / sqrt(cosh r).
-    No coefficient depends on dim.  Because c_0 is exact, the kept vector has
-    unit norm up to the truncated tail, which checks the recurrence sum and
-    the truncation against a closed-form value.
+    A coherent state is the case tau = 0.  No coefficient depends on dim, and
+    c_0 is exact, so 1 - ||v||^2 is the probability mass past the kept
+    entries: TruncationInsufficient when its size exceeds TAIL_TOL.
     """
     state.check_xi(space.xi)
     beta = complex(state.alpha) / math.sqrt(space.xi)
@@ -106,19 +83,17 @@ def squeezed_vector(state: SqueezedState, space: FockSpace) -> np.ndarray:
             prev, cur, log_scale = prev / size, cur / size, log_scale + math.log(size)
         scaled[n + 1], shift[n + 1] = cur, log_scale
     v = np.array(scaled) * np.exp(log_c0 + np.array(shift))
-    tail = truncation_report(v, space)
-    if tail > TAIL_TOL:
-        raise TruncationInsufficient(
-            f"squeezed tail mass {tail:.3e} at dim {space.dim}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-10:
+    missing = 1.0 - norm * norm
+    if abs(missing) > TAIL_TOL:
         raise TruncationInsufficient(
-            f"squeezed vector norm defect {abs(norm - 1.0):.3e} at dim {space.dim}")
+            f"squeezed vector misses mass {missing:.3e} at dim {space.dim}")
     return v / norm
 
 
 def fock_space_for(state: SqueezedState, cap: int = DIM_CAP) -> FockSpace:
-    """Double the dimension from 64 until the truncation report is below 1e-12."""
+    """The first dimension 64 * 2^k <= cap at which squeezed_vector accepts
+    the state, i.e. misses at most TAIL_TOL of its mass."""
     dim = _START_DIM
     while dim <= cap:
         space = FockSpace(dim, state.xi)
@@ -128,7 +103,7 @@ def fock_space_for(state: SqueezedState, cap: int = DIM_CAP) -> FockSpace:
         except TruncationInsufficient:
             dim *= 2
     raise TruncationInsufficient(
-        f"no dimension up to {cap} reaches tail mass {TAIL_TOL}")
+        f"no dimension up to {cap} misses at most {TAIL_TOL} of the mass")
 
 
 def _band(idx: ObservableIndex, space: FockSpace) -> np.ndarray:

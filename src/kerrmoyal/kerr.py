@@ -66,9 +66,12 @@ class ObservableIndex:
 
 
 def kerr_angle(n: int, t: float, params: KerrParams) -> float:
-    """t~ = n xi w2 t.  w2 t is formed first, so t = 0 gives 0 for every
-    finite w2 instead of inf * 0 = NaN once xi w2 overflows.  A t~ that is
-    not finite (the product overflows) raises OverflowError."""
+    """t~ = n xi w2 t.  n = 0 (s = m, a constant of motion) gives 0 however
+    large w2 t is, and w2 t is formed first, so t = 0 gives 0 for every
+    finite w2 instead of inf * 0 = NaN once xi w2 overflows.  Any other t~
+    that is not finite (the product overflows) raises OverflowError."""
+    if n == 0:
+        return 0.0
     tt = n * params.xi * (params.w2 * t)
     if not math.isfinite(tt):
         raise OverflowError(f"t~ = {n} xi w2 t is not finite ({tt!r}) at t = {t!r}")

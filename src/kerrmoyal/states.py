@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,8 @@ class SqueezedState:
 
     tau = tau_abs e^{i tau_phase}; tau_phase is normalized to [0, 2 pi).
     Every field must be finite, tau_abs >= 0 and xi > 0 (ValueError), and
-    s = exp(-2 xi tau_abs) must not underflow to 0 (InvalidState).
+    s^2 = exp(-4 xi tau_abs) must be a normal float (InvalidState), so that
+    1/s^2 is finite wherever the state is used.
     """
 
     alpha: complex
@@ -57,8 +59,8 @@ class SqueezedState:
             raise ValueError("squeeze magnitude |tau| must be non-negative")
         if self.xi <= 0:
             raise ValueError("deformation parameter xi must be positive")
-        if self.s <= 0:
-            raise InvalidState(f"squeeze factor s = exp(-2 xi |tau|) underflows to 0 "
+        if self.s * self.s < sys.float_info.min:
+            raise InvalidState(f"squeeze factor s^2 = exp(-4 xi |tau|) underflows "
                                f"at xi |tau| = {self.xi * self.tau_abs!r}")
         object.__setattr__(self, "tau_phase", float(self.tau_phase) % (2.0 * math.pi))
 

@@ -200,8 +200,9 @@ def validate_states(params: kerr.KerrParams) -> SuiteReport:
 
     # the dim grows like 1/xi with the photon number of |alpha>, the larger state
     alpha, beta = 0.6 + 0.1j, -0.2 + 0.4j
-    sp = fock.fock_space_for(states.SqueezedState(alpha, 0.0, 0.0, xi))
-    ov_fock = complex(np.conj(fock.coherent_vector(alpha, sp)) @ fock.coherent_vector(beta, sp))
+    left, right = (states.SqueezedState(amp, 0.0, 0.0, xi) for amp in (alpha, beta))
+    sp = fock.fock_space_for(left)
+    ov_fock = complex(np.conj(fock.squeezed_vector(left, sp)) @ fock.squeezed_vector(right, sp))
     dev = abs(ov_fock - states.coherent_overlap(alpha, beta, xi))
     report.checks.append(CheckResult("coherent_overlap_vs_fock", float(dev), 1e-10))
     return report

@@ -1,10 +1,13 @@
 """Dense truncated-Fock references for the tests.
 
 These build the ladder, number, Hamiltonian and squeeze operators as dense
-dim x dim matrices, independently of the banded routes in kerrmoyal.fock
+dim x dim matrices, and coherent states from their closed-form coefficients,
+independently of the banded routes and the recurrence in kerrmoyal.fock
 that the tests check against them.  In them [a, a^dag] = xi I except in the
 last diagonal entry, which truncation corrupts.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -15,6 +18,21 @@ import kerrmoyal as km
 def annihilation_matrix(space):
     n = np.arange(1, space.dim)
     return np.diag(np.sqrt(space.xi * n), k=1).astype(complex)
+
+
+def coherent_coefficients(alpha, space):
+    """c_n = e^{-|alpha|^2/(2 xi)} alpha^n / sqrt(xi^n n!) for n < dim.
+
+    The closed form, assembled on a log scale so that alpha^n / sqrt(n!)
+    does not overflow; neither truncated nor renormalized.
+    """
+    if alpha == 0:
+        return np.eye(1, space.dim, dtype=complex)[0]
+    n = np.arange(space.dim)
+    log_mag = (n * math.log(abs(alpha)) - 0.5 * n * math.log(space.xi)
+               - 0.5 * np.array([math.lgamma(k + 1) for k in n])
+               - abs(alpha) ** 2 / (2.0 * space.xi))
+    return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
 
 
 def energies(space, params):

@@ -94,8 +94,8 @@ def test_criterion_03_no_squeeze_reduction():
 def test_criterion_04_matrix_elements():
     space = km.FockSpace(96, XI)
     alpha, beta = 1.0, 0.5 + 0.3j
-    va = km.coherent_vector(alpha, space)
-    vb = km.coherent_vector(beta, space)
+    va, vb = (km.squeezed_vector(km.SqueezedState(amp, 0.0, 0.0, XI), space)
+              for amp in (alpha, beta))
     worst = 0.0
     for s in range(4):
         for m in range(4):

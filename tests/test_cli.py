@@ -150,7 +150,7 @@ def test_expect_record_matches_library(tmp_path, capsys):
     res = km.expectation_a_closed(0.8, state, params)
     assert rec["a_re"] == pytest.approx(res.value.real)
     assert rec["mean_q"] == pytest.approx(res.mean_q)
-    assert rec["branch_winding"] == res.branch_winding
+    assert rec["branch_winding"] == km.expectations.branch_winding(0.8, params) == 0
     assert rec["fock_deviation"] <= 1e-8
     assert rec["quadrature_deviation"] <= 1e-6
 
@@ -183,10 +183,13 @@ def test_expect_at_t0_with_huge_w2_is_alpha(capsys):
 
 @pytest.mark.parametrize("argv,error", [
     (["--xi", "2", "--w2", "1e308", "--t", "1"], "OverflowError: t~"),
+    (["--tau-abs", "178"], "InvalidState"),
+    (["--tau-abs", "200"], "InvalidState"),
     (["--tau-abs", "400"], "InvalidState"),
-], ids=["t-tilde-overflow", "s-underflow"])
+], ids=["t-tilde-overflow", "s2-subnormal", "s2-underflow", "s-underflow"])
 def test_expect_state_and_angle_limits_exit_code(capsys, argv, error):
-    # xi w2 t = 2e308 overflows t~; s = exp(-800) underflows to 0
+    # xi w2 t = 2e308 overflows t~; s^2 = exp(-712) is subnormal, s^2 =
+    # exp(-800) is 0, and so is s = exp(-800)
     assert run_cli(["expect"] + argv) == cli.EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert captured.out == ""

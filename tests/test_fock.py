@@ -8,11 +8,16 @@ import pytest
 import kerrmoyal as km
 from kerrmoyal import TruncationInsufficient
 
-from fock_reference import (annihilation_matrix, build_operators, energies,
-                            squeeze_operator)
+from fock_reference import (annihilation_matrix, build_operators,
+                            coherent_coefficients, energies, squeeze_operator)
 
 XI = 1.0
 PARAMS = km.KerrParams(w1=1.0, w2=0.1, xi=XI)
+
+
+def _coherent(alpha, space):
+    """|alpha> as the squeezed vector at tau = 0."""
+    return km.squeezed_vector(km.SqueezedState(alpha, 0.0, 0.0, space.xi), space)
 
 
 def test_commutator_on_leading_block():
@@ -54,7 +59,7 @@ def test_hamiltonian_diagonal():
 def test_coherent_vector_properties():
     space = km.FockSpace(64, XI)
     alpha = 1.0
-    v = km.coherent_vector(alpha, space)
+    v = _coherent(alpha, space)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     a = annihilation_matrix(space)
     # eigenvector property within truncation error
@@ -63,26 +68,38 @@ def test_coherent_vector_properties():
     n_op = np.diag(XI * np.arange(space.dim))
     assert float(np.real(np.conj(v) @ (n_op @ v))) == pytest.approx(
         abs(alpha) ** 2, abs=1e-10)
-    vac = km.coherent_vector(0.0, space)
-    assert vac[0] == 1.0 and np.allclose(vac[1:], 0.0)
+    vac = _coherent(0.0, space)
+    assert vac[0] == 1.0 and not np.any(vac[1:])
+    assert np.max(np.abs(v - coherent_coefficients(alpha, space))) <= 1e-15
 
 
-def test_truncation_report_values():
-    space = km.FockSpace(60, XI)
-    assert km.truncation_report(km.coherent_vector(1.0, space), space) < 1e-12
-    vac = km.coherent_vector(0.0, space)
-    assert km.truncation_report(vac, space) == 0.0
-    # s = 0.1 squeezing at xi = 1 genuinely needs a basis past 1024 states
-    state = km.SqueezedState.from_values(1.0, -math.log(0.1) / 2.0, math.pi, XI)
-    big = km.fock_space_for(state, cap=2048)
-    assert big.dim == 2048
-    assert km.truncation_report(km.squeezed_vector(state, big), big) < 1e-12
+def _missing_mass(state, dim):
+    """Mass of the state past dim, read off a build at dim 4096."""
+    v = km.squeezed_vector(state, km.FockSpace(4096, state.xi))
+    return float(np.sum(np.abs(v[dim:]) ** 2))
+
+
+def test_missing_mass_values():
+    # |1> at xi = 1 misses about 4.5e-83 of its mass at dim 60
+    coherent = km.SqueezedState(1.0, 0.0, 0.0, XI)
+    km.squeezed_vector(coherent, km.FockSpace(60, XI))
+    assert _missing_mass(coherent, 60) < 1e-80
+    # the first doubled dimension whose missing mass is within TAIL_TOL: s = 0.1
+    # squeezing at xi = 1 genuinely needs a basis past 1024 states; a window of
+    # the last kept entries would take 512 for the second state, which misses
+    # 2.1e-12, and 128 for the third, where 64 misses 8.1e-13
+    for state, dim in (
+            (km.SqueezedState(1.0, -math.log(0.1) / 2.0, math.pi, XI), 2048),
+            (km.SqueezedState(1.5 + 0.5j, -math.log(0.2) / 4.0, 0.0, 2.0), 1024),
+            (km.SqueezedState(0.5, -math.log(0.5) / 2.0, 0.0, 1.0), 64)):
+        assert km.fock_space_for(state, cap=2048).dim == dim
+        assert _missing_mass(state, dim) <= km.fock.TAIL_TOL < _missing_mass(state, dim // 2)
 
 
 def test_truncation_insufficient_raises():
     space = km.FockSpace(8, XI)
     with pytest.raises(TruncationInsufficient):
-        km.coherent_vector(2.5, space)
+        _coherent(2.5, space)
     state = km.SqueezedState.from_values(1.0, -math.log(0.1) / 2.0, 0.0, XI)
     with pytest.raises(TruncationInsufficient):
         km.fock_space_for(state, cap=256)
@@ -104,7 +121,7 @@ def _dense_squeezed(state, dim):
     big = km.FockSpace(2 * dim, state.xi)
     tau = state.tau_abs * np.exp(1j * state.tau_phase)
     return (squeeze_operator(tau, big)
-            @ km.coherent_vector(state.alpha, big))[:dim]
+            @ coherent_coefficients(state.alpha, big))[:dim]
 
 
 def test_squeezed_vector_matches_dense_operator():
@@ -122,7 +139,7 @@ def test_squeezed_vector_past_vacuum_underflow(alpha):
     coherent = km.SqueezedState.from_values(alpha, 0.0, 0.0, xi)
     space = km.fock_space_for(coherent, cap=2048)
     v = km.squeezed_vector(coherent, space)
-    assert np.max(np.abs(v - km.coherent_vector(alpha, space))) <= 1e-12
+    assert np.max(np.abs(v - coherent_coefficients(alpha, space))) <= 1e-12
     squeezed = km.SqueezedState.from_values(alpha, 10.0, math.pi, xi)
     space = km.fock_space_for(squeezed, cap=2048)
     v = km.squeezed_vector(squeezed, space)
@@ -152,7 +169,7 @@ def test_squeezed_vector_moments_match_closed_forms():
 
 def test_heisenberg_number_conserved():
     space = km.FockSpace(64, XI)
-    v = km.coherent_vector(0.9, space)
+    v = _coherent(0.9, space)
     idx = km.ObservableIndex(1, 1)
     ref = km.heisenberg_matrix_element(idx, 0.0, v, v, space, PARAMS)
     for t in (0.7, 3.0, 12.0):
@@ -163,7 +180,7 @@ def test_heisenberg_number_conserved():
 def test_heisenberg_harmonic_rotation():
     params = km.KerrParams(w1=1.1, w2=0.0, xi=XI)
     space = km.FockSpace(64, XI)
-    v = km.coherent_vector(1.0, space)
+    v = _coherent(1.0, space)
     for t in (0.4, 2.2):
         val = km.heisenberg_matrix_element(km.ObservableIndex(0, 1), t, v, v, space, params)
         assert val == pytest.approx(np.exp(-1j * params.w1 * t), abs=1e-10)
@@ -228,7 +245,7 @@ def test_expectation_bounded_through_singular_time():
     # phase averaging keeps <a(t)> finite where the symbol diverges
     t_sing = (math.pi / 2.0) / (XI * PARAMS.w2)
     space = km.FockSpace(80, XI)
-    v = km.coherent_vector(1.0, space)
+    v = _coherent(1.0, space)
     ts = t_sing + np.linspace(-0.2, 0.2, 9) / PARAMS.w2
     vals = km.heisenberg_expectation_sweep(km.ObservableIndex(0, 1), ts, v,
                                            space, PARAMS)

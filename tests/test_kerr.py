@@ -192,6 +192,17 @@ def test_t_tilde_overflow_raises():
         km.moyal_solution(km.ObservableIndex(0, 1), 1.0, PhasePoint(0.1, 0.2), params)
 
 
+def test_constant_of_motion_at_huge_w2_t():
+    # s = m: t~ = 0 however large w2 t is, so the symbol keeps its t = 0 value
+    # where w2 t = 1e309 overflows
+    params = km.KerrParams(1.0, 1e308, 1.0)
+    pt = PhasePoint(0.5, 0.3)
+    for n in range(3):
+        idx = km.ObservableIndex(n, n)
+        assert km.moyal_solution(idx, 10.0, pt, params) == km.moyal_solution(
+            idx, 0.0, pt, params)
+
+
 def test_adjoint_symmetry():
     rng = np.random.RandomState(8)
     for _ in range(10):

@@ -53,9 +53,13 @@ def test_invalid_state_rejected():
             km.SqueezedState(*args)
     with pytest.raises(ValueError, match="non-negative"):
         km.SqueezedState(1.0, -0.1, 0.0, XI)
-    # s = exp(-800) underflows to 0
-    with pytest.raises(InvalidState, match="underflows"):
-        km.SqueezedState(1.0, 400.0, 0.0, XI)
+    # s^2 = exp(-712) is subnormal, exp(-800) underflows to 0 and so does
+    # s = exp(-800) itself
+    for tau_abs in (178.0, 200.0, 400.0):
+        with pytest.raises(InvalidState, match="underflows"):
+            km.SqueezedState(1.0, tau_abs, 0.0, XI)
+    # s^2 = exp(-704) is still a normal float
+    assert km.SqueezedState(1.0, 176.0, 0.0, XI).s ** 2 > 0.0
 
 
 def test_delta_phi_reduction():
@@ -234,6 +238,7 @@ def test_mean_photon_number_matches_fock(xi):
 def test_coherent_overlap_formula():
     alpha, beta = 0.4 + 0.9j, -0.6 + 0.1j
     space = km.FockSpace(72, XI)
-    ov = complex(np.conj(km.coherent_vector(alpha, space))
-                 @ km.coherent_vector(beta, space))
+    va, vb = (km.squeezed_vector(km.SqueezedState(amp, 0.0, 0.0, XI), space)
+              for amp in (alpha, beta))
+    ov = complex(np.conj(va) @ vb)
     assert km.coherent_overlap(alpha, beta, XI) == pytest.approx(ov, abs=1e-10)
