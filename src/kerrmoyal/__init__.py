@@ -32,7 +32,6 @@ from .kerr import (
     flow_correction_z1,
     initial_symbol,
     jacobi_residual,
-    moyal_residual,
     moyal_solution,
     moyal_solution_symbolic,
     quantum_phase,

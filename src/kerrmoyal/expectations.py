@@ -112,7 +112,7 @@ def expectation_a_closed(t: float, state: SqueezedState,
     bracket = complex(math.cos(tt - half) / s, s * math.sin(tt - half))
     value = (alpha * bracket
              * cmath.exp(exponent - 1j * (params.w1 * t + tt - half))
-             / (z * cmath.sqrt(z)))
+             / z / cmath.sqrt(z))      # z * sqrt(z) overflows once |z| > ~3e205
     return ExpectationResult(complex(value))
 
 

@@ -1,10 +1,10 @@
 """Exact phase-space dynamics of the single-mode Kerr oscillator.
 
 The Hamiltonian is Wick ordered, H_hat = w2 (a^dag)^2 a^2 + w1 a^dag a, with
-the xi-scaled algebra [a, a^dag] = xi.  The Weyl symbols of the complete
-operator set (a^dag)^s a^m evolve in closed form; the solution
-Theta_sm(t|x) is an eigenfunction of the rotation generator (x.J d_x) and
-carries the characteristic secant amplitude that diverges periodically at
+[a, a^dag] = xi.  The Weyl symbols Theta_sm(t|x) of the complete operator
+set (a^dag)^s a^m evolve in closed form, solve d_t Theta = {Theta, H}_M and
+{Theta, a^dag a}_M = -i(m-s) Theta (validate checks both through the star
+engines), and carry the secant amplitude that diverges periodically at
 cos((m-s) xi w2 t) = 0.
 
 All evaluators here are pure functions of their arguments; at a periodic
@@ -164,63 +164,6 @@ def moyal_solution_symbolic(idx: ObservableIndex, t: float,
               for l in range(min(idx.s, idx.m) + 1)}
     quad = (-1j * math.tan(tt) / params.xi) * np.eye(2)
     return GaussPolySymbol(quad, np.zeros(2), 0.0, ZPoly(coeffs))
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference consistency checks
-# ---------------------------------------------------------------------------
-
-def _theta_value(idx, t, q, p, params) -> complex:
-    return moyal_solution(idx, t, PhasePoint(q, p), params)
-
-
-def _d1(fun, u0: float, h: float) -> complex:
-    # 4th-order central first derivative
-    return (-fun(u0 + 2 * h) + 8 * fun(u0 + h) - 8 * fun(u0 - h) + fun(u0 - 2 * h)) / (12 * h)
-
-
-def _d2(fun, u0: float, h: float) -> complex:
-    # 4th-order central second derivative
-    return (-fun(u0 + 2 * h) + 16 * fun(u0 + h) - 30 * fun(u0)
-            + 16 * fun(u0 - h) - fun(u0 - 2 * h)) / (12 * h * h)
-
-
-def _x_step(x: PhasePoint) -> float:
-    return 1e-4 * max(1.0, math.sqrt(x.x2))
-
-
-def moyal_residual(idx: ObservableIndex, t: float, x: PhasePoint,
-                   params: KerrParams) -> float:
-    """Normalized residual of the reduced equation of motion.
-
-    Checks d_t Theta = -i(m-s)[w2 K + w1] Theta with
-    K = x^2 - 2 xi - xi^2 dz dz* (i.e. the real-coordinate Laplacian enters
-    with weight xi^2/4), using a 2nd-order stencil in t and 4th-order in x.
-    The time step keeps the stencil truncation below the 1e-5
-    residual target for indices up to s, m = 2 even close to a singular
-    window, where the effective frequency grows like tan^2.
-    """
-    h_t, h_x = 5e-6, _x_step(x)
-    xi = params.xi
-    theta0 = _theta_value(idx, t, x.q, x.p, params)
-    dt = (_theta_value(idx, t + h_t, x.q, x.p, params)
-          - _theta_value(idx, t - h_t, x.q, x.p, params)) / (2 * h_t)
-    lap = (_d2(lambda q: _theta_value(idx, t, q, x.p, params), x.q, h_x)
-           + _d2(lambda p: _theta_value(idx, t, x.q, p, params), x.p, h_x))
-    k_theta = (x.x2 - 2 * xi) * theta0 - 0.25 * xi * xi * lap
-    resid = dt + 1j * (idx.m - idx.s) * (params.w2 * k_theta + params.w1 * theta0)
-    return float(abs(resid) / max(abs(theta0), 1e-300))
-
-
-def angular_eigenvalue_residual(idx: ObservableIndex, t: float, x: PhasePoint,
-                                params: KerrParams) -> float:
-    """Relative residual of (x.J d_x) Theta_sm = i(m-s) Theta_sm."""
-    h_x = _x_step(x)
-    theta0 = _theta_value(idx, t, x.q, x.p, params)
-    dq = _d1(lambda u: _theta_value(idx, t, u, x.p, params), x.q, h_x)
-    dp = _d1(lambda u: _theta_value(idx, t, x.q, u, params), x.p, h_x)
-    resid = (x.q * dp - x.p * dq) - 1j * (idx.m - idx.s) * theta0
-    return float(abs(resid) / max(abs(theta0), 1e-300))
 
 
 # ---------------------------------------------------------------------------

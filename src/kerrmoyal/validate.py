@@ -24,6 +24,7 @@ from .phase_space import (
     phase_space_inner_product,
     star_differential,
     star_gaussian,
+    star_product,
 )
 
 _SEED = 20231123
@@ -109,6 +110,37 @@ def validate_algebra(params: kerr.KerrParams) -> SuiteReport:
     return report
 
 
+def moyal_equation_deviations(params: kerr.KerrParams, indices, times, pts):
+    """Worst deviations (pde_residual, angular_eigenvalue) of Theta_sm from
+    d_t Theta = {Theta, H}_M and Theta * N - N * Theta = xi (m-s) Theta.
+
+    For s != m, Theta * H goes through star_gaussian and H * Theta through
+    star_differential; d_t is a fourth-order central difference of
+    moyal_solution in t.  The second identity is exact (N is quadratic);
+    read without the bracket's 1/xi, its rounding does not grow as xi -> 0.
+    Deviations are relative to 1 + |reference|; a time with |cos t~| < 0.2,
+    where the stencil's rounding grows, is skipped.
+    """
+    w1, w2, xi, h = params.w1, params.w2, params.xi, 5e-5
+    n_poly = ZPoly({(1, 1): 0.5, (0, 0): -0.5 * xi})
+    # N = x^2/2 - xi/2 is a^dag a; H = w2 [x^4/4 - xi x^2 + xi^2/2] + w1 N = N (w2 N + w1 - w2 xi)
+    ham = GaussPolySymbol.polynomial(n_poly * (n_poly.scale(w2) + ZPoly.constant(w1 - w2 * xi)))
+    number = GaussPolySymbol.polynomial(n_poly)
+    pde, eig = [], []
+    for idx in indices:
+        for t in (u for u in times if abs(math.cos(idx.t_tilde(u, params))) >= 0.2):
+            theta = kerr.moyal_solution_symbolic(idx, t, params)
+            flow = moyal_bracket(theta, ham, xi)
+            eigen = (star_product(theta, number, xi) - star_product(number, theta, xi)
+                     - theta.scale(xi * (idx.m - idx.s)))
+            for pt in pts:
+                v = [kerr.moyal_solution(idx, t + k * h, pt, params) for k in (-2, -1, 1, 2)]
+                d_t = (8.0 * (v[2] - v[1]) - (v[3] - v[0])) / (12.0 * h)
+                pde.append(abs(flow(pt) - d_t) / (1.0 + abs(d_t)))
+                eig.append(abs(eigen(pt)) / (1.0 + abs(theta(pt))))
+    return _worst(pde), _worst(eig)
+
+
 def validate_moyal(params: kerr.KerrParams) -> SuiteReport:
     report = SuiteReport("moyal")
     rng = np.random.RandomState(_SEED + 1)
@@ -132,13 +164,9 @@ def validate_moyal(params: kerr.KerrParams) -> SuiteReport:
                  for pt in pts[:2])
     report.checks.append(CheckResult("constants_of_motion", dev, 1e-12))
 
-    dev = _worst(kerr.moyal_residual(kerr.ObservableIndex(s, m), t, pt, params)
-                 for s, m in ((0, 1), (1, 0), (1, 1)) for t in times[:2] for pt in pts[:2])
-    report.checks.append(CheckResult("pde_residual", dev, 2e-6))
-
-    dev = _worst(kerr.angular_eigenvalue_residual(kerr.ObservableIndex(0, 2), t, pt, params)
-                 for t in times[:2] for pt in pts[:2])
-    report.checks.append(CheckResult("angular_eigenvalue", dev, 1e-9))
+    pde, eig = moyal_equation_deviations(params, indices, times, pts[:2])
+    report.checks.append(CheckResult("pde_residual", pde, 1e-9))
+    report.checks.append(CheckResult("angular_eigenvalue", eig, 5e-13))
 
     dev = _worst(abs(kerr.quantum_trajectory(t, pt, params)
                      - kerr.moyal_solution(kerr.ObservableIndex(0, 1), t, pt, params))

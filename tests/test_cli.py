@@ -13,6 +13,7 @@ import pytest
 import kerrmoyal.cli as cli
 import kerrmoyal.kerr as kerr
 import kerrmoyal.validate as validate
+from kerrmoyal.phase_space import GaussPolySymbol, ZPoly
 
 
 def run_cli(argv):
@@ -363,6 +364,36 @@ def test_validate_catches_injected_sign_flip(monkeypatch, tmp_path, capsys):
     assert "pde_residual" in failing
     out = tmp_path / "report.json"
     assert run_cli(["validate", "moyal", "--out", str(out)]) == 1
+
+
+def _swap_monomial_keys(symbolic):
+    def swapped(idx, t, params):
+        sym = symbolic(idx, t, params)
+        poly = ZPoly({(l, k): c for (k, l), c in sym.poly.coeffs.items()})
+        return GaussPolySymbol(sym.quad, sym.lin, sym.const, poly)
+    return swapped
+
+
+def _extra_secant(theta_parts):
+    def parts(idx, t, params):
+        tt, amplitude, base = theta_parts(idx, t, params)
+        return tt, amplitude / math.cos(tt), base
+    return parts
+
+
+@pytest.mark.parametrize("name,mutate,check", [
+    ("_theta_parts", _extra_secant, "pde_residual"),
+    ("moyal_solution_symbolic", _swap_monomial_keys, "angular_eigenvalue"),
+], ids=["secant-power", "monomial-keys"])
+def test_validate_moyal_identities_catch_a_perturbed_solution(monkeypatch, name, mutate,
+                                                              check):
+    # sec^{s+m+2} t~ changes Theta_sm and its symbol alike, so only the
+    # equation of motion sees it; swapping z^k z*^l for z^l z*^k turns the
+    # number commutator's eigenvalue xi (m-s) into xi (s-m)
+    monkeypatch.setattr(kerr, name, mutate(getattr(kerr, name)))
+    report = validate.validate_moyal(kerr.KerrParams(w1=1.0, w2=0.1, xi=1.0))
+    assert report.to_dict()["passed"] is False
+    assert not {c.name: c for c in report.checks}[check].passed
 
 
 def test_validate_keeps_a_nan_deviation():

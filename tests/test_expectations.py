@@ -173,6 +173,36 @@ def test_vanishing_squeeze_factor_limit():
         assert abs(km.expectation_a_closed(float(t), state, PARAMS).value) <= 1e-4
 
 
+# <a(t)> at xi = 1, w2 = 0.1, w1 = 1, t = 1, alpha = 1 by the former grouping
+# alpha ... / (z * sqrt(z)), keyed by (tau_abs, tau_phase)
+_Z_SQRT_Z_VALUES = {
+    (60.0, 0.0): -2.5284986609161878e-104 + 3.6923348520853795e-106j,
+    (60.0, math.pi): -2.737417750594745e-106 - 1.874574596840195e-104j,
+    (100.0, 0.0): -8.236555391636551e-174 + 1.2027738437738341e-175j,
+    (100.0, math.pi): -8.917106930423688e-176 - 6.106405251974475e-174j,
+    (118.0, 0.0): -4.431420132433047e-205 + 6.47114718790744e-207j,
+    (118.0, math.pi): -4.7975695294493965e-207 - 3.2853597024153437e-205j,
+}
+
+
+def test_closed_form_finite_while_z_to_three_halves_overflows():
+    # |z| reaches ~1e308 as s^2 -> exp(-708), so z * sqrt(z) overflows from
+    # tau_abs 120 on; dividing by z and then by sqrt(z) stays finite up to
+    # the last accepted state and agrees with the former grouping below 120
+    params = km.KerrParams(w1=1.0, w2=0.1, xi=1.0)
+
+    def closed(tau_abs, tau_phase):
+        state = km.SqueezedState(1.0, tau_abs, tau_phase, 1.0)
+        return km.expectation_a_closed(1.0, state, params).value
+
+    for (tau_abs, tau_phase), ref in _Z_SQRT_Z_VALUES.items():
+        assert abs(closed(tau_abs, tau_phase) - ref) <= 1e-15 * abs(ref)
+    for tau_phase in (0.0, math.pi):
+        mags = [abs(closed(tau_abs, tau_phase)) for tau_abs in np.arange(118.0, 177.5)]
+        assert all(0.0 < mag < math.inf for mag in mags)
+        assert all(np.diff(np.log(mags)) < 0.0)
+
+
 def test_xi_mismatch_rejected():
     # one rule for params and Fock space alike: equal floats, no tolerance on
     # a scale parameter (1e-15 against 9e-15 is a factor of nine)

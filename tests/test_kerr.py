@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 
 import kerrmoyal as km
 import kerrmoyal.kerr as kerr_module
+import kerrmoyal.validate as validate
 from kerrmoyal import IndexCapExceeded, SingularTime
-from kerrmoyal.kerr import (
-    INDEX_CAP,
-    angular_eigenvalue_residual,
-    w_coefficient,
-)
+from kerrmoyal.kerr import INDEX_CAP, w_coefficient
 from kerrmoyal.phase_space import PhasePoint
 
 PARAMS = km.KerrParams(w1=1.0, w2=1.0, xi=1.0)
@@ -119,9 +116,6 @@ IDX_01 = km.ObservableIndex(0, 1)
 POLE_CALLS = {
     "moyal_solution": lambda: km.moyal_solution(IDX_01, T_POLE, POLE_PT, PARAMS),
     "moyal_solution_symbolic": lambda: km.moyal_solution_symbolic(IDX_01, T_POLE, PARAMS),
-    "moyal_residual": lambda: km.moyal_residual(IDX_01, T_POLE, POLE_PT, PARAMS),
-    "angular_eigenvalue_residual":
-        lambda: angular_eigenvalue_residual(IDX_01, T_POLE, POLE_PT, PARAMS),
     "quantum_phase": lambda: km.quantum_phase(POLE_PT, T_POLE, PARAMS),
     "quantum_trajectory": lambda: km.quantum_trajectory(T_POLE, POLE_PT, PARAMS),
     "expectation_a_quadrature": lambda: km.expectation_a_quadrature(
@@ -300,38 +294,22 @@ def test_heisenberg_commutator_through_star_engine():
 
 
 # ---------------------------------------------------------------------------
-# finite-difference residuals
+# Moyal equation
 # ---------------------------------------------------------------------------
 
-def test_moyal_residual_explicit_point():
-    idx = km.ObservableIndex(0, 1)
-    res = km.moyal_residual(idx, 0.2, PhasePoint(1.0, 0.5), PARAMS)
-    assert res <= 1e-5
-
-
-def test_moyal_residual_vanishes_for_diagonal():
-    res = km.moyal_residual(km.ObservableIndex(1, 1), 0.2, PhasePoint(1.0, 0.5), PARAMS)
-    assert res <= 1e-14
-
-
-def test_moyal_residual_grid():
-    worst = 0.0
-    for s in range(3):
-        for m in range(3):
-            if s == m:
-                continue
-            for t in (0.1, 0.35, 0.6):
-                for pt in POINTS[:3]:
-                    worst = max(worst, km.moyal_residual(
-                        km.ObservableIndex(s, m), t, pt, PARAMS))
-    assert worst <= 1e-5
-
-
-def test_angular_eigenvalue_identity():
-    for (s, m) in [(0, 1), (1, 1), (2, 0), (1, 2)]:
-        res = angular_eigenvalue_residual(km.ObservableIndex(s, m), 0.4,
-                                          PhasePoint(0.9, -0.6), PARAMS)
-        assert res <= 1e-5
+@settings(max_examples=100, deadline=None)
+@given(s=st.integers(0, 3), m=st.integers(0, 3), q=st.floats(-1.5, 1.5),
+       p=st.floats(-1.5, 1.5), t=st.floats(0.0, 5.0), w1=st.floats(-5.0, 5.0),
+       w2=st.floats(-1.0, 1.0), xi=st.floats(0.005, 2.0))
+def test_moyal_equation_property(s, m, q, p, t, w1, w2, xi):
+    # both identities of the moyal suite at its bounds; s = m is the constant
+    # of motion, whose bracket with H vanishes
+    params = km.KerrParams(w1, w2, xi)
+    idx = km.ObservableIndex(s, m)
+    assume(abs(math.cos(idx.t_tilde(t, params))) >= 0.2)
+    pde, eig = validate.moyal_equation_deviations(params, [idx], [t], [PhasePoint(q, p)])
+    assert pde <= 1e-9
+    assert eig <= 5e-13
 
 
 # ---------------------------------------------------------------------------

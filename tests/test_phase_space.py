@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kerrmoyal as km
+import kerrmoyal.validate as validate
 from kerrmoyal import DegenerateQuadraticForm, DegreeCapExceeded, DivergentIntegral
 from kerrmoyal.phase_space import GaussPolySymbol, PhasePoint, ZPoly
 
@@ -166,30 +167,17 @@ def test_hamiltonian_number_bracket_vanishes():
 
 @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0])
 def test_moyal_equation_through_both_star_engines(xi):
-    # d Theta/dt = {Theta, H}_M = (Theta * H - H * Theta)/(i xi).  For s != m
-    # Theta carries a Gaussian factor, so Theta * H goes through star_gaussian
-    # and H * Theta through star_differential.  d/dt is a fourth-order central
-    # difference of moyal_solution; the worst deviation on this grid is
-    # 7.2e-12 (rounding at h = 5e-5), so the bound sits 14x above it.
+    # d Theta/dt = {Theta, H}_M: for s != m Theta * H goes through
+    # star_gaussian and H * Theta through star_differential, by the
+    # implementation of `kerr validate moyal`.  On this grid the worst
+    # deviation is 7.2e-12 (the t-stencil's rounding at h = 5e-5), so the
+    # bound sits 14x above it and below the suite's 1e-9.
     params = km.KerrParams(w1=0.7, w2=0.3, xi=xi)
-    ham = _kerr_hamiltonian_poly(params.w1, params.w2, xi)
-    h = 5e-5
-    devs = []
-    for s in range(3):
-        for m in range(3):
-            idx = km.ObservableIndex(s, m)
-            for t in (0.35, 1.2, 2.6, 4.1):
-                if abs(math.cos(idx.t_tilde(t, params))) < 0.2:
-                    continue
-                bracket = km.moyal_bracket(km.moyal_solution_symbolic(idx, t, params),
-                                           ham, xi)
-                for pt in POINTS[:3]:
-                    def theta(u):
-                        return km.moyal_solution(idx, u, pt, params)
-                    d_t = (8.0 * (theta(t + h) - theta(t - h))
-                           - (theta(t + 2.0 * h) - theta(t - 2.0 * h))) / (12.0 * h)
-                    devs.append(abs(bracket(pt) - d_t) / (1.0 + abs(d_t)))
-    assert np.max(devs) <= 1e-10
+    indices = [km.ObservableIndex(s, m) for s in range(3) for m in range(3)]
+    pde, eig = validate.moyal_equation_deviations(params, indices, (0.35, 1.2, 2.6, 4.1),
+                                                  POINTS[:3])
+    assert pde <= 1e-10
+    assert eig <= 5e-13
 
 
 def test_semiclassical_limit_of_bracket():
