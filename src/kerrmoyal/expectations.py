@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +36,17 @@ from .states import SqueezedState
 _SQRT2 = math.sqrt(2.0)
 
 # Quadrature domain: on each principal axis the window center +- RADIUS_SCALE
-# sqrt(xi / scale), outside which the envelope exp(-scale (y - center)^2 / xi)
-# is below exp(-RADIUS_SCALE^2).
-RADIUS_SCALE = 8.0
+# sqrt(xi / scale), at whose ends the envelope exp(-scale (y - center)^2 / xi)
+# has fallen to exp(-RADIUS_SCALE^2) <= eps / 2 of its peak, half an ulp, so
+# no node beyond them could change a float64 sum that holds the peak.
+RADIUS_SCALE = math.sqrt(-math.log(sys.float_info.epsilon / 2.0))
 # Refine levels the quadrature may take after level 0 before it gives up.
 MAX_REFINE = 4
 # Most Gauss-Legendre nodes one axis may take at one refine level.  Near a
 # pole the count grows as |tan t~| without limit.  The acceptance grid and
-# the oracle benchmark workloads need at most 1.92e5 (s = 0.1 at
-# t~ = 11 pi/24, refine level 1, on the closed-form edges of _axis_edges);
-# the bound leaves 700x headroom.
+# the oracle benchmark workloads need at most 1.20e5 (s = 0.1, |alpha| = 1.5,
+# Delta_phi = 0 at t~ = 11 pi/24, refine level 1, on the closed-form edges of
+# _axis_edges); the bound leaves 1100x headroom.
 MAX_AXIS_NODES = 2**27
 # Level-0 panels: width / (4 sigma) plus chirp phase rise / (8 pi) at most 1;
 # each refine level halves both units.  On panels this size the 24-point
@@ -225,7 +227,8 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
     exp(-scale (y - center)^2 / xi) with scale = s^2, 1/s^2 and center =
     ybar_0 / s, s ybar_1.  The domain is the tensor product of the per-axis
     windows center +- RADIUS_SCALE sqrt(xi / scale), outside which the
-    Gaussian is below exp(-RADIUS_SCALE^2).  Each axis is a composite
+    Gaussian is below exp(-RADIUS_SCALE^2) <= eps / 2 of its peak, too
+    small to change a float64 sum.  Each axis is a composite
     24-point Gauss-Legendre sum on the closed-form panel edges of
     _axis_edges; refines by panel halving, at most MAX_REFINE times, until
     the change is below tol.  tol must be finite and non-negative, or

@@ -112,14 +112,18 @@ def validate_algebra(params: kerr.KerrParams) -> SuiteReport:
 
 def moyal_equation_deviations(params: kerr.KerrParams, indices, times, pts):
     """Worst deviations (pde_residual, angular_eigenvalue) of Theta_sm from
-    d_t Theta = {Theta, H}_M and Theta * N - N * Theta = xi (m-s) Theta.
+    Theta * H - H * Theta = i xi d_t Theta and Theta * N - N * Theta =
+    xi (m-s) Theta.
 
     For s != m, Theta * H goes through star_gaussian and H * Theta through
     star_differential; d_t is a fourth-order central difference of
-    moyal_solution in t.  The second identity is exact (N is quadratic);
-    read without the bracket's 1/xi, its rounding does not grow as xi -> 0.
-    Deviations are relative to 1 + |reference|; a time with |cos t~| < 0.2,
-    where the stencil's rounding grows, is skipped.
+    moyal_solution in t.  Both identities are read without the bracket's
+    1/xi, so their rounding does not grow as xi -> 0.  The first deviation
+    is relative to |Theta * H| + |H * Theta| + xi |d_t Theta|, the size of
+    the terms that cancel, plus xi |Theta|, which keeps the stencil's
+    rounding (about eps xi |Theta| / h) under the bound where H vanishes;
+    the second (exact: N is quadratic) to 1 + |Theta|.  A time with
+    |cos t~| < 0.2, where the stencil's rounding grows, is skipped.
     """
     w1, w2, xi, h = params.w1, params.w2, params.xi, 5e-5
     n_poly = ZPoly({(1, 1): 0.5, (0, 0): -0.5 * xi})
@@ -130,14 +134,18 @@ def moyal_equation_deviations(params: kerr.KerrParams, indices, times, pts):
     for idx in indices:
         for t in (u for u in times if abs(math.cos(idx.t_tilde(u, params))) >= 0.2):
             theta = kerr.moyal_solution_symbolic(idx, t, params)
-            flow = moyal_bracket(theta, ham, xi)
+            theta_h = star_product(theta, ham, xi)
+            h_theta = star_product(ham, theta, xi)
             eigen = (star_product(theta, number, xi) - star_product(number, theta, xi)
                      - theta.scale(xi * (idx.m - idx.s)))
             for pt in pts:
                 v = [kerr.moyal_solution(idx, t + k * h, pt, params) for k in (-2, -1, 1, 2)]
                 d_t = (8.0 * (v[2] - v[1]) - (v[3] - v[0])) / (12.0 * h)
-                pde.append(abs(flow(pt) - d_t) / (1.0 + abs(d_t)))
-                eig.append(abs(eigen(pt)) / (1.0 + abs(theta(pt))))
+                left, right, value = theta_h(pt), h_theta(pt), theta(pt)
+                size = abs(left) + abs(right) + xi * (abs(d_t) + abs(value))
+                # size bounds the numerator: it is 0 only when every term is
+                pde.append(abs(left - right - 1j * xi * d_t) / (size or 1.0))
+                eig.append(abs(eigen(pt)) / (1.0 + abs(value)))
     return _worst(pde), _worst(eig)
 
 
@@ -165,7 +173,7 @@ def validate_moyal(params: kerr.KerrParams) -> SuiteReport:
     report.checks.append(CheckResult("constants_of_motion", dev, 1e-12))
 
     pde, eig = moyal_equation_deviations(params, indices, times, pts[:2])
-    report.checks.append(CheckResult("pde_residual", pde, 1e-9))
+    report.checks.append(CheckResult("pde_residual", pde, 1e-10))
     report.checks.append(CheckResult("angular_eigenvalue", eig, 5e-13))
 
     dev = _worst(abs(kerr.quantum_trajectory(t, pt, params)

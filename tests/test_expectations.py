@@ -1,6 +1,8 @@
 """Closed-form expectation values, quadrature route and matrix elements."""
 
+import decimal
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -321,6 +323,9 @@ def test_quadrature_finds_mass_far_from_the_mean():
        u=st.floats(-11.0 * math.pi / 24.0, 11.0 * math.pi / 24.0), turns=st.integers(-2, 2))
 @example(s=0.5, radius=2.0, arg=0.0, delta_phi=0.0, xi=0.01, u=0.0, turns=0)
 @example(s=0.2, radius=1.5, arg=0.0, delta_phi=0.0, xi=0.01, u=0.0, turns=0)
+@example(s=0.1, radius=1.5, arg=0.0, delta_phi=0.0, xi=0.01, u=11.0 * math.pi / 24.0,
+         turns=0)                 # the strongest chirp, under phase squeezing:
+                                  # 1.2e-10, the rounding floor at xi = 0.01
 def test_quadrature_matches_closed_form_property(s, radius, arg, delta_phi, xi, u, turns):
     # t~ = u + turns pi keeps |cos t~| >= cos(11 pi/24) on every branch
     params = km.KerrParams(w1=1.0, w2=0.1, xi=xi)
@@ -331,10 +336,36 @@ def test_quadrature_matches_closed_form_property(s, radius, arg, delta_phi, xi, 
     assert abs(quad - closed) <= 1e-9 * (1.0 + abs(closed))
 
 
-# s = 0.1 at t~ = 11 pi/24: 1.86e5 nodes on the wide axis at refine level 1,
-# a chirp phase of about 5e4 rad at its ends
+# s = 0.1 at t~ = 11 pi/24: 1.07e5 nodes on the wide axis at refine level 1,
+# a chirp phase of about 2.8e4 rad at its ends
 STRONG_STATE = make_state(1.0, 0.1, math.pi)
 STRONG_T = (11.0 * math.pi / 24.0) / (XI * PARAMS.w2)
+
+
+def test_quadrature_window_truncates_below_rounding():
+    # the envelope at the window ends is at most half an ulp of its peak
+    # (exp taken to 40 digits: in floats the rounding of R^2 and of exp lands
+    # a few ulps above eps / 2, although the exact value is below it), so
+    # widening the window to R = 8 moves no value beyond rounding; the node
+    # pin fails a wider window (R = 8 gives 1.86e5 on the strong wide axis)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        assert ((-decimal.Decimal(expectations.RADIUS_SCALE) ** 2).exp()
+                <= decimal.Decimal(sys.float_info.epsilon) / 2)
+    points = [(STRONG_STATE, STRONG_T),                     # number squeezing
+              (make_state(1.5, 0.1, 0.0), STRONG_T),        # phase squeezing
+              (make_state(0.7 + 0.2j, 0.5, 1.1), 13.0)]     # mild
+    for state, t in points:
+        with mock.patch.object(expectations, "_axis_edges",
+                               wraps=_axis_edges) as edges:
+            quad = km.expectation_a_quadrature(t, state, PARAMS)
+        with mock.patch.object(expectations, "RADIUS_SCALE", 8.0):
+            wide = km.expectation_a_quadrature(t, state, PARAMS)
+        assert abs(quad - wide) <= 1e-14 * (1.0 + abs(wide))
+        if state is STRONG_STATE:
+            nodes = max(_GL_X.size * (_axis_edges(*call.args).size - 1)
+                        for call in edges.call_args_list)
+            assert nodes <= 110_000
 
 
 def test_quadrature_peak_memory_is_bounded():

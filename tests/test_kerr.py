@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kerrmoyal as km
@@ -301,6 +301,9 @@ def test_heisenberg_commutator_through_star_engine():
 @given(s=st.integers(0, 3), m=st.integers(0, 3), q=st.floats(-1.5, 1.5),
        p=st.floats(-1.5, 1.5), t=st.floats(0.0, 5.0), w1=st.floats(-5.0, 5.0),
        w2=st.floats(-1.0, 1.0), xi=st.floats(0.005, 2.0))
+@example(s=0, m=1, q=0.0, p=0.0, t=0.0, w1=0.0, w2=0.0, xi=1.0)  # every term 0
+@example(s=0, m=1, q=1.0, p=0.5, t=0.0, w1=0.0, w2=1.757667954377864e-114,
+         xi=1.0)                  # H ~ 1e-114: the stencil cannot see d_t Theta
 def test_moyal_equation_property(s, m, q, p, t, w1, w2, xi):
     # both identities of the moyal suite at its bounds; s = m is the constant
     # of motion, whose bracket with H vanishes
@@ -308,7 +311,7 @@ def test_moyal_equation_property(s, m, q, p, t, w1, w2, xi):
     idx = km.ObservableIndex(s, m)
     assume(abs(math.cos(idx.t_tilde(t, params))) >= 0.2)
     pde, eig = validate.moyal_equation_deviations(params, [idx], [t], [PhasePoint(q, p)])
-    assert pde <= 1e-9
+    assert pde <= 1e-10
     assert eig <= 5e-13
 
 
