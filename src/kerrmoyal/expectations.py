@@ -42,25 +42,31 @@ _SQRT2 = math.sqrt(2.0)
 RADIUS_SCALE = math.sqrt(-math.log(sys.float_info.epsilon / 2.0))
 # Refine levels the quadrature may take after level 0 before it gives up.
 MAX_REFINE = 4
-# Most Gauss-Legendre nodes one axis may take at one refine level.  Near a
-# pole the count grows as |tan t~| without limit.  The acceptance grid and
-# the oracle benchmark workloads need at most 1.20e5 (s = 0.1, |alpha| = 1.5,
-# Delta_phi = 0 at t~ = 11 pi/24, refine level 1, on the closed-form edges of
-# _axis_edges); the bound leaves 1100x headroom.
+# Most Gauss-Legendre nodes one axis may take at one refine level, counting
+# both rules' nodes on every panel.  Near a pole the count grows as |tan t~|
+# without limit.  The acceptance grid and the oracle benchmark workloads need
+# at most 1.25e5 (s = 0.1, |alpha| = 1.5, Delta_phi = 0 at t~ = 11 pi/24,
+# refine level 0, on the closed-form edges of _axis_edges); the bound leaves
+# 1000x headroom.
 MAX_AXIS_NODES = 2**27
 # Level-0 panels: width / (4 sigma) plus chirp phase rise / (8 pi) at most 1;
-# each refine level halves both units.  On panels this size the 24-point
-# rule at level 0 is within 1e-12 of level 1 over the oracle benchmark
-# pools, so level 1 only confirms level 0.
+# each refine level halves both units.  On panels this size the 26-point and
+# the 24-point rule agree within 1e-12 over the oracle benchmark pools, so
+# level 0 is accepted on its own embedded estimate.
 _PANEL_PHASE = 8.0 * math.pi
 _PANEL_SIGMAS = 4.0
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
-# Panels per numpy pass in _axis_sums: about 16384 nodes, so the pass's
-# float64 temporaries (128 kB each, about six alive at once: nodes, envelope,
-# h = tan(phi/2), h^2, 1 + h^2, envelope times y) stay in L2 cache, and
-# memory stays set by the edge array however many nodes an axis takes.  On
-# a Xeon with 2 MB of L2 per core, the oracle-strong pool ran 12% slower in
-# passes of 2**15 nodes, and the kernel alone 30% slower in passes of 2**16.
+# The returned 26-point rule's nodes, then the checking 24-point rule's, so
+# one pass over each panel's 50 nodes gives both rules' sums by slicing.
+_GL_RULES = (26, 24)
+_GL_X, _GL_W = (np.concatenate(parts) for parts in zip(
+    *(np.polynomial.legendre.leggauss(n) for n in _GL_RULES)))
+# Panels per numpy pass in _axis_sums: 327 panels of both rules' 50 nodes,
+# about 16384 nodes, so the pass's float64 temporaries (128 kB each, about
+# six alive at once: nodes, envelope, h = tan(phi/2), h^2, 1 + h^2, envelope
+# times y) stay in L2 cache, and memory stays set by the edge array however
+# many nodes an axis takes.  On a Xeon with 2 MB of L2 per core, the
+# oracle-strong pool ran 12% slower in passes of 2**15 nodes, and the kernel
+# alone 30% slower in passes of 2**16.
 _PANEL_CHUNK = 2**14 // _GL_X.size
 
 
@@ -175,25 +181,28 @@ def _axis_edges(center: float, sigma: float, half_width: float, big_t: float,
 
 
 def _axis_sums(edges: np.ndarray, scale: float, center: float, big_t: float,
-               xi: float) -> tuple[complex, complex]:
+               xi: float) -> list[list[complex]]:
     """(sum w f, sum w y f) for f(y) = exp((-scale (y - center)^2 - i T y^2) / xi).
 
-    A plain Gauss-Legendre sum in real arithmetic with one real exp and one
-    tan per node.  The envelope is written with its square completed, so its
-    exponent is never positive and nothing overflows however small xi is.
-    With h = tan(phi / 2) of the chirp phase phi = -T y^2 / xi,
+    One pair per rule of _GL_RULES: the 26-point sums, then the 24-point
+    sums on the same panels.  Plain Gauss-Legendre sums in real arithmetic with
+    one real exp and one tan per node, both rules' nodes taken in one pass.
+    The envelope is written with its square completed, so its exponent is
+    never positive and nothing overflows however small xi is.  With
+    h = tan(phi / 2) of the chirp phase phi = -T y^2 / xi,
     cos phi = (1 - h^2) / (1 + h^2) and sin phi = 2 h / (1 + h^2); the common
     1 / (1 + h^2) goes into the real envelope amp = w exp(-scale (y - center)^2
-    / xi) / (1 + h^2), and the two sums are four real dot products (amp and
-    amp y, each against 1 - h^2 and h).  The panels are taken _PANEL_CHUNK at
-    a time, nodes laid out node-major so each broadcast runs along the panels.
+    / xi) / (1 + h^2), and each rule's two sums are four real dot products
+    (amp and amp y, each against 1 - h^2 and h) over its slice of the nodes.
+    The panels are taken _PANEL_CHUNK at a time, nodes laid out node-major so
+    each broadcast runs along the panels and each rule's nodes are one slice.
     """
     # both exponents take the factor 1/xi last, as numpy rounds the complex
     # exponent of f, so a chirp phase of thousands of radians matches it; the
     # halving of phi is exact in binary and keeps that rounding
     inv_xi = 1.0 / xi
     half_t = -0.5 * big_t
-    sum0 = sum1 = 0j
+    sums = [[0j, 0j] for _ in _GL_RULES]
     for start in range(0, edges.size - 1, _PANEL_CHUNK):
         part = edges[start:start + _PANEL_CHUNK + 1]
         mid = 0.5 * (part[1:] + part[:-1])
@@ -213,9 +222,12 @@ def _axis_sums(edges: np.ndarray, scale: float, center: float, big_t: float,
         amp /= 1.0 + h2
         cos = np.subtract(1.0, h2, out=h2)
         amp_y = amp * y
-        sum0 += complex(amp @ cos, 2.0 * (amp @ h))
-        sum1 += complex(amp_y @ cos, 2.0 * (amp_y @ h))
-    return sum0, sum1
+        split = _GL_RULES[0] * half.size
+        for rule, nodes in zip(sums, (slice(split), slice(split, None))):
+            a, a_y, c, s = amp[nodes], amp_y[nodes], cos[nodes], h[nodes]
+            rule[0] += complex(a @ c, 2.0 * (a @ s))
+            rule[1] += complex(a_y @ c, 2.0 * (a_y @ s))
+    return sums
 
 
 def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
@@ -229,10 +241,12 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
     windows center +- RADIUS_SCALE sqrt(xi / scale), outside which the
     Gaussian is below exp(-RADIUS_SCALE^2) <= eps / 2 of its peak, too
     small to change a float64 sum.  Each axis is a composite
-    24-point Gauss-Legendre sum on the closed-form panel edges of
-    _axis_edges; refines by panel halving, at most MAX_REFINE times, until
-    the change is below tol.  tol must be finite and non-negative, or
-    ValueError is raised; at a pole of Theta_01 SingularTime is.
+    26-point Gauss-Legendre sum on the closed-form panel edges of
+    _axis_edges, and its error estimate is the distance to the embedded
+    24-point sum on the same panels.  A level whose estimate is within tol
+    is accepted on its own, level 0 included; otherwise the panels are
+    halved, at most MAX_REFINE times.  tol must be finite and non-negative,
+    or ValueError is raised; at a pole of Theta_01 SingularTime is.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
@@ -252,24 +266,23 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
              RADIUS_SCALE * math.sqrt(xi / scale))
             for scale, center in ((s * s, ybar.real / s), (1.0 / (s * s), s * ybar.imag))]
 
-    def tensor_value(refine: int) -> complex:
-        (sum0_0, sum1_0), (sum0_1, sum1_1) = (
+    def tensor_values(refine: int) -> list[complex]:
+        axis0, axis1 = (
             _axis_sums(_axis_edges(center, sigma, half_width, big_t, xi, refine),
                        scale, center, big_t, xi)
             for scale, center, sigma, half_width in axes)
-        return norm * (sum1_0 * sum0_1 + 1j * sum0_0 * sum1_1)
+        return [norm * (sum1_0 * sum0_1 + 1j * sum0_0 * sum1_1)
+                for (sum0_0, sum1_0), (sum0_1, sum1_1) in zip(axis0, axis1)]
 
-    prev = tensor_value(0)
     err = math.inf
-    for refine in range(1, MAX_REFINE + 1):
+    for refine in range(MAX_REFINE + 1):
         try:
-            cur = tensor_value(refine)
+            value, check = tensor_values(refine)
         except ToleranceNotMet as exc:  # node bound: report the last estimate
             raise ToleranceNotMet(str(exc), achieved=err) from None
-        err = abs(cur - prev)
+        err = abs(value - check)
         if err <= tol:
-            return cur
-        prev = cur
+            return value
     raise ToleranceNotMet(f"quadrature error estimate {err:.3e} > tol {tol:.3e}",
                           achieved=err)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import kerrmoyal as km
 from kerrmoyal import ToleranceNotMet
 from kerrmoyal import expectations
-from kerrmoyal.expectations import (_GL_W, _GL_X, _PANEL_CHUNK, _PANEL_PHASE,
+from kerrmoyal.expectations import (_GL_RULES, _GL_X, _PANEL_CHUNK, _PANEL_PHASE,
                                     _PANEL_SIGMAS, _axis_edges, _axis_sums,
                                     branch_winding)
 from kerrmoyal.phase_space import PhasePoint
@@ -268,6 +268,54 @@ def test_quadrature_node_bound_raises_before_allocating():
     assert peak < 1_000_000
 
 
+def test_quadrature_refines_when_the_embedded_estimate_misses_tol():
+    # on the shipped panels level 0's |G26 - G24| sits at the rounding floor;
+    # with both panel units doubled, level 0 reads 3.8e-7 here and level 1,
+    # whose panels are the shipped level-0 panels, reads 7e-15
+    state = make_state(0.7 + 0.2j, 0.5, 1.1)
+    t, tol = 13.0, 1e-8
+    ref = km.expectation_a_closed(t, state, PARAMS).value
+
+    def quadrature(max_refine, tol, max_nodes=expectations.MAX_AXIS_NODES):
+        """The value or the ToleranceNotMet, and (refine, nodes) per axis built."""
+        built = []
+
+        def edges(*args):
+            out = _axis_edges(*args)
+            built.append((args[-1], _GL_X.size * (out.size - 1)))
+            return out
+
+        with mock.patch.object(expectations, "_PANEL_PHASE", 2.0 * _PANEL_PHASE), \
+                mock.patch.object(expectations, "_PANEL_SIGMAS", 2.0 * _PANEL_SIGMAS), \
+                mock.patch.object(expectations, "MAX_REFINE", max_refine), \
+                mock.patch.object(expectations, "MAX_AXIS_NODES", max_nodes), \
+                mock.patch.object(expectations, "_axis_edges", side_effect=edges):
+            try:
+                return km.expectation_a_quadrature(t, state, PARAMS, tol=tol), built
+            except ToleranceNotMet as exc:
+                return exc, built
+
+    quad, built = quadrature(1, tol)
+    assert [refine for refine, _ in built] == [0, 0, 1, 1]
+    assert abs(quad - ref) <= 1e-12 * (1.0 + abs(ref))
+    # achieved is the last level's estimate, the very number compared with tol
+    est0, est1 = (quadrature(r, 0.0)[0].achieved for r in (0, 1))
+    assert est1 <= tol < est0
+    # the value is the 26-point sum: at level 0 it is 40x closer to the closed
+    # form than the estimate, the 24-point sum's distance from it
+    assert abs(quadrature(0, est0)[0] - ref) <= 0.1 * est0
+    assert quadrature(0, tol)[0].achieved == est0
+    assert quadrature(1, est1)[0] == quad
+    assert quadrature(1, math.nextafter(est1, 0.0))[0].achieved == est1
+    # a node bound hit at level 1 reports level 0's estimate, at level 0 inf
+    level0 = max(nodes for refine, nodes in built if refine == 0)
+    assert level0 < max(nodes for refine, nodes in built if refine == 1)
+    assert quadrature(1, tol, max_nodes=level0)[0].achieved == est0
+    exc, built = quadrature(1, tol, max_nodes=level0 - 1)
+    assert "nodes on one axis" in str(exc) and exc.achieved == math.inf
+    assert all(refine == 0 for refine, _ in built)
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1e-8, math.inf])
 def test_quadrature_rejects_bad_arguments_before_any_node(tol):
     state = make_state(1.0, 0.5, math.pi)
@@ -279,10 +327,11 @@ def test_quadrature_rejects_bad_arguments_before_any_node(tol):
 
 # phase squeezing at s = 0.1 puts the wide axis's mass near ybar_0 / s = 21,
 # where the chirp phase is about 3e3 rad; its rounding in the kernel leaves
-# up to 7e-12 there, against 2e-14 under number squeezing
-@pytest.mark.parametrize("delta_phi, bound", [(math.pi, 1e-12), (0.0, 2e-11)])
-@mock.patch.object(expectations, "MAX_REFINE", 1)
-def test_quadrature_stops_at_level_one_on_the_acceptance_grid(delta_phi, bound):
+# up to 4.4e-12 there, against 3.1e-14 under number squeezing
+@pytest.mark.parametrize("delta_phi, bound", [(math.pi, 1e-12), (0.0, 2e-11)],
+                         ids=["number", "phase"])
+@mock.patch.object(expectations, "MAX_REFINE", 0)
+def test_quadrature_stops_at_level_zero_on_the_acceptance_grid(delta_phi, bound):
     for s_target in (0.1, 0.5, 1.0):
         for radius in (0.5, 1.5):
             state = make_state(radius, s_target, delta_phi)
@@ -316,7 +365,7 @@ def test_quadrature_finds_mass_far_from_the_mean():
     assert abs(quad - bogoliubov_mean(state)) <= 1e-8
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(s=st.floats(0.1, 1.0), radius=st.floats(0.0, 1.5),
        arg=st.floats(-math.pi, math.pi), delta_phi=st.floats(-math.pi, math.pi),
        xi=st.floats(0.01, 2.0),
@@ -336,7 +385,7 @@ def test_quadrature_matches_closed_form_property(s, radius, arg, delta_phi, xi, 
     assert abs(quad - closed) <= 1e-9 * (1.0 + abs(closed))
 
 
-# s = 0.1 at t~ = 11 pi/24: 1.07e5 nodes on the wide axis at refine level 1,
+# s = 0.1 at t~ = 11 pi/24: 1.11e5 nodes on the wide axis at refine level 0,
 # a chirp phase of about 2.8e4 rad at its ends
 STRONG_STATE = make_state(1.0, 0.1, math.pi)
 STRONG_T = (11.0 * math.pi / 24.0) / (XI * PARAMS.w2)
@@ -347,7 +396,8 @@ def test_quadrature_window_truncates_below_rounding():
     # (exp taken to 40 digits: in floats the rounding of R^2 and of exp lands
     # a few ulps above eps / 2, although the exact value is below it), so
     # widening the window to R = 8 moves no value beyond rounding; the node
-    # pin fails a wider window (R = 8 gives 1.86e5 on the strong wide axis)
+    # pin, which counts both rules' 50 nodes per panel, fails a wider window
+    # (R = 8 gives 1.938e5 on the strong wide axis, R = 6.06 gives 1.113e5)
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         assert ((-decimal.Decimal(expectations.RADIUS_SCALE) ** 2).exp()
@@ -365,7 +415,7 @@ def test_quadrature_window_truncates_below_rounding():
         if state is STRONG_STATE:
             nodes = max(_GL_X.size * (_axis_edges(*call.args).size - 1)
                         for call in edges.call_args_list)
-            assert nodes <= 110_000
+            assert nodes <= 115_000
 
 
 def test_quadrature_peak_memory_is_bounded():
@@ -385,12 +435,14 @@ def test_quadrature_matches_closed_form_strong_squeeze_near_pole():
     assert abs(quad - closed) <= 1e-12 * (1.0 + abs(closed))
 
 
-def _complex_exp_sums(edges, scale, center, big_t, xi):
-    """The axis sums with one complex exp per node, and sum w |f| (1 + |y|)."""
+def _complex_exp_sums(edges, scale, center, big_t, xi, n_nodes):
+    """The n_nodes-point rule's axis sums with one complex exp per node, and
+    sum w |f| (1 + |y|)."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    y = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    w = (half[:, None] * _GL_W[None, :]).ravel()
+    y = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+    w = (half[:, None] * gl_w[None, :]).ravel()
     f = np.exp((-scale * (y - center)**2 - 1j * big_t * y**2) / xi)
     return np.sum(w * f), np.sum(w * y * f), np.sum(w * np.abs(f) * (1.0 + np.abs(y)))
 
@@ -409,10 +461,13 @@ def test_axis_sums_match_complex_exp_reference(n_edges, seed, ends, scale, at,
     edges = np.sort(np.random.default_rng(seed).uniform(min(ends), max(ends), n_edges))
     # the envelope peaks inside the edges, as it does in the quadrature
     center = edges[0] + at * (edges[-1] - edges[0])
-    ref0, ref1, bound = _complex_exp_sums(edges, scale, center, big_t, xi)
-    sum0, sum1 = _axis_sums(edges, scale, center, big_t, xi)
-    assert abs(sum0 - ref0) <= 1e-13 * bound
-    assert abs(sum1 - ref1) <= 1e-13 * bound
+    sums = _axis_sums(edges, scale, center, big_t, xi)
+    assert len(sums) == len(_GL_RULES)
+    # one pair per rule: the returned 26-point sums, then the 24-point check
+    for (sum0, sum1), n_nodes in zip(sums, _GL_RULES):
+        ref0, ref1, bound = _complex_exp_sums(edges, scale, center, big_t, xi, n_nodes)
+        assert abs(sum0 - ref0) <= 1e-13 * bound
+        assert abs(sum1 - ref1) <= 1e-13 * bound
 
 
 @settings(max_examples=60, deadline=None)

@@ -210,6 +210,11 @@ KINDS = ["damped", "scalar", "fresnel", "degenerate"]
 @example(kind="damped", eig=(1.0, 1.0), osc=(3.935546875, 3.9359844780091953),
          angle=0.0, shear=0.0, lin=(0j, 0j), const=0j, coeffs={(0, 2): 1 + 0j},
          zero_eig=0.0)
+# a subnormal linear term: the integral is 7e-312, so the relative bound is
+# 7e-324, below one subnormal step (5e-324), and LAPACK differs by two steps
+@example(kind="damped", eig=(2.0, 1.0), osc=(0.0, 0.0), angle=0.0, shear=2.0,
+         lin=(2.225073858507e-311 + 0j, 0j), const=0j, coeffs={(0, 1): 1 + 0j},
+         zero_eig=0.0)
 def test_pairing_matches_lapack_reference(kind, eig, osc, angle, shear, lin, const,
                                           coeffs, zero_eig):
     rot = _rotation(angle)
@@ -237,7 +242,8 @@ def test_pairing_matches_lapack_reference(kind, eig, osc, angle, shear, lin, con
     scale = max(abs(reference_integral(GaussPolySymbol(quad, np.array(lin), const,
                                                        ZPoly({kl: c}))))
                 for kl, c in coeffs.items())
-    assert abs(val - ref) <= 1e-12 * max(abs(ref), scale)
+    # floored at a few subnormal steps, which no normal scale reaches
+    assert abs(val - ref) <= max(1e-12 * max(abs(ref), scale), 4 * math.ulp(0.0))
 
 
 # ---------------------------------------------------------------------------
