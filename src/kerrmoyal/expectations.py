@@ -38,36 +38,24 @@ _SQRT2 = math.sqrt(2.0)
 # Quadrature domain: on each principal axis the window center +- RADIUS_SCALE
 # sqrt(xi / scale), at whose ends the envelope exp(-scale (y - center)^2 / xi)
 # has fallen to exp(-RADIUS_SCALE^2) <= eps / 2 of its peak, half an ulp, so
-# no node beyond them could change a float64 sum that holds the peak.
+# no node beyond them could change a float64 sum that holds the peak.  The
+# same margin sets _axis_step, the step at which the axis sums converge.
 RADIUS_SCALE = math.sqrt(-math.log(sys.float_info.epsilon / 2.0))
 # Refine levels the quadrature may take after level 0 before it gives up.
 MAX_REFINE = 4
-# Most Gauss-Legendre nodes one axis may take at one refine level, counting
-# both rules' nodes on every panel.  Near a pole the count grows as |tan t~|
-# without limit.  The acceptance grid and the oracle benchmark workloads need
-# at most 1.25e5 (s = 0.1, |alpha| = 1.5, Delta_phi = 0 at t~ = 11 pi/24,
-# refine level 0, on the closed-form edges of _axis_edges); the bound leaves
-# 1000x headroom.
+# Most nodes one axis may take at one refine level.  Near a pole the count
+# grows as |tan t~| without limit.  The acceptance grid and the oracle
+# benchmark workloads need at most 4.8e4 (s = 0.1, |alpha| = 1.5,
+# Delta_phi = 0 at t~ = 11 pi/24, refine level 0); the bound leaves 2800x
+# headroom.
 MAX_AXIS_NODES = 2**27
-# Level-0 panels: width / (4 sigma) plus chirp phase rise / (8 pi) at most 1;
-# each refine level halves both units.  On panels this size the 26-point and
-# the 24-point rule agree within 1e-12 over the oracle benchmark pools, so
-# level 0 is accepted on its own embedded estimate.
-_PANEL_PHASE = 8.0 * math.pi
-_PANEL_SIGMAS = 4.0
-# The returned 26-point rule's nodes, then the checking 24-point rule's, so
-# one pass over each panel's 50 nodes gives both rules' sums by slicing.
-_GL_RULES = (26, 24)
-_GL_X, _GL_W = (np.concatenate(parts) for parts in zip(
-    *(np.polynomial.legendre.leggauss(n) for n in _GL_RULES)))
-# Panels per numpy pass in _axis_sums: 327 panels of both rules' 50 nodes,
-# about 16384 nodes, so the pass's float64 temporaries (128 kB each, about
-# six alive at once: nodes, envelope, h = tan(phi/2), h^2, 1 + h^2, envelope
-# times y) stay in L2 cache, and memory stays set by the edge array however
-# many nodes an axis takes.  On a Xeon with 2 MB of L2 per core, the
+# Nodes per numpy pass in _axis_sums, so the pass's float64 temporaries
+# (128 kB each, about six alive at once: nodes, envelope, h = tan(phi/2),
+# h^2, 1 + h^2, envelope times y) stay in L2 cache, and memory stays fixed
+# however many nodes an axis takes.  On a Xeon with 2 MB of L2 per core, the
 # oracle-strong pool ran 12% slower in passes of 2**15 nodes, and the kernel
 # alone 30% slower in passes of 2**16.
-_PANEL_CHUNK = 2**14 // _GL_X.size
+_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -145,76 +133,65 @@ def expectation_a_semiclassical(t: float, state: SqueezedState,
 # Direct phase-space quadrature
 # ---------------------------------------------------------------------------
 
-def _axis_edges(center: float, sigma: float, half_width: float, big_t: float,
-                xi: float, refine: int) -> np.ndarray:
-    """Composite Gauss-Legendre panel edges on one principal axis.
+def _axis_step(scale: float, center: float, big_t: float, xi: float) -> float:
+    """Trapezoidal step at which one axis's sum has converged to rounding.
 
-    The window is center +- half_width.  With base = _PANEL_SIGMAS sigma /
-    2^refine and dphase = _PANEL_PHASE / 2^refine, the edges inside it are
-    where g(y) = y / base + sign(y) |T| y^2 / (xi dphase), odd and increasing,
-    crosses an integer k: y_k = 2k / (b + sqrt(b^2 + 4a|k|)) with b = 1 / base
-    and a = |T| / (xi dphase), written without cancellation (at T = 0 the
-    uniform grid k base).  So the edges come out sorted, y = 0, where the
-    chirp phase |T| y^2 / xi turns, is one of them whenever the window holds
-    it, and on every panel width / base + phase rise / dphase <= 1.  The
-    window ends close the grid.  The panel count is known before any array
-    is built; past MAX_AXIS_NODES nodes the call raises instead.
+    f(y) = exp((-scale (y - center)^2 - i T y^2) / xi) is entire, and |f^|,
+    the modulus of its Fourier transform, is a Gaussian about
+    omega = 2 center T / xi that falls to exp(-RADIUS_SCALE^2) = eps / 2 of
+    its peak at 2 RADIUS_SCALE sqrt((scale^2 + T^2) / (xi scale)) from it.
+    The trapezoidal sum with step h errs by f^ at the aliases 2 pi k / h,
+    k != 0, so this step puts the first alias that far out:
+    2 pi / h = 2 |center T| / xi + 2 RADIUS_SCALE sqrt(...).
     """
-    lo = center - half_width
-    hi = center + half_width
-    b = 2.0**refine / (_PANEL_SIGMAS * sigma)
-    a = abs(big_t) * 2.0**refine / (xi * _PANEL_PHASE)
-    k_lo = math.floor(math.copysign(abs(lo) * (b + a * abs(lo)), lo))
-    k_hi = math.ceil(math.copysign(abs(hi) * (b + a * abs(hi)), hi))
-    n_nodes = _GL_X.size * (k_hi - k_lo)
-    if n_nodes > MAX_AXIS_NODES:
-        raise ToleranceNotMet(
-            f"quadrature needs {n_nodes:.3e} nodes on one axis at refine level "
-            f"{refine} (|tan t~| = {abs(big_t):.3e}), above {MAX_AXIS_NODES}",
-            achieved=math.inf)
-    k = np.arange(k_lo, k_hi + 1, dtype=float)
-    edges = 2.0 * k / (b + np.sqrt(b * b + 4.0 * a * np.abs(k)))
-    # the root next to either end can round onto it or past it
-    edges = edges[int(edges[1] <= lo):edges.size - int(edges[-2] >= hi)]
-    edges[0], edges[-1] = lo, hi
-    return edges
+    spread = math.sqrt((scale * scale + big_t * big_t) / (xi * scale))
+    return math.pi / (abs(center * big_t) / xi + RADIUS_SCALE * spread)
 
 
-def _axis_sums(edges: np.ndarray, scale: float, center: float, big_t: float,
-               xi: float) -> list[list[complex]]:
+def _axis_sums(step: float, half_width: float, scale: float, center: float,
+               big_t: float, xi: float) -> list[list[complex]]:
     """(sum w f, sum w y f) for f(y) = exp((-scale (y - center)^2 - i T y^2) / xi).
 
-    One pair per rule of _GL_RULES: the 26-point sums, then the 24-point
-    sums on the same panels.  Plain Gauss-Legendre sums in real arithmetic with
-    one real exp and one tan per node, both rules' nodes taken in one pass.
-    The envelope is written with its square completed, so its exponent is
-    never positive and nothing overflows however small xi is.  With
-    h = tan(phi / 2) of the chirp phase phi = -T y^2 / xi,
-    cos phi = (1 - h^2) / (1 + h^2) and sin phi = 2 h / (1 + h^2); the common
-    1 / (1 + h^2) goes into the real envelope amp = w exp(-scale (y - center)^2
-    / xi) / (1 + h^2), and each rule's two sums are four real dot products
-    (amp and amp y, each against 1 - h^2 and h) over its slice of the nodes.
-    The panels are taken _PANEL_CHUNK at a time, nodes laid out node-major so
-    each broadcast runs along the panels and each rule's nodes are one slice.
+    The nodes are y_j = center + j step, |j| <= floor(half_width / step), so
+    they are symmetric about the window's centre.  One pass gives two pairs:
+    the trapezoidal sums with weight w = step on every node, then those with
+    w = 2 step on the even j, the sums at twice the step.  Real arithmetic
+    with one real exp and one tan per node.  The envelope is written with
+    its square completed, so its exponent is never positive and nothing
+    overflows however small xi is.  With h = tan(phi / 2) of the chirp phase
+    phi = -T y^2 / xi, cos phi = (1 - h^2) / (1 + h^2) and
+    sin phi = 2 h / (1 + h^2); the common 1 / (1 + h^2) goes into the real
+    envelope amp = exp(-scale (y - center)^2 / xi) / (1 + h^2), and each
+    step's two sums are four real dot products (amp and amp y, each against
+    1 - h^2 and h).  The nodes are taken _CHUNK at a time.  The node count is
+    known before any array is built; past MAX_AXIS_NODES the call raises
+    instead.
     """
+    n = math.floor(half_width / step)
+    if 2 * n + 1 > MAX_AXIS_NODES:
+        raise ToleranceNotMet(
+            f"quadrature needs {2 * n + 1:.3e} nodes on one axis at step "
+            f"{step:.3e} (|tan t~| = {abs(big_t):.3e}), above {MAX_AXIS_NODES}",
+            achieved=math.inf)
     # both exponents take the factor 1/xi last, as numpy rounds the complex
     # exponent of f, so a chirp phase of thousands of radians matches it; the
     # halving of phi is exact in binary and keeps that rounding
     inv_xi = 1.0 / xi
     half_t = -0.5 * big_t
-    sums = [[0j, 0j] for _ in _GL_RULES]
-    for start in range(0, edges.size - 1, _PANEL_CHUNK):
-        part = edges[start:start + _PANEL_CHUNK + 1]
-        mid = 0.5 * (part[1:] + part[:-1])
-        half = 0.5 * (part[1:] - part[:-1])
-        y = (_GL_X[:, None] * half + mid).ravel()
+    # every chunk starts at j = -n + k _CHUNK, so its even j start at n % 2
+    grids = (slice(None), slice(n % 2, None, 2))
+    sums = [[0j, 0j] for _ in grids]
+    for start in range(-n, n + 1, _CHUNK):
+        # the envelope takes the offset j step itself, so the rounding of y
+        # does not reach it
+        amp = np.arange(start, min(start + _CHUNK, n + 1), dtype=float)
+        amp *= step
+        y = amp + center
         y2 = y * y
-        amp = y - center
         amp *= amp
         amp *= -scale
         amp *= inv_xi
         np.exp(amp, out=amp)
-        amp *= (_GL_W[:, None] * half).ravel()
         h = np.multiply(y2, half_t, out=y2)
         h *= inv_xi
         np.tan(h, out=h)
@@ -222,12 +199,12 @@ def _axis_sums(edges: np.ndarray, scale: float, center: float, big_t: float,
         amp /= 1.0 + h2
         cos = np.subtract(1.0, h2, out=h2)
         amp_y = amp * y
-        split = _GL_RULES[0] * half.size
-        for rule, nodes in zip(sums, (slice(split), slice(split, None))):
+        for pair, nodes in zip(sums, grids):
             a, a_y, c, s = amp[nodes], amp_y[nodes], cos[nodes], h[nodes]
-            rule[0] += complex(a @ c, 2.0 * (a @ s))
-            rule[1] += complex(a_y @ c, 2.0 * (a_y @ s))
-    return sums
+            pair[0] += complex(a @ c, 2.0 * (a @ s))
+            pair[1] += complex(a_y @ c, 2.0 * (a_y @ s))
+    return [[weight * value for value in pair]
+            for weight, pair in zip((step, 2.0 * step), sums)]
 
 
 def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
@@ -240,13 +217,16 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
     ybar_0 / s, s ybar_1.  The domain is the tensor product of the per-axis
     windows center +- RADIUS_SCALE sqrt(xi / scale), outside which the
     Gaussian is below exp(-RADIUS_SCALE^2) <= eps / 2 of its peak, too
-    small to change a float64 sum.  Each axis is a composite
-    26-point Gauss-Legendre sum on the closed-form panel edges of
-    _axis_edges, and its error estimate is the distance to the embedded
-    24-point sum on the same panels.  A level whose estimate is within tol
-    is accepted on its own, level 0 included; otherwise the panels are
-    halved, at most MAX_REFINE times.  tol must be finite and non-negative,
-    or ValueError is raised; at a pole of Theta_01 SingularTime is.
+    small to change a float64 sum.  Each axis is a trapezoidal sum on a
+    uniform grid centred on its window; the integrand is entire and decays
+    fast, so the sum converges geometrically as the step shrinks.  Refine
+    level r returns the sums with step h = _axis_step / 2^(r + 1), and its
+    error estimate is their distance to the sums with step 2h on the even
+    nodes.  At level 0, 2h is _axis_step's step, where the sums have already
+    converged, so the estimate reads their rounding.  A level whose estimate
+    is within tol is accepted, level 0 included; otherwise h is halved, at
+    most MAX_REFINE times.  tol must be finite and non-negative, or ValueError
+    is raised; at a pole of Theta_01 SingularTime is.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
@@ -262,24 +242,20 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
     # Theta_01(t|y) = pref * exp(-i|y|^2 T/xi) * (y1 + i y2)/sqrt(2)
     pref = cmath.exp(-1j * (params.w1 * t)) / cos_tt ** 2 * cmath.exp(2j * tt)
     norm = half_turn / (math.pi * xi) * pref / _SQRT2
-    axes = [(scale, center, math.sqrt(xi / (2.0 * scale)),
-             RADIUS_SCALE * math.sqrt(xi / scale))
+    axes = [(_axis_step(scale, center, big_t, xi),
+             RADIUS_SCALE * math.sqrt(xi / scale), scale, center)
             for scale, center in ((s * s, ybar.real / s), (1.0 / (s * s), s * ybar.imag))]
-
-    def tensor_values(refine: int) -> list[complex]:
-        axis0, axis1 = (
-            _axis_sums(_axis_edges(center, sigma, half_width, big_t, xi, refine),
-                       scale, center, big_t, xi)
-            for scale, center, sigma, half_width in axes)
-        return [norm * (sum1_0 * sum0_1 + 1j * sum0_0 * sum1_1)
-                for (sum0_0, sum1_0), (sum0_1, sum1_1) in zip(axis0, axis1)]
 
     err = math.inf
     for refine in range(MAX_REFINE + 1):
+        shrink = 0.5 ** (refine + 1)
         try:
-            value, check = tensor_values(refine)
+            axis0, axis1 = (_axis_sums(shrink * step, half_width, scale, center, big_t, xi)
+                            for step, half_width, scale, center in axes)
         except ToleranceNotMet as exc:  # node bound: report the last estimate
             raise ToleranceNotMet(str(exc), achieved=err) from None
+        value, check = (norm * (sum1_0 * sum0_1 + 1j * sum0_0 * sum1_1)
+                        for (sum0_0, sum1_0), (sum0_1, sum1_1) in zip(axis0, axis1))
         err = abs(value - check)
         if err <= tol:
             return value

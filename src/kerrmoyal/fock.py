@@ -127,8 +127,13 @@ def _evolved_band(idx: ObservableIndex, times, v_left: np.ndarray,
     The operator maps |l+m> to band_l |l+s>, so the value at t is
     sum_l exp(-i (E_{l+m} - E_{l+s}) t/xi) conj(vl_{l+s}) band_l vr_{l+m}, with
     E_n - E_k = (n - k)(w2 xi^2 (n + k - 1) + w1 xi) taken as one difference
-    rather than as two large phases E_n t/xi that cancel.
+    rather than as two large phases E_n t/xi that cancel.  The space and the
+    params must carry the same xi, compared exactly as SqueezedState.check_xi
+    does, or ValueError is raised.
     """
+    if params.xi != space.xi:
+        raise ValueError(f"Fock space and params carry different xi "
+                         f"({space.xi!r} != {params.xi!r})")
     band = _band(idx, space)
     n = np.arange(band.size) + idx.m
     k = np.arange(band.size) + idx.s

@@ -147,7 +147,7 @@ def test_expect_record_matches_library(tmp_path, capsys):
     rec = doc["record"]
     import kerrmoyal as km
     params = km.KerrParams(1.0, 0.1, 1.0)
-    state = km.SqueezedState.from_values(1.0, 0.3, math.pi, 1.0)
+    state = km.SqueezedState(1.0, 0.3, math.pi, 1.0)
     res = km.expectation_a_closed(0.8, state, params)
     assert rec["a_re"] == pytest.approx(res.value.real)
     assert rec["mean_q"] == pytest.approx(res.mean_q)
@@ -260,8 +260,8 @@ def test_negative_exponent_values_are_read(capsys):
                     "--alpha-im", "-2.5e-01"]) == 0
     rec = json.loads(capsys.readouterr().out)["record"]
     import kerrmoyal as km
-    state = km.SqueezedState.from_values(complex(-9.724225676131032e-05, -0.25),
-                                         0.0, 0.0, 1.0)
+    state = km.SqueezedState(complex(-9.724225676131032e-05, -0.25),
+                             0.0, 0.0, 1.0)
     res = km.expectation_a_closed(0.8, state, km.KerrParams(1.0, 0.1, 1.0))
     assert rec["a_re"] == float(format(res.value.real, ".17g"))
     assert rec["a_im"] == float(format(res.value.imag, ".17g"))
@@ -271,7 +271,7 @@ def test_abbreviated_flag_takes_a_negative_exponent_value(capsys):
     assert run_cli(["expect", "--t", "0.8", "--alpha-r", "-1e-5"]) == 0
     rec = json.loads(capsys.readouterr().out)["record"]
     import kerrmoyal as km
-    state = km.SqueezedState.from_values(complex(-1e-5, 0.0), 0.0, 0.0, 1.0)
+    state = km.SqueezedState(complex(-1e-5, 0.0), 0.0, 0.0, 1.0)
     res = km.expectation_a_closed(0.8, state, km.KerrParams(1.0, 0.1, 1.0))
     assert rec["a_re"] == float(format(res.value.real, ".17g"))
     assert rec["a_im"] == float(format(res.value.imag, ".17g"))

@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 import kerrmoyal as km
 from kerrmoyal import ToleranceNotMet
 from kerrmoyal import expectations
-from kerrmoyal.expectations import (_GL_RULES, _GL_X, _PANEL_CHUNK, _PANEL_PHASE,
-                                    _PANEL_SIGMAS, _axis_edges, _axis_sums,
-                                    branch_winding)
+from kerrmoyal.expectations import _CHUNK, _axis_step, _axis_sums, branch_winding
 from kerrmoyal.phase_space import PhasePoint
 
 XI = 1.0
@@ -27,7 +25,7 @@ T_SING = (math.pi / 2.0) / (XI * PARAMS.w2)
 def make_state(alpha=1.0, s_target=0.5, delta_phi=math.pi, xi=XI):
     tau_abs = -math.log(s_target) / (2.0 * xi)
     phi = delta_phi + 2.0 * np.angle(alpha)
-    return km.SqueezedState.from_values(alpha, tau_abs, phi, xi)
+    return km.SqueezedState(alpha, tau_abs, phi, xi)
 
 
 def bogoliubov_mean(state):
@@ -64,7 +62,7 @@ def test_closed_form_t0_is_bogoliubov_mean():
 
 
 def test_no_squeeze_reduction():
-    state = km.SqueezedState.from_values(0.8 + 0.3j, 0.0, 0.0, XI)
+    state = km.SqueezedState(0.8 + 0.3j, 0.0, 0.0, XI)
     for t in np.linspace(0.0, 2.0 * math.pi / PARAMS.w2, 31):
         val = km.expectation_a_closed(float(t), state, PARAMS).value
         ref = state.alpha * np.exp(
@@ -233,7 +231,7 @@ def test_quadrature_matches_closed_form_squeezed():
 
 def test_quadrature_harmonic_coherent():
     params = km.KerrParams(w1=1.0, w2=0.0, xi=1.0)
-    state = km.SqueezedState.from_values(1.0, 0.0, 0.0, 1.0)
+    state = km.SqueezedState(1.0, 0.0, 0.0, 1.0)
     for t in (0.7, 2.9):
         quad = km.expectation_a_quadrature(t, state, params, tol=1e-9)
         assert abs(quad - np.exp(-1j * params.w1 * t)) <= 1e-8
@@ -254,7 +252,7 @@ def test_quadrature_tolerance_not_met_reports_achieved():
 
 
 def test_quadrature_node_bound_raises_before_allocating():
-    # |tan t~| = 1e7 would need ~1e12 nodes per axis at refine level 0
+    # |tan t~| = 1e7 would need 1.9e9 nodes on the wide axis at refine level 0
     state = make_state(1.0, 0.5, math.pi)
     t = (math.pi / 2.0 - 1e-7) / (XI * PARAMS.w2)
     tracemalloc.start()
@@ -268,58 +266,64 @@ def test_quadrature_node_bound_raises_before_allocating():
     assert peak < 1_000_000
 
 
+def _axis_nodes(step, half_width):
+    """Nodes of one _axis_sums call: center + j step, |j| <= half_width / step."""
+    return 2 * math.floor(half_width / step) + 1
+
+
 def test_quadrature_refines_when_the_embedded_estimate_misses_tol():
-    # on the shipped panels level 0's |G26 - G24| sits at the rounding floor;
-    # with both panel units doubled, level 0 reads 3.8e-7 here and level 1,
-    # whose panels are the shipped level-0 panels, reads 7e-15
+    # at _axis_step's step the sums have converged, so level 0's estimate
+    # sits at rounding; with that step doubled, level 0 checks its sums
+    # against twice the shipped step and reads 1.6e-2 here, and level 1,
+    # whose steps are the shipped level-0 steps, reads 3e-15
     state = make_state(0.7 + 0.2j, 0.5, 1.1)
     t, tol = 13.0, 1e-8
     ref = km.expectation_a_closed(t, state, PARAMS).value
 
     def quadrature(max_refine, tol, max_nodes=expectations.MAX_AXIS_NODES):
-        """The value or the ToleranceNotMet, and (refine, nodes) per axis built."""
+        """The value or the ToleranceNotMet, and (step, nodes) per axis built."""
         built = []
 
-        def edges(*args):
-            out = _axis_edges(*args)
-            built.append((args[-1], _GL_X.size * (out.size - 1)))
-            return out
+        def sums(step, half_width, *args):
+            built.append((step, _axis_nodes(step, half_width)))
+            return _axis_sums(step, half_width, *args)
 
-        with mock.patch.object(expectations, "_PANEL_PHASE", 2.0 * _PANEL_PHASE), \
-                mock.patch.object(expectations, "_PANEL_SIGMAS", 2.0 * _PANEL_SIGMAS), \
+        with mock.patch.object(expectations, "_axis_step",
+                               side_effect=lambda *args: 2.0 * _axis_step(*args)), \
                 mock.patch.object(expectations, "MAX_REFINE", max_refine), \
                 mock.patch.object(expectations, "MAX_AXIS_NODES", max_nodes), \
-                mock.patch.object(expectations, "_axis_edges", side_effect=edges):
+                mock.patch.object(expectations, "_axis_sums", side_effect=sums):
             try:
                 return km.expectation_a_quadrature(t, state, PARAMS, tol=tol), built
             except ToleranceNotMet as exc:
                 return exc, built
 
     quad, built = quadrature(1, tol)
-    assert [refine for refine, _ in built] == [0, 0, 1, 1]
+    steps = [step for step, _ in built]
+    assert len(steps) == 4 and steps[2:] == [0.5 * step for step in steps[:2]]
     assert abs(quad - ref) <= 1e-12 * (1.0 + abs(ref))
     # achieved is the last level's estimate, the very number compared with tol
     est0, est1 = (quadrature(r, 0.0)[0].achieved for r in (0, 1))
     assert est1 <= tol < est0
-    # the value is the 26-point sum: at level 0 it is 40x closer to the closed
-    # form than the estimate, the 24-point sum's distance from it
-    assert abs(quadrature(0, est0)[0] - ref) <= 0.1 * est0
+    # the value is the step-h sum: at level 0 it is far closer to the closed
+    # form than the estimate, the step-2h sum's distance from it
+    assert abs(quadrature(0, est0)[0] - ref) <= 1e-6 * est0
     assert quadrature(0, tol)[0].achieved == est0
     assert quadrature(1, est1)[0] == quad
     assert quadrature(1, math.nextafter(est1, 0.0))[0].achieved == est1
     # a node bound hit at level 1 reports level 0's estimate, at level 0 inf
-    level0 = max(nodes for refine, nodes in built if refine == 0)
-    assert level0 < max(nodes for refine, nodes in built if refine == 1)
+    level0 = max(nodes for _, nodes in built[:2])
+    assert level0 < max(nodes for _, nodes in built[2:])
     assert quadrature(1, tol, max_nodes=level0)[0].achieved == est0
     exc, built = quadrature(1, tol, max_nodes=level0 - 1)
     assert "nodes on one axis" in str(exc) and exc.achieved == math.inf
-    assert all(refine == 0 for refine, _ in built)
+    assert len(built) <= 2
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-8, math.inf])
 def test_quadrature_rejects_bad_arguments_before_any_node(tol):
     state = make_state(1.0, 0.5, math.pi)
-    with mock.patch.object(expectations, "_axis_edges",
+    with mock.patch.object(expectations, "_axis_sums",
                            side_effect=AssertionError("nodes built")):
         with pytest.raises(ValueError, match="tol"):
             km.expectation_a_quadrature(1.0, state, PARAMS, tol=tol)
@@ -327,7 +331,7 @@ def test_quadrature_rejects_bad_arguments_before_any_node(tol):
 
 # phase squeezing at s = 0.1 puts the wide axis's mass near ybar_0 / s = 21,
 # where the chirp phase is about 3e3 rad; its rounding in the kernel leaves
-# up to 4.4e-12 there, against 3.1e-14 under number squeezing
+# up to 8.8e-12 there, against 9.9e-14 under number squeezing
 @pytest.mark.parametrize("delta_phi, bound", [(math.pi, 1e-12), (0.0, 2e-11)],
                          ids=["number", "phase"])
 @mock.patch.object(expectations, "MAX_REFINE", 0)
@@ -374,7 +378,7 @@ def test_quadrature_finds_mass_far_from_the_mean():
 @example(s=0.2, radius=1.5, arg=0.0, delta_phi=0.0, xi=0.01, u=0.0, turns=0)
 @example(s=0.1, radius=1.5, arg=0.0, delta_phi=0.0, xi=0.01, u=11.0 * math.pi / 24.0,
          turns=0)                 # the strongest chirp, under phase squeezing:
-                                  # 1.2e-10, the rounding floor at xi = 0.01
+                                  # 1.0e-10, the rounding floor at xi = 0.01
 def test_quadrature_matches_closed_form_property(s, radius, arg, delta_phi, xi, u, turns):
     # t~ = u + turns pi keeps |cos t~| >= cos(11 pi/24) on every branch
     params = km.KerrParams(w1=1.0, w2=0.1, xi=xi)
@@ -385,7 +389,7 @@ def test_quadrature_matches_closed_form_property(s, radius, arg, delta_phi, xi, 
     assert abs(quad - closed) <= 1e-9 * (1.0 + abs(closed))
 
 
-# s = 0.1 at t~ = 11 pi/24: 1.11e5 nodes on the wide axis at refine level 0,
+# s = 0.1 at t~ = 11 pi/24: 35529 nodes on the wide axis at refine level 0,
 # a chirp phase of about 2.8e4 rad at its ends
 STRONG_STATE = make_state(1.0, 0.1, math.pi)
 STRONG_T = (11.0 * math.pi / 24.0) / (XI * PARAMS.w2)
@@ -395,31 +399,33 @@ def test_quadrature_window_truncates_below_rounding():
     # the envelope at the window ends is at most half an ulp of its peak
     # (exp taken to 40 digits: in floats the rounding of R^2 and of exp lands
     # a few ulps above eps / 2, although the exact value is below it), so
-    # widening the window to R = 8 moves no value beyond rounding; the node
-    # pin, which counts both rules' 50 nodes per panel, fails a wider window
-    # (R = 8 gives 1.938e5 on the strong wide axis, R = 6.06 gives 1.113e5)
+    # widening the window to R = 8 at the same step moves no value beyond
+    # rounding; the node pin fails a wider window (R = 8 gives 4.69e4 on the
+    # strong wide axis, R = 6.06 gives 35529)
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         assert ((-decimal.Decimal(expectations.RADIUS_SCALE) ** 2).exp()
                 <= decimal.Decimal(sys.float_info.epsilon) / 2)
+    widen = 8.0 / expectations.RADIUS_SCALE
     points = [(STRONG_STATE, STRONG_T),                     # number squeezing
               (make_state(1.5, 0.1, 0.0), STRONG_T),        # phase squeezing
               (make_state(0.7 + 0.2j, 0.5, 1.1), 13.0)]     # mild
     for state, t in points:
-        with mock.patch.object(expectations, "_axis_edges",
-                               wraps=_axis_edges) as edges:
+        with mock.patch.object(expectations, "_axis_sums",
+                               wraps=_axis_sums) as sums:
             quad = km.expectation_a_quadrature(t, state, PARAMS)
-        with mock.patch.object(expectations, "RADIUS_SCALE", 8.0):
+        with mock.patch.object(expectations, "_axis_sums",
+                               side_effect=lambda step, half_width, *args:
+                               _axis_sums(step, widen * half_width, *args)):
             wide = km.expectation_a_quadrature(t, state, PARAMS)
         assert abs(quad - wide) <= 1e-14 * (1.0 + abs(wide))
         if state is STRONG_STATE:
-            nodes = max(_GL_X.size * (_axis_edges(*call.args).size - 1)
-                        for call in edges.call_args_list)
-            assert nodes <= 115_000
+            nodes = max(_axis_nodes(*call.args[:2]) for call in sums.call_args_list)
+            assert nodes <= 36_000
 
 
 def test_quadrature_peak_memory_is_bounded():
-    # the panels are summed a chunk at a time
+    # the nodes are summed a chunk at a time
     tracemalloc.start()
     try:
         km.expectation_a_quadrature(STRONG_T, STRONG_STATE, PARAMS)
@@ -435,85 +441,72 @@ def test_quadrature_matches_closed_form_strong_squeeze_near_pole():
     assert abs(quad - closed) <= 1e-12 * (1.0 + abs(closed))
 
 
-def _complex_exp_sums(edges, scale, center, big_t, xi, n_nodes):
-    """The n_nodes-point rule's axis sums with one complex exp per node, and
-    sum w |f| (1 + |y|)."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    y = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    w = (half[:, None] * gl_w[None, :]).ravel()
+def _complex_exp_sums(step, n, scale, center, big_t, xi):
+    """The step-h and step-2h axis sums on the nodes center + j step,
+    |j| <= n, with one complex exp per node, and sum h |f| (1 + |y|)."""
+    j = np.arange(-n, n + 1)
+    y = center + j * step
     f = np.exp((-scale * (y - center)**2 - 1j * big_t * y**2) / xi)
-    return np.sum(w * f), np.sum(w * y * f), np.sum(w * np.abs(f) * (1.0 + np.abs(y)))
+    even = j % 2 == 0
+    pairs = [[weight * np.sum(f[nodes]), weight * np.sum(y[nodes] * f[nodes])]
+             for weight, nodes in ((step, slice(None)), (2.0 * step, even))]
+    return pairs, step * np.sum(np.abs(f) * (1.0 + np.abs(y)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(n_edges=st.integers(2, 3 * _PANEL_CHUNK), seed=st.integers(0, 2**32 - 1),
-       ends=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
-       scale=st.floats(0.01, 100.0), at=st.floats(0.0, 1.0),
+@given(n=st.integers(0, 3 * _CHUNK // 2), step=st.floats(1e-3, 1.0),
+       center=st.floats(-20.0, 20.0), scale=st.floats(0.01, 100.0),
        big_t=st.floats(-10.0, 10.0), xi=st.floats(0.5, 2.0))
-@example(n_edges=_PANEL_CHUNK + 2, seed=0, ends=(-4.0, 4.0), scale=0.01, at=1.0,
-         big_t=10.0, xi=0.5)                    # two chunks, the second one panel
-@example(n_edges=3 * _PANEL_CHUNK, seed=0, ends=(-80.0, 80.0), scale=0.01, at=1.0,
-         big_t=math.tan(11.0 * math.pi / 24.0), xi=1.0)  # mass near |T| y^2 = 5e4 rad
-def test_axis_sums_match_complex_exp_reference(n_edges, seed, ends, scale, at,
-                                               big_t, xi):
-    edges = np.sort(np.random.default_rng(seed).uniform(min(ends), max(ends), n_edges))
-    # the envelope peaks inside the edges, as it does in the quadrature
-    center = edges[0] + at * (edges[-1] - edges[0])
-    sums = _axis_sums(edges, scale, center, big_t, xi)
-    assert len(sums) == len(_GL_RULES)
-    # one pair per rule: the returned 26-point sums, then the 24-point check
-    for (sum0, sum1), n_nodes in zip(sums, _GL_RULES):
-        ref0, ref1, bound = _complex_exp_sums(edges, scale, center, big_t, xi, n_nodes)
+@example(n=_CHUNK // 2, step=1e-3, center=0.0, scale=0.01, big_t=10.0,
+         xi=0.5)                        # two chunks, the second one node
+@example(n=_CHUNK // 2 + 1, step=1e-3, center=0.0, scale=0.01, big_t=10.0,
+         xi=0.5)                        # n odd: the even j start at offset 1
+@example(n=3 * _CHUNK // 2, step=5e-3, center=80.0, scale=0.01,
+         big_t=math.tan(11.0 * math.pi / 24.0), xi=1.0)  # |T| y^2 up to 5e4 rad
+def test_axis_sums_match_complex_exp_reference(n, step, center, scale, big_t, xi):
+    # half a step past n keeps floor(half_width / step) = n under rounding
+    sums = _axis_sums(step, (n + 0.5) * step, scale, center, big_t, xi)
+    refs, bound = _complex_exp_sums(step, n, scale, center, big_t, xi)
+    assert len(sums) == 2
+    # the returned step-h pair, then the step-2h check on the even j
+    for (sum0, sum1), (ref0, ref1) in zip(sums, refs):
         assert abs(sum0 - ref0) <= 1e-13 * bound
         assert abs(sum1 - ref1) <= 1e-13 * bound
 
 
 @settings(max_examples=60, deadline=None)
-@given(center=st.floats(-20.0, 20.0), sigma=st.floats(0.05, 2.0),
-       half_width=st.floats(0.5, 20.0), big_t=st.floats(-20.0, 20.0),
-       xi=st.floats(0.5, 2.0), refine=st.integers(0, 4))
-@example(center=0.0, sigma=0.25, half_width=2.0, big_t=8.0 * math.pi,
-         xi=1.0, refine=0)                        # window ends on the roots +-2
-@example(center=0.3, sigma=0.25, half_width=2.0, big_t=8.0 * math.pi,
-         xi=1.0, refine=0)                        # y = 0 off the window's middle
-@example(center=0.0, sigma=0.5, half_width=3.0, big_t=0.0,
-         xi=1.0, refine=2)                        # T = 0: the uniform grid
-@example(center=0.0, sigma=0.3, half_width=8.4, big_t=0.0,
-         xi=1.0, refine=0)                        # roots +-7 base round onto the ends
-@example(center=0.0, sigma=1.0, half_width=0.5, big_t=7.0,
-         xi=0.5, refine=2)                        # y = 0 the only root inside
-@example(center=5.0, sigma=0.3, half_width=2.0, big_t=-7.5,
-         xi=0.7, refine=3)                        # window [3, 7], one side of zero
-@example(center=-30.0, sigma=0.3, half_width=5.0, big_t=1.5,
-         xi=1.0, refine=1)                        # window [-35, -25], far out
-def test_axis_edges_invariants(center, sigma, half_width, big_t, xi, refine):
-    lo, hi = center - half_width, center + half_width
-    args = (center, sigma, half_width, big_t, xi, refine)
-    edges = _axis_edges(*args)
-    assert np.all(edges[1:] > edges[:-1])
-    assert edges[0] == lo and edges[-1] == hi
-    assert (0.0 in edges[1:-1]) == (lo < 0.0 < hi)
-    # width / base plus chirp phase rise / dphase is at most 1 on every panel,
-    # up to the rounding of its edges, which moves g(y) = |y| / base +
-    # |T| y^2 / (xi dphase) by a few ulps of g at the panel's outer end
-    base = _PANEL_SIGMAS * sigma / 2.0**refine
-    dphase = _PANEL_PHASE / 2.0**refine
-    a, b = edges[:-1], edges[1:]
-    assert np.all(a * b >= 0.0)                   # no panel straddles y = 0
-    spent = (b - a) / base + abs(big_t) * np.abs(b * b - a * a) / (xi * dphase)
-    reach = np.maximum(np.abs(a), np.abs(b))
-    assert np.all(spent <= 1.0 + 1e-12 + 1e-14 * (reach / base
-                                                  + abs(big_t) * reach**2 / (xi * dphase)))
-    # the node bound counts every node the edges give, and at most two
-    # panels more
-    nodes = _GL_X.size * (edges.size - 1)
-    with mock.patch.object(expectations, "MAX_AXIS_NODES", nodes - 1):
-        with pytest.raises(ToleranceNotMet, match="nodes on one axis"):
-            _axis_edges(*args)
-    with mock.patch.object(expectations, "MAX_AXIS_NODES", nodes + 2 * _GL_X.size):
-        _axis_edges(*args)
+@given(scale=st.floats(0.01, 100.0), center=st.floats(-25.0, 25.0),
+       big_t=st.floats(-10.0, 10.0), xi=st.floats(0.01, 2.0))
+@example(scale=0.01, center=25.0, big_t=10.0, xi=0.01)   # 1.3e5 nodes, 1e7 rad
+@example(scale=100.0, center=0.0, big_t=0.0, xi=2.0)     # no chirp at all
+def test_axis_step_sums_match_a_four_times_finer_step(scale, center, big_t, xi):
+    # the step puts the first alias of the trapezoidal sum where |f^| is
+    # eps / 2 of its peak, so a finer step moves the sums only by rounding,
+    # which grows with the chirp phase |T| y^2 / xi at the window's far end
+    half_width = expectations.RADIUS_SCALE * math.sqrt(xi / scale)
+    step = _axis_step(scale, center, big_t, xi)
+    (sum0, sum1), _ = _axis_sums(step, half_width, scale, center, big_t, xi)
+    (ref0, ref1), _ = _axis_sums(step / 4.0, half_width, scale, center, big_t, xi)
+    mass = math.sqrt(math.pi * xi / scale)          # the integral of |f|
+    reach = abs(center) + half_width
+    bound = 1e-14 * mass * (1.0 + reach) * (1.0 + abs(big_t) * reach**2 / xi)
+    assert abs(sum0 - ref0) <= bound
+    assert abs(sum1 - ref1) <= bound
+
+
+def test_axis_sums_odd_moment_cancels_on_a_window_centred_at_zero():
+    # the nodes j h are exactly odd about 0, so with the envelope centred
+    # there f is even node for node and sum h y f cancels to the rounding of
+    # the sum itself; nodes counted from the window's lower end would carry
+    # the rounding of each y, magnified by the chirp phase, into it
+    scale, big_t, xi = 0.01, math.tan(11.0 * math.pi / 24.0), 1.0
+    half_width = expectations.RADIUS_SCALE * math.sqrt(xi / scale)
+    step = _axis_step(scale, 0.0, big_t, xi) / 2.0
+    n = math.floor(half_width / step)
+    y = np.arange(-n, n + 1) * step
+    mass = step * np.sum(np.abs(y) * np.exp(-scale * y * y / xi))
+    for _, sum1 in _axis_sums(step, half_width, scale, 0.0, big_t, xi):
+        assert abs(sum1) <= 1e-15 * mass
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +514,7 @@ def test_axis_edges_invariants(center, sigma, half_width, big_t, xi, refine):
 # ---------------------------------------------------------------------------
 
 def test_semiclassical_expectation_t0_unsqueezed():
-    state = km.SqueezedState.from_values(0.8 - 0.2j, 0.0, 0.0, XI)
+    state = km.SqueezedState(0.8 - 0.2j, 0.0, 0.0, XI)
     assert km.expectation_a_semiclassical(0.0, state, PARAMS) == pytest.approx(
         state.alpha)
 
@@ -530,7 +523,7 @@ def test_semiclassical_expectation_classical_limit():
     # tau = 0, xi -> 0: the leading term is the classical flow from xbar
     for xi in (1e-2, 1e-3):
         params = km.KerrParams(w1=1.0, w2=1.0, xi=xi)
-        state = km.SqueezedState.from_values(0.9 + 0.2j, 0.0, 0.0, xi)
+        state = km.SqueezedState(0.9 + 0.2j, 0.0, 0.0, xi)
         xbar = state.mean_x
         a_cl = km.classical_amplitude(0.8, PhasePoint(xbar[0], xbar[1]), params)
         val = km.expectation_a_semiclassical(0.8, state, params)
@@ -543,8 +536,8 @@ def test_semiclassical_expectation_convergence():
         residuals = []
         for xi in (2e-2, 1e-2, 5e-3):
             params = km.KerrParams(w1=1.0, w2=1.0, xi=xi)
-            state = km.SqueezedState.from_values(alpha, tau_abs,
-                                                 dphi + 2 * np.angle(alpha), xi)
+            state = km.SqueezedState(alpha, tau_abs,
+                                     dphi + 2 * np.angle(alpha), xi)
             exact = km.expectation_a_closed(t, state, params).value
             residuals.append(abs(exact - km.expectation_a_semiclassical(t, state, params)))
         assert 3.5 <= residuals[0] / residuals[1] <= 4.5
@@ -579,7 +572,7 @@ def test_huge_w2_at_t0_gives_the_initial_values():
     params = km.KerrParams(1.0, 1e308, 2.0)
     alpha, beta = 0.9 + 0.1j, -0.4 + 0.6j
     slow = km.KerrParams(1.0, 0.1, 2.0)
-    state = km.SqueezedState.from_values(alpha, 0.3, 0.7, params.xi)
+    state = km.SqueezedState(alpha, 0.3, 0.7, params.xi)
     assert km.expectation_a_closed(0.0, state, params) == \
         km.expectation_a_closed(0.0, state, slow)
     for s in range(4):

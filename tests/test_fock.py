@@ -100,7 +100,7 @@ def test_truncation_insufficient_raises():
     space = km.FockSpace(8, XI)
     with pytest.raises(TruncationInsufficient):
         _coherent(2.5, space)
-    state = km.SqueezedState.from_values(1.0, -math.log(0.1) / 2.0, 0.0, XI)
+    state = km.SqueezedState(1.0, -math.log(0.1) / 2.0, 0.0, XI)
     with pytest.raises(TruncationInsufficient):
         km.fock_space_for(state, cap=256)
 
@@ -125,7 +125,7 @@ def _dense_squeezed(state, dim):
 
 
 def test_squeezed_vector_matches_dense_operator():
-    state = km.SqueezedState.from_values(0.6, 0.3, 1.2, XI)
+    state = km.SqueezedState(0.6, 0.3, 1.2, XI)
     space = km.FockSpace(96, XI)
     via_vector = km.squeezed_vector(state, space)
     assert np.max(np.abs(via_vector - _dense_squeezed(state, 96))) <= 1e-13
@@ -136,11 +136,11 @@ def test_squeezed_vector_past_vacuum_underflow(alpha):
     # |beta|^2 = 1444 and 1521 at xi = 0.01: c_0 = e^{-|beta|^2/2} is subnormal
     # or zero in double precision, yet the state fits the 2048 basis
     xi = 0.01
-    coherent = km.SqueezedState.from_values(alpha, 0.0, 0.0, xi)
+    coherent = km.SqueezedState(alpha, 0.0, 0.0, xi)
     space = km.fock_space_for(coherent, cap=2048)
     v = km.squeezed_vector(coherent, space)
     assert np.max(np.abs(v - coherent_coefficients(alpha, space))) <= 1e-12
-    squeezed = km.SqueezedState.from_values(alpha, 10.0, math.pi, xi)
+    squeezed = km.SqueezedState(alpha, 10.0, math.pi, xi)
     space = km.fock_space_for(squeezed, cap=2048)
     v = km.squeezed_vector(squeezed, space)
     mean_n = xi * np.sum(np.arange(space.dim) * np.abs(v) ** 2)
@@ -148,7 +148,7 @@ def test_squeezed_vector_past_vacuum_underflow(alpha):
 
 
 def test_squeezed_vector_moments_match_closed_forms():
-    state = km.SqueezedState.from_values(1.0, -math.log(0.5) / 2.0, math.pi, XI)
+    state = km.SqueezedState(1.0, -math.log(0.5) / 2.0, math.pi, XI)
     space = km.fock_space_for(state)
     v = km.squeezed_vector(state, space)
     a = annihilation_matrix(space)
@@ -186,9 +186,22 @@ def test_heisenberg_harmonic_rotation():
         assert val == pytest.approx(np.exp(-1j * params.w1 * t), abs=1e-10)
 
 
+def test_heisenberg_rejects_params_of_another_xi():
+    # the rule of SqueezedState.check_xi: equal floats, no tolerance
+    space = km.FockSpace(64, XI)
+    v = _coherent(0.9, space)
+    idx = km.ObservableIndex(0, 1)
+    for other_xi in (0.5, XI + 2.0**-52):
+        params = km.KerrParams(w1=1.0, w2=0.1, xi=other_xi)
+        with pytest.raises(ValueError, match="different xi"):
+            km.heisenberg_matrix_element(idx, 1.0, v, v, space, params)
+        with pytest.raises(ValueError, match="different xi"):
+            km.heisenberg_expectation_sweep(idx, [0.0, 1.0], v, space, params)
+
+
 def test_heisenberg_time_reversible():
     space = km.FockSpace(96, XI)
-    state = km.SqueezedState.from_values(0.8, 0.2, 0.5, XI)
+    state = km.SqueezedState(0.8, 0.2, 0.5, XI)
     v = km.squeezed_vector(state, space)
     idx = km.ObservableIndex(0, 1)
     base = km.heisenberg_matrix_element(idx, 0.0, v, v, space, PARAMS)
@@ -204,7 +217,7 @@ def test_heisenberg_time_reversible():
 
 def test_sweep_band_matches_dense_products():
     space = km.FockSpace(96, XI)
-    v = km.squeezed_vector(km.SqueezedState.from_values(0.8, 0.2, 0.5, XI), space)
+    v = km.squeezed_vector(km.SqueezedState(0.8, 0.2, 0.5, XI), space)
     a = annihilation_matrix(space)
     adag = a.conj().T
     times = np.array([0.0, 0.3, 1.7, 4.2])
@@ -229,7 +242,7 @@ def test_sweep_band_matches_dense_products():
 def test_closed_form_matches_fock_at_singular_time(s):
     # t~ = pi/2 + delta, down to delta = 0: the closed form has no window
     # or limit substitution, so it holds the Fock value right at the pole
-    state = km.SqueezedState.from_values(1.0, -math.log(s) / (2.0 * XI), math.pi, XI)
+    state = km.SqueezedState(1.0, -math.log(s) / (2.0 * XI), math.pi, XI)
     space = km.fock_space_for(state, cap=2048)
     v = km.squeezed_vector(state, space)
     deltas = np.array([-1e-7, -5e-10, 0.0, 1e-12, 5e-10, 1e-7])

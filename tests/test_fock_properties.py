@@ -17,8 +17,8 @@ def test_squeezed_vector_matches_dense_operator_property(s, radius, arg, phi):
     # the recurrence coefficients do not depend on dim, so the leading 128
     # of a vector built at the dimension the state needs (at least 128) are
     # compared
-    state = km.SqueezedState.from_values(radius * np.exp(1j * arg),
-                                         -math.log(s) / (2.0 * XI), phi, XI)
+    state = km.SqueezedState(radius * np.exp(1j * arg),
+                             -math.log(s) / (2.0 * XI), phi, XI)
     space = km.FockSpace(max(128, km.fock_space_for(state).dim), XI)
     via_vector = km.squeezed_vector(state, space)
     assert np.max(np.abs(via_vector[:128] - _dense_squeezed(state, 128))) <= 1e-12
@@ -31,8 +31,8 @@ def test_squeezed_vector_matches_dense_operator_property(s, radius, arg, phi):
 def test_closed_form_matches_fock_sweep_property(s, radius, arg, dphi, t_tilde):
     # t~ is drawn over three singular periods with no window around the poles
     alpha = radius * np.exp(1j * arg)
-    state = km.SqueezedState.from_values(alpha, -math.log(s) / (2.0 * XI),
-                                         dphi + 2.0 * arg, XI)
+    state = km.SqueezedState(alpha, -math.log(s) / (2.0 * XI),
+                             dphi + 2.0 * arg, XI)
     space = km.fock_space_for(state)
     t = t_tilde / (XI * PARAMS.w2)
     ref = km.heisenberg_expectation_sweep(km.ObservableIndex(0, 1), np.array([t]),

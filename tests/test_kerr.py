@@ -119,7 +119,7 @@ POLE_CALLS = {
     "quantum_phase": lambda: km.quantum_phase(POLE_PT, T_POLE, PARAMS),
     "quantum_trajectory": lambda: km.quantum_trajectory(T_POLE, POLE_PT, PARAMS),
     "expectation_a_quadrature": lambda: km.expectation_a_quadrature(
-        T_POLE, km.SqueezedState.from_values(1.0, 0.3, math.pi, PARAMS.xi), PARAMS),
+        T_POLE, km.SqueezedState(1.0, 0.3, math.pi, PARAMS.xi), PARAMS),
 }
 
 

@@ -259,8 +259,8 @@ def test_pairing_of_theta01_matches_closed_form(s, radius, arg, delta_phi, xi, w
                                                 t_tilde):
     assume(abs(math.cos(t_tilde)) >= 1e-3)
     alpha = radius * cmath.exp(1j * arg)
-    state = km.SqueezedState.from_values(alpha, -math.log(s) / (2.0 * xi),
-                                         delta_phi + 2.0 * arg, xi)
+    state = km.SqueezedState(alpha, -math.log(s) / (2.0 * xi),
+                             delta_phi + 2.0 * arg, xi)
     params = km.KerrParams(w1=w1, w2=w2, xi=xi)
     t = t_tilde / (xi * w2)
     theta = km.moyal_solution_symbolic(km.ObservableIndex(0, 1), t, params)

@@ -15,7 +15,7 @@ XI = 1.0
 def make_state(alpha=1.0, s_target=0.5, delta_phi=math.pi, xi=XI):
     tau_abs = -math.log(s_target) / (2.0 * xi)
     phi = delta_phi + 2.0 * np.angle(alpha)
-    return km.SqueezedState.from_values(alpha, tau_abs, phi, xi)
+    return km.SqueezedState(alpha, tau_abs, phi, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -26,6 +26,11 @@ def test_s_factor_derived():
     state = make_state(s_target=0.37)
     assert state.s == pytest.approx(0.37)
     assert km.SqueezedState(1.0, 0.0, 0.0, XI).s == 1.0
+
+
+def test_from_values_is_the_constructor():
+    args = (0.7 - 0.2j, 0.3, 7.5, XI)       # tau_phase normalized to [0, 2 pi)
+    assert km.SqueezedState.from_values(*args) == km.SqueezedState(*args)
 
 
 @pytest.mark.parametrize("cls,args,field", [
@@ -79,7 +84,7 @@ def test_phase_shift_convention():
     params = km.KerrParams(1.0, 0.3, XI)
     state = make_state(alpha=0.8 + 0.4j, s_target=0.6, delta_phi=1.1)
     delta = 0.77
-    shifted = km.SqueezedState.from_values(
+    shifted = km.SqueezedState(
         state.alpha * np.exp(-1j * delta), state.tau_abs,
         state.tau_phase - 2.0 * delta, XI)
     assert shifted.delta_phi == pytest.approx(state.delta_phi)
@@ -158,7 +163,7 @@ def test_coherent_projector_unit_trace():
 
 def test_squeezed_projector_reduces_to_coherent():
     alpha = 0.5 - 0.7j
-    projector = km.squeezed_projector(km.SqueezedState.from_values(alpha, 0.0, 0.0, XI))
+    projector = km.squeezed_projector(km.SqueezedState(alpha, 0.0, 0.0, XI))
     for q, p in np.random.RandomState(3).uniform(-2, 2, size=(5, 2)):
         pt = PhasePoint(q, p)
         assert projector(pt) == pytest.approx(
@@ -169,8 +174,8 @@ def test_squeezed_projector_covariance_identity():
     rng = np.random.RandomState(4)
     for _ in range(5):
         alpha = complex(*rng.uniform(-1, 1, 2))
-        state = km.SqueezedState.from_values(alpha, rng.uniform(0, 0.9),
-                                             rng.uniform(0, 2 * math.pi), XI)
+        state = km.SqueezedState(alpha, rng.uniform(0, 0.9),
+                                 rng.uniform(0, 2 * math.pi), XI)
         s_mat = km.squeeze_matrix(state.tau_abs, state.tau_phase, XI)
         projector = km.squeezed_projector(state)
         for q, p in rng.uniform(-1.5, 1.5, size=(4, 2)):
@@ -192,7 +197,7 @@ def test_squeezed_projector_unit_trace():
 # ---------------------------------------------------------------------------
 
 def test_variances_coherent_minimum():
-    state = km.SqueezedState.from_values(0.7, 0.0, 0.0, XI)
+    state = km.SqueezedState(0.7, 0.0, 0.0, XI)
     var_q, var_p, cov_f = km.variances(state)
     assert (var_q, var_p, cov_f) == (pytest.approx(XI / 2), pytest.approx(XI / 2),
                                      pytest.approx(0.0))
@@ -211,7 +216,7 @@ def test_schroedinger_robertson_saturation():
     # the cancellation (terms grow like s^-4 for strong squeezing)
     for s_target in (0.9, 0.5, 0.2, 0.1, 0.05):
         for phi in np.linspace(0.0, 2.0 * math.pi, 9):
-            state = km.SqueezedState.from_values(
+            state = km.SqueezedState(
                 0.6 + 0.2j, -math.log(s_target) / (2.0 * XI), phi, XI)
             var_q, var_p, cov_f = km.variances(state)
             tol = 1e-12 * max(1.0, var_q * var_p)
@@ -219,15 +224,15 @@ def test_schroedinger_robertson_saturation():
 
 
 def test_mean_photon_number_limits():
-    assert km.mean_photon_number(km.SqueezedState.from_values(0.9 + 0.3j, 0.0, 0.0, XI)) \
+    assert km.mean_photon_number(km.SqueezedState(0.9 + 0.3j, 0.0, 0.0, XI)) \
         == pytest.approx(abs(0.9 + 0.3j) ** 2)
-    vac = km.SqueezedState.from_values(0.0, 0.4, 1.0, XI)
+    vac = km.SqueezedState(0.0, 0.4, 1.0, XI)
     assert km.mean_photon_number(vac) == pytest.approx(XI * math.sinh(2 * XI * 0.4) ** 2)
 
 
 @pytest.mark.parametrize("xi", [1.0, 0.7])
 def test_mean_photon_number_matches_fock(xi):
-    state = km.SqueezedState.from_values(1.0, -math.log(0.5) / (2.0 * xi), 0.9, xi)
+    state = km.SqueezedState(1.0, -math.log(0.5) / (2.0 * xi), 0.9, xi)
     space = km.fock_space_for(state)
     v = km.squeezed_vector(state, space)
     n_op = np.diag(xi * np.arange(space.dim)).astype(complex)
