@@ -32,7 +32,6 @@ from .kerr import (
     flow_correction_z1,
     initial_symbol,
     jacobi_residual,
-    moyal_solution,
     moyal_solution_symbolic,
     quantum_phase,
     quantum_trajectory,
@@ -53,7 +52,6 @@ from .phase_space import (
 )
 from .states import (
     SqueezedState,
-    coherent_overlap,
     coherent_projector_symbol,
     mean_photon_number,
     rotation_matrix,

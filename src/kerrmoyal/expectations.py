@@ -270,6 +270,7 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
 def matrix_element(idx: ObservableIndex, t: float, alpha: complex, beta: complex,
                    params: KerrParams) -> complex:
     """<alpha|(a^dag(t))^s a(t)^m|beta> in closed form; finite for all t.
+    At (s, m) = (0, 0) it is the coherent overlap <alpha|beta> at every t.
 
     (alpha*)^s beta^m e^{-i(m-s) t (w1 + (m+s-1) xi w2)}
     exp{-(|alpha|^2 + |beta|^2)/(2 xi) + (beta alpha*/xi) e^{-2i(m-s) xi w2 t}}.

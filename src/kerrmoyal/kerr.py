@@ -7,6 +7,12 @@ set (a^dag)^s a^m evolve in closed form, solve d_t Theta = {Theta, H}_M and
 engines), and carry the secant amplitude that diverges periodically at
 cos((m-s) xi w2 t) = 0.
 
+moyal_solution_symbolic is the one implementation of Theta_sm: a
+GaussPolySymbol that star products pair and that is called at a PhasePoint
+for a pointwise value.  initial_symbol (t = 0) and quantum_trajectory
+((s, m) = (0, 1)) are written out separately, as references to check it
+against.
+
 All evaluators here are pure functions of their arguments; at a periodic
 singular time they raise SingularTime (see checked_cos), never return an
 overflowed float.
@@ -115,50 +121,27 @@ def initial_symbol(idx: ObservableIndex, xi: float, x: PhasePoint) -> complex:
 # Exact Moyal solution
 # ---------------------------------------------------------------------------
 
-def _theta_parts(idx: ObservableIndex, t: float,
-                 params: KerrParams) -> tuple[float, complex, complex]:
-    """(t~, amplitude, base) of Theta_sm: the amplitude
-    exp(-i(m-s) w1 t) sec^{s+m+1} t~ and the series base -(xi/2) e^{-i t~} cos t~.
+def moyal_solution_symbolic(idx: ObservableIndex, t: float,
+                            params: KerrParams) -> GaussPolySymbol:
+    """Theta_sm(t|.) in closed form, the one evaluator of the Moyal solution:
 
-    Raises SingularTime at a pole of sec t~.  w1 t is formed before the
+        Theta_sm(t|x) = e^{-i(m-s) w1 t} sec^{s+m+1}(t~) e^{2i t~} e^{-(i/xi) tan(t~) x^2}
+                        sum_l W(m,s,l) [-(xi/2) e^{-i t~} cos t~]^l abar^{s-l} a^{m-l}
+
+    with a = z/sqrt(2).  The Gaussian factor is the symbol's quadratic form;
+    the amplitude and the series base are folded into the polynomial
+    coefficients, one per l at the distinct key (m - l, s - l).  Call the
+    result at a PhasePoint for the pointwise value.
+
+    Raises SingularTime at a pole of sec t~.  For s = m, t~ = 0: the solution
+    is a constant of motion and never singular.  w1 t is formed before the
     factor m - s, so the phase is finite wherever w1 t is.
     """
     tt = idx.t_tilde(t, params)
     cos_tt = checked_cos(tt)
-    amplitude = (np.exp(-1j * (idx.m - idx.s) * (params.w1 * t))
-                 * (1.0 / cos_tt) ** (idx.s + idx.m + 1))
+    pref = (np.exp(-1j * (idx.m - idx.s) * (params.w1 * t))
+            * (1.0 / cos_tt) ** (idx.s + idx.m + 1) * np.exp(2j * tt))
     base = -0.5 * params.xi * np.exp(-1j * tt) * cos_tt
-    return tt, amplitude, base
-
-
-def moyal_solution(idx: ObservableIndex, t: float, x: PhasePoint,
-                   params: KerrParams) -> complex:
-    """Theta_sm(t|x) in closed form.
-
-    Raises SingularTime at a pole of sec t~.  For s = m, t~ = 0: the solution
-    is a constant of motion and never singular.
-    """
-    tt, amplitude, base = _theta_parts(idx, t, params)
-    a = x.z / _SQRT2
-    abar = x.zbar / _SQRT2
-    series = 0.0 + 0.0j
-    for l in range(min(idx.s, idx.m) + 1):
-        series += (w_coefficient(idx.m, idx.s, l) * base ** l
-                   * abar ** (idx.s - l) * a ** (idx.m - l))
-    return (amplitude * np.exp(2j * tt - 1j * x.x2 * math.tan(tt) / params.xi)
-            * series)
-
-
-def moyal_solution_symbolic(idx: ObservableIndex, t: float,
-                            params: KerrParams) -> GaussPolySymbol:
-    """Theta_sm(t|.) packaged as a GaussPolySymbol for star-product work.
-
-    The Gaussian factor is exp(-(i/xi) tan(t~) x^2); the secant amplitude and
-    phases are folded into the polynomial coefficients, one per l at the
-    distinct key (m - l, s - l).
-    """
-    tt, amplitude, base = _theta_parts(idx, t, params)
-    pref = amplitude * np.exp(2j * tt)
     coeffs = {(idx.m - l, idx.s - l): (pref * w_coefficient(idx.m, idx.s, l) * base ** l
                                        * 2.0 ** (-(idx.s + idx.m - 2 * l) / 2.0))
               for l in range(min(idx.s, idx.m) + 1)}

@@ -80,16 +80,8 @@ class ZPoly:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls) -> "ZPoly":
-        return cls()
-
-    @classmethod
     def constant(cls, c: complex) -> "ZPoly":
         return cls({(0, 0): c})
-
-    @classmethod
-    def one(cls) -> "ZPoly":
-        return cls.constant(1.0)
 
     @classmethod
     def monomial(cls, k: int, l: int, c: complex = 1.0) -> "ZPoly":
@@ -146,7 +138,9 @@ class ZPoly:
             zbar = np.conj(z)
         total = 0.0 + 0.0j
         for (k, l), c in self.coeffs.items():
-            total += c * z**k * zbar**l
+            # z^k z*^l first, so swapping (k, l) and conjugating c conjugates
+            # the value exactly: Theta_ms(x) is conj(Theta_sm(x)) to the bit
+            total += c * (z**k * zbar**l)
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -209,13 +203,6 @@ class GaussPolySymbol:
     @classmethod
     def constant(cls, c: complex) -> "GaussPolySymbol":
         return cls.polynomial(ZPoly.constant(c))
-
-    @classmethod
-    def gaussian(cls, quad, lin=None, const: complex = 0.0,
-                 poly: ZPoly | None = None) -> "GaussPolySymbol":
-        lin = np.zeros(2) if lin is None else lin
-        poly = ZPoly.one() if poly is None else poly
-        return cls(quad, lin, const, poly)
 
     # -- structure ----------------------------------------------------
     @property
@@ -321,7 +308,7 @@ def _gaussian_moment(counts: tuple[int, ...], means: list[ZPoly],
     multi-index.
     """
     if all(c == 0 for c in counts):
-        return ZPoly.one()
+        return ZPoly.constant(1.0)
     if counts in memo:
         return memo[counts]
     i = next(idx for idx, c in enumerate(counts) if c > 0)
@@ -389,7 +376,7 @@ def star_gaussian(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
 
     pref = 1.0 / (xi * xi * sqrt_det)
     memo: dict = {}
-    poly_out = ZPoly.zero()
+    poly_out = ZPoly()
     for (k1, l1), c1 in f.poly.coeffs.items():
         for (k2, l2), c2 in g.poly.coeffs.items():
             mom = _gaussian_moment((k1, l1, k2, l2), means, cov_forms, memo)
@@ -409,7 +396,7 @@ def star_differential(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> Gaus
     if not f.is_polynomial:
         raise ValueError("left factor must be purely polynomial; use star_gaussian")
     max_order = f.poly.degree
-    total = ZPoly.zero()
+    total = ZPoly()
     for n in range(max_order + 1):
         coeff_n = xi**n / math.factorial(n)
         for k in range(n + 1):

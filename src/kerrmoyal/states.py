@@ -177,8 +177,3 @@ def mean_photon_number(state: SqueezedState) -> float:
     shifted = alpha * ch + np.conj(alpha) * np.exp(1j * state.tau_phase) * sh
     return xi * sh * sh + float(abs(shifted)) ** 2
 
-
-def coherent_overlap(alpha: complex, beta: complex, xi: float) -> complex:
-    """<alpha|beta> = exp[-(|alpha|^2/2 + |beta|^2/2 - alpha* beta)/xi]."""
-    return np.exp((-0.5 * abs(alpha) ** 2 - 0.5 * abs(beta) ** 2
-                   + np.conj(alpha) * beta) / xi)

@@ -116,14 +116,15 @@ def moyal_equation_deviations(params: kerr.KerrParams, indices, times, pts):
     xi (m-s) Theta.
 
     For s != m, Theta * H goes through star_gaussian and H * Theta through
-    star_differential; d_t is a fourth-order central difference of
-    moyal_solution in t.  Both identities are read without the bracket's
-    1/xi, so their rounding does not grow as xi -> 0.  The first deviation
-    is relative to |Theta * H| + |H * Theta| + xi |d_t Theta|, the size of
-    the terms that cancel, plus xi |Theta|, which keeps the stencil's
-    rounding (about eps xi |Theta| / h) under the bound where H vanishes;
-    the second (exact: N is quadratic) to 1 + |Theta|.  A time with
-    |cos t~| < 0.2, where the stencil's rounding grows, is skipped.
+    star_differential; d_t is a fourth-order central difference in t of the
+    symbols moyal_solution_symbolic builds at t - 2h, ..., t + 2h.  Both
+    identities are read without the bracket's 1/xi, so their rounding does
+    not grow as xi -> 0.  The first deviation is relative to |Theta * H| +
+    |H * Theta| + xi |d_t Theta|, the size of the terms that cancel, plus
+    xi |Theta|, which keeps the stencil's rounding (about eps xi |Theta| / h)
+    under the bound where H vanishes; the second (exact: N is quadratic) to
+    1 + |Theta|.  A time with |cos t~| < 0.2, where the stencil's rounding
+    grows, is skipped.
     """
     w1, w2, xi, h = params.w1, params.w2, params.xi, 5e-5
     n_poly = ZPoly({(1, 1): 0.5, (0, 0): -0.5 * xi})
@@ -134,12 +135,14 @@ def moyal_equation_deviations(params: kerr.KerrParams, indices, times, pts):
     for idx in indices:
         for t in (u for u in times if abs(math.cos(idx.t_tilde(u, params))) >= 0.2):
             theta = kerr.moyal_solution_symbolic(idx, t, params)
+            stencil = [kerr.moyal_solution_symbolic(idx, t + k * h, params)
+                       for k in (-2, -1, 1, 2)]
             theta_h = star_product(theta, ham, xi)
             h_theta = star_product(ham, theta, xi)
             eigen = (star_product(theta, number, xi) - star_product(number, theta, xi)
                      - theta.scale(xi * (idx.m - idx.s)))
             for pt in pts:
-                v = [kerr.moyal_solution(idx, t + k * h, pt, params) for k in (-2, -1, 1, 2)]
+                v = [sym(pt) for sym in stencil]
                 d_t = (8.0 * (v[2] - v[1]) - (v[3] - v[0])) / (12.0 * h)
                 left, right, value = theta_h(pt), h_theta(pt), theta(pt)
                 size = abs(left) + abs(right) + xi * (abs(d_t) + abs(value))
@@ -156,36 +159,37 @@ def validate_moyal(params: kerr.KerrParams) -> SuiteReport:
     times = [0.3, 1.1, 2.7]
 
     indices = [kerr.ObservableIndex(s, m) for s in range(3) for m in range(3)]
-    dev = _worst(abs(kerr.moyal_solution(idx, 0.0, pt, params)
-                     - kerr.initial_symbol(idx, params.xi, pt))
+    theta = {(idx, t): kerr.moyal_solution_symbolic(idx, t, params)
+             for idx in indices for t in [0.0] + times}
+    dev = _worst(abs(theta[idx, 0.0](pt) - kerr.initial_symbol(idx, params.xi, pt))
                  for idx in indices for pt in pts)
-    report.checks.append(CheckResult("t0_reduction", dev, 1e-12))
+    report.checks.append(CheckResult("t0_reduction", dev, 1e-14))
 
-    dev = _worst(abs(np.conj(kerr.moyal_solution(idx, t, pt, params))
-                     - kerr.moyal_solution(kerr.ObservableIndex(idx.m, idx.s), t, pt, params))
+    dev = _worst(abs(np.conj(theta[idx, t](pt))
+                     - theta[kerr.ObservableIndex(idx.m, idx.s), t](pt))
                  for idx in indices for t in times for pt in pts[:2])
-    report.checks.append(CheckResult("adjoint_symmetry", dev, 1e-10))
+    report.checks.append(CheckResult("adjoint_symmetry", dev, 1e-12))
 
-    dev = _worst(abs(kerr.moyal_solution(idx, 7.31, pt, params)
-                     - kerr.moyal_solution(idx, 0.0, pt, params))
-                 for idx in (kerr.ObservableIndex(m, m) for m in range(1, 4))
-                 for pt in pts[:2])
-    report.checks.append(CheckResult("constants_of_motion", dev, 1e-12))
+    devs = []
+    for idx in (kerr.ObservableIndex(m, m) for m in range(1, 4)):
+        late, early = (kerr.moyal_solution_symbolic(idx, t, params) for t in (7.31, 0.0))
+        devs += [abs(late(pt) - early(pt)) for pt in pts[:2]]
+    report.checks.append(CheckResult("constants_of_motion", _worst(devs), 1e-12))
 
     pde, eig = moyal_equation_deviations(params, indices, times, pts[:2])
     report.checks.append(CheckResult("pde_residual", pde, 1e-10))
     report.checks.append(CheckResult("angular_eigenvalue", eig, 5e-13))
 
     dev = _worst(abs(kerr.quantum_trajectory(t, pt, params)
-                     - kerr.moyal_solution(kerr.ObservableIndex(0, 1), t, pt, params))
+                     - theta[kerr.ObservableIndex(0, 1), t](pt))
                  for t in times for pt in pts[:2])
     report.checks.append(CheckResult("trajectory_consistency", dev, 1e-12))
 
     # Z(t) * Z(t) = x^2: the conserved intensity through the star product
     devs = []
     for t in times[:2]:
-        t01 = kerr.moyal_solution_symbolic(kerr.ObservableIndex(0, 1), t, params)
-        t10 = kerr.moyal_solution_symbolic(kerr.ObservableIndex(1, 0), t, params)
+        t01 = theta[kerr.ObservableIndex(0, 1), t]
+        t10 = theta[kerr.ObservableIndex(1, 0), t]
         prod = star_gaussian(t10, t01, params.xi) + star_gaussian(t01, t10, params.xi)
         devs += [abs(prod(pt) - pt.x2) for pt in pts[:2]]
     report.checks.append(CheckResult("z_star_z_conserved", _worst(devs), 1e-13))
@@ -225,7 +229,7 @@ def validate_states(params: kerr.KerrParams) -> SuiteReport:
     s1 = states.squeeze_matrix(0.35, 0.8, xi)
     s2 = states.squeeze_matrix(0.7, 0.8, xi)
     dev = float(np.max(np.abs(s1 @ s1 - s2)))
-    report.checks.append(CheckResult("squeeze_group_law", dev, 1e-12))
+    report.checks.append(CheckResult("squeeze_group_law", dev, 1e-13))
 
     state = states.SqueezedState(1.0, -math.log(0.5) / (2.0 * xi), math.pi, xi)
     space = fock.fock_space_for(state)
@@ -239,8 +243,9 @@ def validate_states(params: kerr.KerrParams) -> SuiteReport:
     left, right = (states.SqueezedState(amp, 0.0, 0.0, xi) for amp in (alpha, beta))
     sp = fock.fock_space_for(left)
     ov_fock = complex(np.conj(fock.squeezed_vector(left, sp)) @ fock.squeezed_vector(right, sp))
-    dev = abs(ov_fock - states.coherent_overlap(alpha, beta, xi))
-    report.checks.append(CheckResult("coherent_overlap_vs_fock", float(dev), 1e-10))
+    dev = abs(ov_fock - expectations.matrix_element(kerr.ObservableIndex(0, 0), 0.0,
+                                                    alpha, beta, params))
+    report.checks.append(CheckResult("coherent_overlap_vs_fock", float(dev), 1e-14))
     return report
 
 

@@ -9,8 +9,6 @@ PACKAGE = ROOT / "src" / "kerrmoyal"
 # Exported names that serve an acceptance check rather than the product or
 # the benchmark, each with the test it serves.
 ACCEPTANCE_REFERENCES = {
-    # closed form against the Fock oracle, acceptance criterion 04
-    "matrix_element": ("test_acceptance.py", "test_criterion_04_matrix_elements"),
     # half-angle convention of the rotational equivariance of Theta_sm
     "rotation_matrix": ("test_kerr.py", "test_rotational_equivariance"),
     # classical-limit asymptotics, acceptance criterion 08

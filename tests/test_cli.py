@@ -152,8 +152,8 @@ def test_expect_record_matches_library(tmp_path, capsys):
     assert rec["a_re"] == pytest.approx(res.value.real)
     assert rec["mean_q"] == pytest.approx(res.mean_q)
     assert rec["branch_winding"] == km.expectations.branch_winding(0.8, params) == 0
-    assert rec["fock_deviation"] <= 1e-8
-    assert rec["quadrature_deviation"] <= 1e-6
+    assert rec["fock_deviation"] <= 1e-14
+    assert rec["quadrature_deviation"] <= 1e-14
 
 
 def test_expect_check_at_a_pole_marks_the_quadrature_singular(capsys):
@@ -351,13 +351,13 @@ def test_validate_report_is_strict_json(capsys):
 
 def test_validate_catches_injected_sign_flip(monkeypatch, tmp_path, capsys):
     # a deliberate w2 sign fault in the solution must fail the moyal suite
-    true_solution = kerr.moyal_solution
+    true_solution = kerr.moyal_solution_symbolic
 
-    def flipped(idx, t, x, params):
+    def flipped(idx, t, params):
         bad = kerr.KerrParams(params.w1, -params.w2, params.xi)
-        return true_solution(idx, t, x, bad)
+        return true_solution(idx, t, bad)
 
-    monkeypatch.setattr(kerr, "moyal_solution", flipped)
+    monkeypatch.setattr(kerr, "moyal_solution_symbolic", flipped)
     report = validate.validate_moyal(kerr.KerrParams(w1=1.0, w2=0.1, xi=1.0))
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
@@ -374,22 +374,22 @@ def _swap_monomial_keys(symbolic):
     return swapped
 
 
-def _extra_secant(theta_parts):
-    def parts(idx, t, params):
-        tt, amplitude, base = theta_parts(idx, t, params)
-        return tt, amplitude / math.cos(tt), base
-    return parts
+def _extra_secant(symbolic):
+    def secant(idx, t, params):
+        return symbolic(idx, t, params).scale(1.0 / math.cos(idx.t_tilde(t, params)))
+    return secant
 
 
 @pytest.mark.parametrize("name,mutate,check", [
-    ("_theta_parts", _extra_secant, "pde_residual"),
+    ("moyal_solution_symbolic", _extra_secant, "pde_residual"),
     ("moyal_solution_symbolic", _swap_monomial_keys, "angular_eigenvalue"),
 ], ids=["secant-power", "monomial-keys"])
 def test_validate_moyal_identities_catch_a_perturbed_solution(monkeypatch, name, mutate,
                                                               check):
-    # sec^{s+m+2} t~ changes Theta_sm and its symbol alike, so only the
-    # equation of motion sees it; swapping z^k z*^l for z^l z*^k turns the
-    # number commutator's eigenvalue xi (m-s) into xi (s-m)
+    # sec^{s+m+2} t~ keeps every symmetry of Theta_sm, so of the checks that
+    # read Theta_sm alone only the equation of motion sees it; swapping
+    # z^k z*^l for z^l z*^k turns the number commutator's eigenvalue
+    # xi (m-s) into xi (s-m)
     monkeypatch.setattr(kerr, name, mutate(getattr(kerr, name)))
     report = validate.validate_moyal(kerr.KerrParams(w1=1.0, w2=0.1, xi=1.0))
     assert report.to_dict()["passed"] is False
@@ -397,7 +397,7 @@ def test_validate_moyal_identities_catch_a_perturbed_solution(monkeypatch, name,
 
 
 def test_validate_keeps_a_nan_deviation():
-    # w1 t overflows, so every moyal_solution value at t > 0 is NaN; a fold
+    # w1 t overflows, so every Theta_sm value at t > 0 with s != m is NaN; a fold
     # that drops a NaN read 0.0 here and passed both checks
     with np.errstate(all="ignore"):
         report = validate.validate_moyal(kerr.KerrParams(w1=1e308, w2=0.1, xi=1.0))

@@ -226,7 +226,7 @@ def test_quadrature_matches_closed_form_squeezed():
     state = make_state(1.0, 0.5, math.pi)
     closed = km.expectation_a_closed(1.0, state, params).value
     quad = km.expectation_a_quadrature(1.0, state, params, tol=1e-8)
-    assert abs(quad - closed) <= 1e-6 * (1.0 + abs(closed))
+    assert abs(quad - closed) <= 1e-14 * (1.0 + abs(closed))
 
 
 def test_quadrature_harmonic_coherent():
@@ -234,13 +234,13 @@ def test_quadrature_harmonic_coherent():
     state = km.SqueezedState(1.0, 0.0, 0.0, 1.0)
     for t in (0.7, 2.9):
         quad = km.expectation_a_quadrature(t, state, params, tol=1e-9)
-        assert abs(quad - np.exp(-1j * params.w1 * t)) <= 1e-8
+        assert abs(quad - np.exp(-1j * params.w1 * t)) <= 1e-14
 
 
 def test_quadrature_t0_bogoliubov():
     state = make_state(0.8 + 0.1j, 0.4, 1.3)
     quad = km.expectation_a_quadrature(0.0, state, PARAMS, tol=1e-9)
-    assert abs(quad - bogoliubov_mean(state)) <= 1e-8
+    assert abs(quad - bogoliubov_mean(state)) <= 1e-14
 
 
 def test_quadrature_tolerance_not_met_reports_achieved():
@@ -551,7 +551,10 @@ def test_semiclassical_expectation_convergence():
 def test_matrix_element_overlap_case():
     alpha, beta = 0.9 + 0.1j, -0.4 + 0.6j
     val = km.matrix_element(km.ObservableIndex(0, 0), 3.7, alpha, beta, PARAMS)
-    assert val == pytest.approx(km.coherent_overlap(alpha, beta, XI), abs=1e-14)
+    # <alpha|beta> = exp[-(|alpha|^2/2 + |beta|^2/2 - alpha* beta)/xi] at every t
+    overlap = np.exp((-0.5 * abs(alpha) ** 2 - 0.5 * abs(beta) ** 2
+                      + np.conj(alpha) * beta) / XI)
+    assert val == pytest.approx(overlap, abs=1e-14)
 
 
 def test_matrix_element_eigenvalue_case():

@@ -97,7 +97,7 @@ def test_moyal_solution_identity_operator():
     idx = km.ObservableIndex(0, 0)
     for t in (0.0, 0.7, 13.2):
         for pt in POINTS[:3]:
-            assert km.moyal_solution(idx, t, pt, PARAMS) == pytest.approx(1.0)
+            assert km.moyal_solution_symbolic(idx, t, PARAMS)(pt) == pytest.approx(1.0)
 
 
 def test_moyal_solution_number_is_constant():
@@ -105,7 +105,7 @@ def test_moyal_solution_number_is_constant():
     pt = PhasePoint(1.2, -0.3)
     expected = 0.5 * pt.x2 - 0.5 * PARAMS.xi
     for t in (0.0, 0.9, 4.2, math.pi / 2):
-        assert km.moyal_solution(idx, t, pt, PARAMS) == pytest.approx(expected)
+        assert km.moyal_solution_symbolic(idx, t, PARAMS)(pt) == pytest.approx(expected)
 
 
 # With PARAMS, t = pi/2 puts t~ = pi/2 for (s, m) = (0, 1), for the
@@ -114,7 +114,6 @@ T_POLE = math.pi / 2.0
 POLE_PT = PhasePoint(1.0, 0.0)
 IDX_01 = km.ObservableIndex(0, 1)
 POLE_CALLS = {
-    "moyal_solution": lambda: km.moyal_solution(IDX_01, T_POLE, POLE_PT, PARAMS),
     "moyal_solution_symbolic": lambda: km.moyal_solution_symbolic(IDX_01, T_POLE, PARAMS),
     "quantum_phase": lambda: km.quantum_phase(POLE_PT, T_POLE, PARAMS),
     "quantum_trajectory": lambda: km.quantum_trajectory(T_POLE, POLE_PT, PARAMS),
@@ -133,8 +132,6 @@ def test_diagonal_index_has_no_pole():
     # t~ = (m - s) xi w2 t is exactly 0 for s = m
     idx = km.ObservableIndex(2, 2)
     for t in (T_POLE, 3.0 * T_POLE):
-        assert km.moyal_solution(idx, t, POLE_PT, PARAMS) == pytest.approx(
-            km.initial_symbol(idx, PARAMS.xi, POLE_PT))
         assert km.moyal_solution_symbolic(idx, t, PARAMS)(POLE_PT) == pytest.approx(
             km.initial_symbol(idx, PARAMS.xi, POLE_PT))
 
@@ -144,7 +141,7 @@ def test_moyal_solution_t0_reduction():
         for m in range(5):
             idx = km.ObservableIndex(s, m)
             for pt in POINTS[:3]:
-                v0 = km.moyal_solution(idx, 0.0, pt, PARAMS)
+                v0 = km.moyal_solution_symbolic(idx, 0.0, PARAMS)(pt)
                 assert abs(v0 - km.initial_symbol(idx, PARAMS.xi, pt)) <= 1e-12
 
 
@@ -158,7 +155,6 @@ def test_t0_reduction_at_huge_w1():
         for m in range(4):
             idx = km.ObservableIndex(s, m)
             ref = km.initial_symbol(idx, params.xi, pt)
-            assert km.moyal_solution(idx, 0.0, pt, params) == ref
             assert abs(km.moyal_solution_symbolic(idx, 0.0, params)(pt) - ref) <= 1e-15
 
 
@@ -171,7 +167,6 @@ def test_t0_reduction_at_huge_w2():
             for m in range(4):
                 idx = km.ObservableIndex(s, m)
                 ref = km.initial_symbol(idx, xi, pt)
-                assert km.moyal_solution(idx, 0.0, pt, params) == ref
                 assert abs(km.moyal_solution_symbolic(idx, 0.0, params)(pt) - ref) <= 1e-15
         assert km.quantum_phase(pt, 0.0, params) == 0.0
         # at x^2 = 2.34 x^2 w2 overflows too; the classical angle takes w2 t first
@@ -183,7 +178,7 @@ def test_t_tilde_overflow_raises():
     # xi (w2 t) = 2e308 is inf: a typed error naming t~, not a math domain error
     params = km.KerrParams(1.0, 1e308, 2.0)
     with pytest.raises(OverflowError, match="t~"):
-        km.moyal_solution(km.ObservableIndex(0, 1), 1.0, PhasePoint(0.1, 0.2), params)
+        km.moyal_solution_symbolic(km.ObservableIndex(0, 1), 1.0, params)
 
 
 def test_constant_of_motion_at_huge_w2_t():
@@ -193,8 +188,8 @@ def test_constant_of_motion_at_huge_w2_t():
     pt = PhasePoint(0.5, 0.3)
     for n in range(3):
         idx = km.ObservableIndex(n, n)
-        assert km.moyal_solution(idx, 10.0, pt, params) == km.moyal_solution(
-            idx, 0.0, pt, params)
+        assert (km.moyal_solution_symbolic(idx, 10.0, params)(pt)
+                == km.moyal_solution_symbolic(idx, 0.0, params)(pt))
 
 
 def test_adjoint_symmetry():
@@ -203,8 +198,8 @@ def test_adjoint_symmetry():
         s, m = rng.randint(0, 6), rng.randint(0, 6)
         t = float(rng.uniform(0.0, 2.5))
         pt = PhasePoint(*rng.uniform(-1.5, 1.5, 2))
-        v = km.moyal_solution(km.ObservableIndex(s, m), t, pt, PARAMS)
-        w = km.moyal_solution(km.ObservableIndex(m, s), t, pt, PARAMS)
+        v = km.moyal_solution_symbolic(km.ObservableIndex(s, m), t, PARAMS)(pt)
+        w = km.moyal_solution_symbolic(km.ObservableIndex(m, s), t, PARAMS)(pt)
         assert np.conj(v) == pytest.approx(w, abs=1e-12)
 
 
@@ -218,8 +213,8 @@ def test_adjoint_symmetry_property(s, m, q, p, t, w2, xi):
     cos_tt = math.cos(idx.t_tilde(t, params))
     assume(s == m or abs(cos_tt) >= 1e-3)
     pt = PhasePoint(q, p)
-    v = km.moyal_solution(idx, t, pt, params)
-    w = km.moyal_solution(km.ObservableIndex(m, s), t, pt, params)
+    v = km.moyal_solution_symbolic(idx, t, params)(pt)
+    w = km.moyal_solution_symbolic(km.ObservableIndex(m, s), t, params)(pt)
     # relative to sum |terms| of the finite sum, the scale at which it is
     # rounded: Theta_ss is real but its series can cancel to near zero
     r = math.hypot(q, p) / math.sqrt(2.0)
@@ -233,9 +228,9 @@ def test_constants_of_motion_exact():
     for m in range(6):
         idx = km.ObservableIndex(m, m)
         for pt in POINTS[:2]:
-            v0 = km.moyal_solution(idx, 0.0, pt, PARAMS)
+            v0 = km.moyal_solution_symbolic(idx, 0.0, PARAMS)(pt)
             for t in (0.37, 2.9, 11.0):
-                assert km.moyal_solution(idx, t, pt, PARAMS) == v0
+                assert km.moyal_solution_symbolic(idx, t, PARAMS)(pt) == v0
 
 
 def test_harmonic_limit_phase_only():
@@ -243,7 +238,7 @@ def test_harmonic_limit_phase_only():
     idx = km.ObservableIndex(0, 1)
     for t in (0.5, 2.0, 7.7):
         for pt in POINTS[:3]:
-            val = km.moyal_solution(idx, t, pt, params)
+            val = km.moyal_solution_symbolic(idx, t, params)(pt)
             ref = np.exp(-1j * params.w1 * t) * pt.z / math.sqrt(2.0)
             assert val == pytest.approx(ref, abs=1e-14)
 
@@ -257,30 +252,41 @@ def test_rotational_equivariance():
         idx = km.ObservableIndex(s, m)
         for pt in POINTS[:3]:
             mapped = PhasePoint(*(rot @ pt.as_array()))
-            lhs = km.moyal_solution(idx, 0.55, mapped, PARAMS)
+            lhs = km.moyal_solution_symbolic(idx, 0.55, PARAMS)(mapped)
             rhs = (np.exp(1j * (m - s) * phi / 2.0)
-                   * km.moyal_solution(idx, 0.55, pt, PARAMS))
+                   * km.moyal_solution_symbolic(idx, 0.55, PARAMS)(pt))
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
-
-
-def test_symbolic_matches_pointwise():
-    rng = np.random.RandomState(19)
-    for _ in range(100):
-        s, m = rng.randint(0, 4), rng.randint(0, 4)
-        t = float(rng.uniform(0.05, 1.2))
-        idx = km.ObservableIndex(s, m)
-        if abs(math.cos(idx.t_tilde(t, PARAMS))) < 1e-3:
-            continue
-        sym = km.moyal_solution_symbolic(idx, t, PARAMS)
-        pt = PhasePoint(*rng.uniform(-1.5, 1.5, 2))
-        direct = km.moyal_solution(idx, t, pt, PARAMS)
-        assert abs(sym(pt) - direct) <= 1e-12 * (1.0 + abs(direct))
 
 
 def test_symbolic_t0_is_pure_polynomial():
     sym = km.moyal_solution_symbolic(km.ObservableIndex(0, 1), 0.0, PARAMS)
     assert sym.is_polynomial
     assert sym.poly.coeffs == {(1, 0): pytest.approx(1.0 / math.sqrt(2.0))}
+
+
+@pytest.mark.parametrize("xi,w2,w1", [(1.0, 0.1, 1.0), (0.5, 1.0, 5.0)])
+def test_every_symbol_pairs_to_the_fock_expectation(xi, w2, w1):
+    # <(a^dag)^s a^m (t)> = int Theta_sm(t|x) W(x) d^2x / (2 pi xi) for every
+    # s + m <= 4: the symbol through the pairing, against the Heisenberg
+    # sweep at 4x the fock_space_for dimension, away from the poles
+    params = km.KerrParams(w1, w2, xi)
+    times = np.linspace(0.0, math.pi / (xi * w2), 13)[:-1]
+    worst = 0.0
+    for s_target, delta_phi in ((0.5, math.pi), (0.5, 0.0), (0.8, 1.1)):
+        state = km.SqueezedState(1.0, -math.log(s_target) / (2.0 * xi), delta_phi, xi)
+        space = km.FockSpace(4 * km.fock_space_for(state).dim, xi)
+        v = km.squeezed_vector(state, space)
+        projector = km.squeezed_projector(state)
+        for s in range(5):
+            for m in range(5 - s):
+                idx = km.ObservableIndex(s, m)
+                ts = [t for t in times if abs(math.cos(idx.t_tilde(t, params))) > 0.2]
+                oracle = km.heisenberg_expectation_sweep(idx, ts, v, space, params)
+                for t, ref in zip(ts, oracle):
+                    theta = km.moyal_solution_symbolic(idx, t, params)
+                    val = km.phase_space_inner_product(theta, projector, xi) / (2 * math.pi * xi)
+                    worst = max(worst, abs(val - ref) / (1.0 + abs(ref)))
+    assert worst <= 1e-11
 
 
 def test_heisenberg_commutator_through_star_engine():
@@ -377,7 +383,7 @@ def test_quantum_trajectory_equals_moyal_solution():
     for _ in range(20):
         t = float(rng.uniform(0.05, 1.3))
         pt = PhasePoint(*rng.uniform(-1.5, 1.5, 2))
-        ref = km.moyal_solution(km.ObservableIndex(0, 1), t, pt, PARAMS)
+        ref = km.moyal_solution_symbolic(km.ObservableIndex(0, 1), t, PARAMS)(pt)
         assert abs(km.quantum_trajectory(t, pt, PARAMS) - ref) <= 1e-12 * (1 + abs(ref))
 
 

@@ -98,8 +98,8 @@ def test_engine_agreement_gaussian_suite():
     gaussians = [
         km.squeezed_projector(km.SqueezedState(0.0, 0.0, 0.0, XI)),
         km.squeezed_projector(km.SqueezedState(0.6 - 0.4j, 0.0, 0.0, XI)),
-        GaussPolySymbol.gaussian(-0.7j * np.eye(2), np.array([0.2, -0.1j]), 0.1,
-                                 ZPoly.monomial(1, 1, 0.5) + ZPoly.one()),
+        GaussPolySymbol(-0.7j * np.eye(2), np.array([0.2, -0.1j]), 0.1,
+                        ZPoly.monomial(1, 1, 0.5) + ZPoly.constant(1.0)),
     ]
     monos = [(k, l) for k in range(3) for l in range(3 - k)]
     for k1, l1 in monos:
@@ -225,7 +225,8 @@ def test_inner_product_overlap_structure():
     pa = km.squeezed_projector(km.SqueezedState(alpha, 0.0, 0.0, XI))
     pb = km.squeezed_projector(km.SqueezedState(beta, 0.0, 0.0, XI))
     val = km.phase_space_inner_product(pa, pb, XI) / (2.0 * math.pi * XI)
-    assert val == pytest.approx(abs(km.coherent_overlap(alpha, beta, XI)) ** 2, abs=1e-12)
+    # |<alpha|beta>|^2 = exp(-|alpha - beta|^2 / xi)
+    assert val == pytest.approx(math.exp(-abs(alpha - beta) ** 2 / XI), abs=1e-12)
 
 
 def test_inner_product_divergent_for_constants():
@@ -237,7 +238,7 @@ def test_inner_product_divergent_for_constants():
 def test_inner_product_of_non_finite_form_raises():
     # the symmetry check lets equal infinities through; the pairing's
     # closed-form eigenvalues are then NaN and must not reach the result
-    steep = GaussPolySymbol.gaussian(np.diag([-math.inf, -1.0]))
+    steep = GaussPolySymbol(np.diag([-math.inf, -1.0]), np.zeros(2), 0.0, ZPoly.constant(1.0))
     with pytest.raises(DivergentIntegral):
         km.phase_space_inner_product(steep, GaussPolySymbol.constant(1.0), XI)
 
@@ -245,7 +246,7 @@ def test_inner_product_of_non_finite_form_raises():
 def test_star_gaussian_degenerate_form_raises():
     # exp(-(i/xi) x^2) paired with itself zeroes an eigenvalue of the
     # Berezin form: the eps-regularized determinant stays singular
-    osc = GaussPolySymbol.gaussian(-(1j / XI) * np.eye(2))
+    osc = GaussPolySymbol(-(1j / XI) * np.eye(2), np.zeros(2), 0.0, ZPoly.constant(1.0))
     with pytest.raises(DegenerateQuadraticForm):
         km.star_gaussian(osc, osc, XI)
 

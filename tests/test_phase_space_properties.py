@@ -108,7 +108,7 @@ def test_derivative_of_an_asymmetric_form_matches_its_values():
 def _symbol(slots, const):
     """Symbol with quad [[s0, s1], [s1, s2]] and lin (s3, s4)."""
     return GaussPolySymbol(np.array([[slots[0], slots[1]], [slots[1], slots[2]]]),
-                           np.array(slots[3:]), const, ZPoly.one())
+                           np.array(slots[3:]), const, ZPoly.constant(1.0))
 
 
 def _adds(f, g):

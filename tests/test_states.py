@@ -246,4 +246,7 @@ def test_coherent_overlap_formula():
     va, vb = (km.squeezed_vector(km.SqueezedState(amp, 0.0, 0.0, XI), space)
               for amp in (alpha, beta))
     ov = complex(np.conj(va) @ vb)
-    assert km.coherent_overlap(alpha, beta, XI) == pytest.approx(ov, abs=1e-10)
+    # the overlap is the (0, 0) coherent matrix element at t = 0
+    closed = km.matrix_element(km.ObservableIndex(0, 0), 0.0, alpha, beta,
+                               km.KerrParams(1.0, 0.1, XI))
+    assert closed == pytest.approx(ov, abs=1e-10)
