@@ -8,9 +8,10 @@ amplitude.  So the kept coefficients do not depend on the truncation, and
 1 - ||v||^2 is the mass the truncation misses, the one tail test.  The Kerr
 Hamiltonian is diagonal, so Heisenberg evolution is an exact elementwise
 phase multiplication with no time-stepping error, and (a^dag)^s a^m is a
-single band at offset m - s: a sweep over times is one phase array against
-that band.  This is what makes the basis a trustworthy oracle for the
-closed-form results.
+single band at offset m - s.  Its energy gap is linear along the band, so a
+sweep over times factors each phase into a block phase and an offset phase:
+about 2 sqrt(L) exponentials per time for a band of length L.  This is what
+makes the basis a trustworthy oracle for the closed-form results.
 """
 
 from __future__ import annotations
@@ -72,17 +73,20 @@ def squeezed_vector(state: SqueezedState, space: FockSpace) -> np.ndarray:
     # rescaled coefficients: c_n = scaled_n exp(log_c0 + shift_n)
     log_c0 = (-0.5 * abs(beta) ** 2 - 0.5 * rot.conjugate() * tanh_r * beta * beta
               - 0.5 * math.log(cosh_r))
-    scaled = [0j] * space.dim
-    shift = [0.0] * space.dim
+    # np.sqrt is correctly rounded, as math.sqrt is, so reading sqrt(n) from
+    # one list leaves every coefficient bit-identical to a per-step sqrt
+    root = np.sqrt(np.arange(space.dim)).tolist()
     prev, cur, log_scale = 1.0 + 0j, drive, 0.0
-    scaled[0], scaled[1] = prev, cur
-    for n in range(1, space.dim - 1):
-        prev, cur = cur, (drive * cur + mixing * math.sqrt(n) * prev) / math.sqrt(n + 1)
+    scaled = [prev, cur]
+    shift = np.zeros(space.dim)
+    for root_n, root_next in zip(root[1:-1], root[2:]):
+        prev, cur = cur, (drive * cur + mixing * root_n * prev) / root_next
         if abs(cur) > _RESCALE_AT:
             size = abs(cur)
             prev, cur, log_scale = prev / size, cur / size, log_scale + math.log(size)
-        scaled[n + 1], shift[n + 1] = cur, log_scale
-    v = np.array(scaled) * np.exp(log_c0 + np.array(shift))
+            shift[len(scaled):] = log_scale
+        scaled.append(cur)
+    v = np.array(scaled) * np.exp(log_c0 + shift)
     norm = np.linalg.norm(v)
     missing = 1.0 - norm * norm
     if abs(missing) > TAIL_TOL:
@@ -127,20 +131,33 @@ def _evolved_band(idx: ObservableIndex, times, v_left: np.ndarray,
     The operator maps |l+m> to band_l |l+s>, so the value at t is
     sum_l exp(-i (E_{l+m} - E_{l+s}) t/xi) conj(vl_{l+s}) band_l vr_{l+m}, with
     E_n - E_k = (n - k)(w2 xi^2 (n + k - 1) + w1 xi) taken as one difference
-    rather than as two large phases E_n t/xi that cancel.  The space and the
-    params must carry the same xi, compared exactly as SqueezedState.check_xi
-    does, or ValueError is raised.
+    rather than as two large phases E_n t/xi that cancel.  That gap is linear
+    in l with slope 2 (m - s) w2 xi^2, so with l = W a + b, W = ceil(sqrt(L))
+    for a band of length L, its phase is block_phase[t, a], that of the block
+    start l = W a, times offset_phase[t, b], that of the offset b: 2W
+    exponentials per time instead of L, neither of a larger phase than the
+    whole.  The weights are padded with zeros to a whole number of blocks.
+    The space and the params must carry the same xi, compared exactly as
+    SqueezedState.check_xi does, or ValueError is raised.
     """
     if params.xi != space.xi:
         raise ValueError(f"Fock space and params carry different xi "
                          f"({space.xi!r} != {params.xi!r})")
-    band = _band(idx, space)
-    n = np.arange(band.size) + idx.m
-    k = np.arange(band.size) + idx.s
-    weights = np.conj(v_left[k]) * band * v_right[n]
-    gaps = (n - k) * (params.w2 * space.xi**2 * (n + k - 1) + params.w1 * space.xi)
     t = np.asarray(times, dtype=float).ravel()
-    return np.exp(-1j * np.outer(t, gaps) / space.xi) @ weights
+    band = _band(idx, space)
+    width = math.isqrt(max(band.size - 1, 0)) + 1   # ceil(sqrt(L)); 1 if L = 0
+    blocks = -(-band.size // width)
+    l = np.arange(band.size)
+    weights = np.zeros(blocks * width, dtype=complex)
+    weights[:band.size] = np.conj(v_left[l + idx.s]) * band * v_right[l + idx.m]
+    d = idx.m - idx.s
+    start = width * np.arange(blocks)
+    start_gaps = d * (params.w2 * space.xi**2 * (2 * start + idx.m + idx.s - 1)
+                      + params.w1 * space.xi)
+    offset_gaps = 2 * d * params.w2 * space.xi**2 * np.arange(width)
+    block_phase = np.exp(-1j * np.outer(t, start_gaps) / space.xi)
+    offset_phase = np.exp(-1j * np.outer(t, offset_gaps) / space.xi)
+    return ((offset_phase @ weights.reshape(blocks, width).T) * block_phase).sum(axis=1)
 
 
 def heisenberg_matrix_element(idx: ObservableIndex, t: float, v_left: np.ndarray,
@@ -155,5 +172,9 @@ def heisenberg_matrix_element(idx: ObservableIndex, t: float, v_left: np.ndarray
 
 def heisenberg_expectation_sweep(idx: ObservableIndex, times, v: np.ndarray,
                                  space: FockSpace, params: KerrParams) -> np.ndarray:
-    """<v|(a^dag(t))^s a(t)^m|v> over a time grid: one phase array, one reduction."""
+    """<v|(a^dag(t))^s a(t)^m|v> over a time grid.
+
+    Per time, 2 ceil(sqrt(L)) exponentials and O(L) multiply-adds for a band
+    of length L (see _evolved_band).
+    """
     return _evolved_band(idx, times, v, v, space, params)

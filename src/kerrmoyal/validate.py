@@ -78,11 +78,11 @@ def validate_algebra(params: kerr.KerrParams) -> SuiteReport:
 
     a_star_a = star_differential(a_sym, a_sym, xi)
     dev = _worst(abs(a_star_a(pt) - (pt.z / math.sqrt(2.0)) ** 2) for pt in pts)
-    report.checks.append(CheckResult("a_star_a_equals_a_squared", dev, 1e-12))
+    report.checks.append(CheckResult("a_star_a_equals_a_squared", dev, 1e-14))
 
     comm = star_differential(a_sym, ad_sym, xi) - star_differential(ad_sym, a_sym, xi)
-    dev = _worst(abs(comm(pt) - xi) for pt in pts)
-    report.checks.append(CheckResult("a_adag_commutator_equals_xi", dev, 1e-12))
+    dev = _worst(abs(comm(pt) - xi) / (1.0 + xi) for pt in pts)
+    report.checks.append(CheckResult("a_adag_commutator_equals_xi", dev, 1e-14))
 
     monos = [ZPoly.monomial(k, l) for k in range(3) for l in range(3 - k)]
     devs = []
@@ -95,18 +95,18 @@ def validate_algebra(params: kerr.KerrParams) -> SuiteReport:
             for pt in pts[:3]:
                 ref = diff_engine(pt)
                 devs.append(abs(int_engine(pt) - ref) / (1.0 + abs(ref)))
-    report.checks.append(CheckResult("engine_agreement_monomials", _worst(devs), 1e-10))
+    report.checks.append(CheckResult("engine_agreement_monomials", _worst(devs), 2e-14))
 
     q_sym = GaussPolySymbol.polynomial(ZPoly.linear_qp(0.0, 1.0, 0.0))
     p_sym = GaussPolySymbol.polynomial(ZPoly.linear_qp(0.0, 0.0, 1.0))
     br = moyal_bracket(q_sym, p_sym, xi)
     dev = _worst(abs(br(pt) - 1.0) for pt in pts)
-    report.checks.append(CheckResult("canonical_moyal_bracket", dev, 1e-12))
+    report.checks.append(CheckResult("canonical_moyal_bracket", dev, 1e-15))
 
     proj = states.squeezed_projector(states.SqueezedState(0.4 + 0.3j, 0.0, 0.0, xi))
     trace = phase_space_inner_product(proj, GaussPolySymbol.constant(1.0), xi)
-    dev = abs(trace - 2.0 * math.pi * xi)
-    report.checks.append(CheckResult("projector_trace_2_pi_xi", float(dev), 1e-10))
+    dev = abs(trace - 2.0 * math.pi * xi) / (1.0 + 2.0 * math.pi * xi)
+    report.checks.append(CheckResult("projector_trace_2_pi_xi", float(dev), 1e-14))
     return report
 
 

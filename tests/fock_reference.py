@@ -4,9 +4,12 @@ These build the ladder, number, Hamiltonian and squeeze operators as dense
 dim x dim matrices, and coherent states from their closed-form coefficients,
 independently of the banded routes and the recurrence in kerrmoyal.fock
 that the tests check against them.  In them [a, a^dag] = xi I except in the
-last diagonal entry, which truncation corrupts.
+last diagonal entry, which truncation corrupts.  squeezed_vector_reference
+runs that recurrence the plain way, one sqrt per step, for a bitwise
+comparison.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -69,3 +72,33 @@ def squeeze_operator(tau, space):
         raise km.TruncationInsufficient(
             f"squeeze operator unitarity defect {defect:.3e} at dim {space.dim}")
     return v_op
+
+
+def squeezed_vector_reference(state, space):
+    """squeezed_vector's recurrence with math.sqrt(n) taken at every step and
+    the log-scale shift stored at every entry; normalized, with no tail test.
+
+    c_{n+1} = (drive c_n + mixing sqrt(n) c_{n-1}) / sqrt(n+1) on coefficients
+    rescaled by their size whenever it passes 1e16, so that c_0 may
+    underflow.
+    """
+    beta = complex(state.alpha) / math.sqrt(space.xi)
+    r = 2.0 * space.xi * state.tau_abs
+    rot = cmath.exp(1j * state.tau_phase)
+    cosh_r, tanh_r = math.cosh(r), math.tanh(r)
+    drive = beta / cosh_r
+    mixing = rot * tanh_r
+    log_c0 = (-0.5 * abs(beta) ** 2 - 0.5 * rot.conjugate() * tanh_r * beta * beta
+              - 0.5 * math.log(cosh_r))
+    scaled = [0j] * space.dim
+    shift = [0.0] * space.dim
+    prev, cur, log_scale = 1.0 + 0j, drive, 0.0
+    scaled[0], scaled[1] = prev, cur
+    for n in range(1, space.dim - 1):
+        prev, cur = cur, (drive * cur + mixing * math.sqrt(n) * prev) / math.sqrt(n + 1)
+        if abs(cur) > 1e16:
+            size = abs(cur)
+            prev, cur, log_scale = prev / size, cur / size, log_scale + math.log(size)
+        scaled[n + 1], shift[n + 1] = cur, log_scale
+    v = np.array(scaled) * np.exp(log_c0 + np.array(shift))
+    return v / np.linalg.norm(v)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,7 +10,8 @@ import kerrmoyal as km
 from kerrmoyal import TruncationInsufficient
 
 from fock_reference import (annihilation_matrix, build_operators,
-                            coherent_coefficients, energies, squeeze_operator)
+                            coherent_coefficients, energies, squeeze_operator,
+                            squeezed_vector_reference)
 
 XI = 1.0
 PARAMS = km.KerrParams(w1=1.0, w2=0.1, xi=XI)
@@ -236,6 +238,84 @@ def test_sweep_band_matches_dense_products():
             assert not np.any(diagonal[:min(s, m)]), idx
             band = km.fock._band(idx, space)
             assert np.max(np.abs(diagonal[min(s, m):] - band)) <= 1e-12, idx
+
+
+# (dim, (s, m)) for band lengths dim - max(s, m) of 0, 1, a perfect square
+# and a prime; (s, s) has no energy gap, so every phase is 1
+@pytest.mark.parametrize("dim, sm", [
+    (2, (2, 0)), (2, (1, 2)), (2, (0, 1)), (2, (1, 1)),
+    (16, (0, 0)), (18, (1, 2)), (16, (0, 3)), (16, (3, 0))])
+def test_sweep_edge_band_lengths(dim, sm):
+    space = km.FockSpace(dim, XI)
+    idx = km.ObservableIndex(*sm)
+    rng = np.random.default_rng(dim + 10 * sm[0] + 100 * sm[1])
+    v_left, v_right = (w / np.linalg.norm(w)
+                       for w in rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim)))
+    times = np.array([0.0, -0.7, 3.1, 12.0])
+    swept = km.fock._evolved_band(idx, times, v_left, v_right, space, PARAMS)
+    assert swept.shape == times.shape
+    a = annihilation_matrix(space)
+    dense = np.linalg.matrix_power(a.conj().T, idx.s) @ np.linalg.matrix_power(a, idx.m)
+    phases = np.exp(-1j * np.outer(times, energies(space, PARAMS)) / XI)
+    ref = np.array([np.conj(p * v_left) @ (dense @ (p * v_right)) for p in phases])
+    assert np.max(np.abs(swept - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref))), idx
+    if dim <= max(idx.s, idx.m):
+        assert not np.any(swept)
+    if idx.s == idx.m:
+        assert np.max(np.abs(swept - swept[0])) <= 1e-15 * np.max(np.abs(swept))
+
+
+def _mpmath_band_sum(idx, times, v, space, params):
+    """sum_l w_l exp(-i t (E_{l+m} - E_{l+s}) / xi) at 40 digits, from the
+    float weights w_l = conj(v_{l+s}) band_l v_{l+m} and the float inputs.
+
+    The gap is d (w2 xi^2 (2l + m + s - 1) + w1 xi) with d = m - s, so the
+    phase of entry l is that of entry 0 times rho^l, summed by Horner's rule.
+    """
+    band = km.fock._band(idx, space)
+    l = np.arange(band.size)
+    weights = [mpmath.mpc(complex(w)) for w in np.conj(v[l + idx.s]) * band * v[l + idx.m]]
+    d = idx.m - idx.s
+    xi, w1, w2 = (mpmath.mpf(x) for x in (space.xi, params.w1, params.w2))
+    out = []
+    with mpmath.workdps(40):
+        for t in times:
+            t = mpmath.mpf(float(t))
+            rho = mpmath.expj(-t * 2 * d * w2 * xi)
+            acc = mpmath.mpc(0)
+            for w in reversed(weights):
+                acc = acc * rho + w
+            gap0 = d * (w2 * xi**2 * (idx.m + idx.s - 1) + w1 * xi)
+            out.append(complex(acc * mpmath.expj(-t * gap0 / xi)))
+    return np.array(out)
+
+
+def test_sweep_matches_40_digit_sum():
+    # the oracle-strong benchmark's dim-2048 state (s = 0.1, |alpha| = 0.5,
+    # number squeezing) over the 24 acceptance times; phases reach ~5e4 rad
+    # for (0, 4), so an ulp of the phase sets the float floor
+    state = km.SqueezedState(0.5, -math.log(0.1) / (2.0 * XI), math.pi, XI)
+    space = km.fock_space_for(state)
+    assert space.dim == 2048
+    v = km.squeezed_vector(state, space)
+    times = [k * math.pi / 24.0 / (XI * PARAMS.w2) for k in range(25) if k != 12]
+    # readings 3.9e-15, 3.2e-12, 4.9e-12
+    for sm, bound in (((0, 1), 1e-13), ((1, 3), 1e-10), ((0, 4), 1e-10)):
+        idx = km.ObservableIndex(*sm)
+        ref = _mpmath_band_sum(idx, times, v, space, PARAMS)
+        swept = km.heisenberg_expectation_sweep(idx, times, v, space, PARAMS)
+        assert np.max(np.abs(swept - ref) / (1.0 + np.abs(ref))) <= bound, sm
+
+
+@pytest.mark.parametrize("state, dim", [
+    (km.SqueezedState(0.8, 0.2, 0.5, XI), 96),
+    # |beta|^2 = 2250: c_0 = e^{-1125} underflows, so the rescaling runs
+    (km.SqueezedState(1.5, 0.0, 0.0, 1e-3), 4096),
+    (km.SqueezedState(1.5, 50.0, math.pi, 1e-3), 4096)])
+def test_squeezed_vector_matches_per_step_recurrence(state, dim):
+    space = km.FockSpace(dim, state.xi)
+    assert np.array_equal(km.squeezed_vector(state, space),
+                          squeezed_vector_reference(state, space))
 
 
 @pytest.mark.parametrize("s", [0.5, 0.1])

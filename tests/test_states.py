@@ -249,4 +249,4 @@ def test_coherent_overlap_formula():
     # the overlap is the (0, 0) coherent matrix element at t = 0
     closed = km.matrix_element(km.ObservableIndex(0, 0), 0.0, alpha, beta,
                                km.KerrParams(1.0, 0.1, XI))
-    assert closed == pytest.approx(ov, abs=1e-10)
+    assert closed == pytest.approx(ov, abs=2e-15)   # reads 6.2e-17
