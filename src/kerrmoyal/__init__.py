@@ -48,7 +48,6 @@ from .phase_space import (
     phase_space_inner_product,
     star_differential,
     star_gaussian,
-    star_product,
 )
 from .states import (
     SqueezedState,

@@ -37,7 +37,9 @@ class TruncationInsufficient(KerrMoyalError):
 
 
 class ToleranceNotMet(KerrMoyalError):
-    """Adaptive quadrature could not reach the requested error estimate."""
+    """The quadrature's error estimate, ``achieved``, is not within the
+    requested tolerance, or its grid would exceed the node bound (``achieved``
+    is then inf)."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(message)

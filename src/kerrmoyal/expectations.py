@@ -41,13 +41,10 @@ _SQRT2 = math.sqrt(2.0)
 # no node beyond them could change a float64 sum that holds the peak.  The
 # same margin sets _axis_step, the step at which the axis sums converge.
 RADIUS_SCALE = math.sqrt(-math.log(sys.float_info.epsilon / 2.0))
-# Refine levels the quadrature may take after level 0 before it gives up.
-MAX_REFINE = 4
-# Most nodes one axis may take at one refine level.  Near a pole the count
-# grows as |tan t~| without limit.  The acceptance grid and the oracle
-# benchmark workloads need at most 4.8e4 (s = 0.1, |alpha| = 1.5,
-# Delta_phi = 0 at t~ = 11 pi/24, refine level 0); the bound leaves 2800x
-# headroom.
+# Most nodes one axis may take.  Near a pole the count grows as |tan t~|
+# without limit.  The acceptance grid and the oracle benchmark workloads
+# need at most 4.8e4 (s = 0.1, |alpha| = 1.5, Delta_phi = 0 at
+# t~ = 11 pi/24); the bound leaves 2800x headroom.
 MAX_AXIS_NODES = 2**27
 # Nodes per numpy pass in _axis_sums, so the pass's float64 temporaries
 # (128 kB each, about six alive at once: nodes, envelope, h = tan(phi/2),
@@ -209,7 +206,7 @@ def _axis_sums(step: float, half_width: float, scale: float, center: float,
 
 def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
                              tol: float = 1e-8) -> complex:
-    """<a(t)> by adaptive tensor quadrature of the phase-space integral.
+    """<a(t)> by tensor quadrature of the phase-space integral.
 
     Works in the rotated coordinates y = R(-phi) x, where the squeezed
     Wigner weight is a product of one Gaussian per axis,
@@ -218,15 +215,15 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
     windows center +- RADIUS_SCALE sqrt(xi / scale), outside which the
     Gaussian is below exp(-RADIUS_SCALE^2) <= eps / 2 of its peak, too
     small to change a float64 sum.  Each axis is a trapezoidal sum on a
-    uniform grid centred on its window; the integrand is entire and decays
-    fast, so the sum converges geometrically as the step shrinks.  Refine
-    level r returns the sums with step h = _axis_step / 2^(r + 1), and its
-    error estimate is their distance to the sums with step 2h on the even
-    nodes.  At level 0, 2h is _axis_step's step, where the sums have already
-    converged, so the estimate reads their rounding.  A level whose estimate
-    is within tol is accepted, level 0 included; otherwise h is halved, at
-    most MAX_REFINE times.  tol must be finite and non-negative, or ValueError
-    is raised; at a pole of Theta_01 SingularTime is.
+    uniform grid centred on its window with step h = _axis_step / 2.  The
+    integrand is entire and decays fast, so the sum converges geometrically
+    as the step shrinks, and it has converged to rounding at _axis_step's
+    step already; the error estimate is the value's distance to the sums at
+    that step, 2h, on the even nodes, so it reads their rounding.  A finer
+    step could only read the same rounding, so the estimate gates the
+    value: past tol, or NaN, ToleranceNotMet is raised with the estimate as
+    ``achieved``.  tol must be finite and non-negative, or ValueError is
+    raised; at a pole of Theta_01 SingularTime is.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
@@ -242,25 +239,18 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
     # Theta_01(t|y) = pref * exp(-i|y|^2 T/xi) * (y1 + i y2)/sqrt(2)
     pref = cmath.exp(-1j * (params.w1 * t)) / cos_tt ** 2 * cmath.exp(2j * tt)
     norm = half_turn / (math.pi * xi) * pref / _SQRT2
-    axes = [(_axis_step(scale, center, big_t, xi),
-             RADIUS_SCALE * math.sqrt(xi / scale), scale, center)
-            for scale, center in ((s * s, ybar.real / s), (1.0 / (s * s), s * ybar.imag))]
-
-    err = math.inf
-    for refine in range(MAX_REFINE + 1):
-        shrink = 0.5 ** (refine + 1)
-        try:
-            axis0, axis1 = (_axis_sums(shrink * step, half_width, scale, center, big_t, xi)
-                            for step, half_width, scale, center in axes)
-        except ToleranceNotMet as exc:  # node bound: report the last estimate
-            raise ToleranceNotMet(str(exc), achieved=err) from None
-        value, check = (norm * (sum1_0 * sum0_1 + 1j * sum0_0 * sum1_1)
-                        for (sum0_0, sum1_0), (sum0_1, sum1_1) in zip(axis0, axis1))
-        err = abs(value - check)
-        if err <= tol:
-            return value
-    raise ToleranceNotMet(f"quadrature error estimate {err:.3e} > tol {tol:.3e}",
-                          achieved=err)
+    axis0, axis1 = (_axis_sums(0.5 * _axis_step(scale, center, big_t, xi),
+                               RADIUS_SCALE * math.sqrt(xi / scale), scale, center,
+                               big_t, xi)
+                    for scale, center in ((s * s, ybar.real / s),
+                                          (1.0 / (s * s), s * ybar.imag)))
+    value, check = (norm * (sum1_0 * sum0_1 + 1j * sum0_0 * sum1_1)
+                    for (sum0_0, sum1_0), (sum0_1, sum1_1) in zip(axis0, axis1))
+    err = abs(value - check)
+    if not err <= tol:
+        raise ToleranceNotMet(f"quadrature error estimate {err:.3e} > tol {tol:.3e}",
+                              achieved=err)
+    return value
 
 
 # ---------------------------------------------------------------------------

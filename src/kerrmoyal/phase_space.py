@@ -246,19 +246,14 @@ class GaussPolySymbol:
         return self.poly(x.z, x.zbar) * np.exp(expo)
 
     def __add__(self, other: "GaussPolySymbol") -> "GaussPolySymbol":
-        """Sum of two symbols sharing one Gaussian factor: every entry x of
-        ``quad`` and ``lin`` and its partner y satisfy x == y or
-        |x - y| <= 1e-14 + 1e-5 max(|x|, |y|) with x - y finite, and
-        |const difference| < 1e-14.  The left operand's factor is kept."""
-        pairs = zip(self.quad.ravel().tolist() + self.lin.tolist(),
-                    other.quad.ravel().tolist() + other.lin.tolist())
-        if (all(x == y or (cmath.isfinite(x - y)
-                           and _abs(x - y) <= 1e-14 + 1e-5 * max(_abs(x), _abs(y)))
-                for x, y in pairs)
-                and abs(self.const - other.const) < 1e-14):
-            return GaussPolySymbol(self.quad, self.lin, self.const,
-                                   self.poly + other.poly)
-        raise ValueError("can only add symbols sharing one Gaussian factor")
+        """Sum of two symbols with one Gaussian factor: every entry of
+        ``quad``, ``lin`` and ``const`` equals its partner (float ==, so
+        equal infinities match), or ValueError is raised."""
+        pairs = zip(self.quad.ravel().tolist() + self.lin.tolist() + [self.const],
+                    other.quad.ravel().tolist() + other.lin.tolist() + [other.const])
+        if not all(x == y for x, y in pairs):
+            raise ValueError("can only add symbols sharing one Gaussian factor")
+        return GaussPolySymbol(self.quad, self.lin, self.const, self.poly + other.poly)
 
     def __sub__(self, other: "GaussPolySymbol") -> "GaussPolySymbol":
         return self + other.scale(-1.0)
@@ -418,17 +413,11 @@ def star_differential(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> Gaus
     return GaussPolySymbol(g.quad, g.lin, g.const, total)
 
 
-def star_product(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPolySymbol:
-    """Dispatch to the derivative engine when possible, else Berezin."""
-    if f.is_polynomial:
-        return star_differential(f, g, xi)
-    return star_gaussian(f, g, xi)
-
-
 def moyal_bracket(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPolySymbol:
-    """{f, g}_M = (f*g - g*f)/(i xi)."""
-    fg = star_product(f, g, xi)
-    gf = star_product(g, f, xi)
+    """{f, g}_M = (f*g - g*f)/(i xi) of two polynomial symbols, both products
+    through star_differential, which raises ValueError on a Gaussian factor."""
+    fg = star_differential(f, g, xi)
+    gf = star_differential(g, f, xi)
     return (fg - gf).scale(1.0 / (1j * xi))
 
 

@@ -9,6 +9,7 @@ drawn from a fixed seed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -24,7 +25,6 @@ from .phase_space import (
     phase_space_inner_product,
     star_differential,
     star_gaussian,
-    star_product,
 )
 
 _SEED = 20231123
@@ -115,16 +115,19 @@ def moyal_equation_deviations(params: kerr.KerrParams, indices, times, pts):
     Theta * H - H * Theta = i xi d_t Theta and Theta * N - N * Theta =
     xi (m-s) Theta.
 
-    For s != m, Theta * H goes through star_gaussian and H * Theta through
-    star_differential; d_t is a fourth-order central difference in t of the
-    symbols moyal_solution_symbolic builds at t - 2h, ..., t + 2h.  Both
-    identities are read without the bracket's 1/xi, so their rounding does
-    not grow as xi -> 0.  The first deviation is relative to |Theta * H| +
-    |H * Theta| + xi |d_t Theta|, the size of the terms that cancel, plus
-    xi |Theta|, which keeps the stencil's rounding (about eps xi |Theta| / h)
-    under the bound where H vanishes; the second (exact: N is quadratic) to
-    1 + |Theta|.  A time with |cos t~| < 0.2, where the stencil's rounding
-    grows, is skipped.
+    For every index, s = m included, Theta * H and Theta * N go through
+    star_gaussian and H * Theta and N * Theta through star_differential, and
+    each identity is read from the products' values at the points; d_t is a
+    fourth-order central difference in t of the symbols
+    moyal_solution_symbolic builds at t - 2h, ..., t + 2h.  Both identities
+    are read without the bracket's 1/xi, so their rounding does not grow as
+    xi -> 0.  The first deviation is relative to |Theta * H| + |H * Theta| +
+    xi |d_t Theta|, the size of the terms that cancel, plus xi |Theta|,
+    which keeps the stencil's rounding (about eps xi |Theta| / h) under the
+    bound where H vanishes, and never to less than the smallest normal
+    float, since a subnormal size carries fewer than 53 bits; the second
+    (exact: N is quadratic) to 1 + |Theta|.  A time with |cos t~| < 0.2,
+    where the stencil's rounding grows, is skipped.
     """
     w1, w2, xi, h = params.w1, params.w2, params.xi, 5e-5
     n_poly = ZPoly({(1, 1): 0.5, (0, 0): -0.5 * xi})
@@ -137,18 +140,20 @@ def moyal_equation_deviations(params: kerr.KerrParams, indices, times, pts):
             theta = kerr.moyal_solution_symbolic(idx, t, params)
             stencil = [kerr.moyal_solution_symbolic(idx, t + k * h, params)
                        for k in (-2, -1, 1, 2)]
-            theta_h = star_product(theta, ham, xi)
-            h_theta = star_product(ham, theta, xi)
-            eigen = (star_product(theta, number, xi) - star_product(number, theta, xi)
-                     - theta.scale(xi * (idx.m - idx.s)))
+            theta_h = star_gaussian(theta, ham, xi)
+            h_theta = star_differential(ham, theta, xi)
+            theta_n = star_gaussian(theta, number, xi)
+            n_theta = star_differential(number, theta, xi)
             for pt in pts:
                 v = [sym(pt) for sym in stencil]
                 d_t = (8.0 * (v[2] - v[1]) - (v[3] - v[0])) / (12.0 * h)
                 left, right, value = theta_h(pt), h_theta(pt), theta(pt)
                 size = abs(left) + abs(right) + xi * (abs(d_t) + abs(value))
                 # size bounds the numerator: it is 0 only when every term is
-                pde.append(abs(left - right - 1j * xi * d_t) / (size or 1.0))
-                eig.append(abs(eigen(pt)) / (1.0 + abs(value)))
+                pde.append(abs(left - right - 1j * xi * d_t)
+                           / max(size, sys.float_info.min))
+                eigen = theta_n(pt) - n_theta(pt) - xi * (idx.m - idx.s) * value
+                eig.append(abs(eigen) / (1.0 + abs(value)))
     return _worst(pde), _worst(eig)
 
 
@@ -190,8 +195,9 @@ def validate_moyal(params: kerr.KerrParams) -> SuiteReport:
     for t in times[:2]:
         t01 = theta[kerr.ObservableIndex(0, 1), t]
         t10 = theta[kerr.ObservableIndex(1, 0), t]
-        prod = star_gaussian(t10, t01, params.xi) + star_gaussian(t01, t10, params.xi)
-        devs += [abs(prod(pt) - pt.x2) for pt in pts[:2]]
+        zbar_z = star_gaussian(t10, t01, params.xi)
+        z_zbar = star_gaussian(t01, t10, params.xi)
+        devs += [abs(zbar_z(pt) + z_zbar(pt) - pt.x2) for pt in pts[:2]]
     report.checks.append(CheckResult("z_star_z_conserved", _worst(devs), 1e-13))
     return report
 

@@ -74,7 +74,7 @@ def test_criterion_02_singular_limit_value():
     state = _state(0.1, math.pi)
     val = km.expectation_a_closed(T_SING, state, PARAMS).value
     dev = abs(abs(val) - 10.0 * math.exp(-2.0))
-    assert _report(2, "singular-limit magnitude", dev, 1e-8)
+    assert _report(2, "singular-limit magnitude", dev, 1e-14)
 
 
 def test_criterion_03_no_squeeze_reduction():
@@ -103,7 +103,7 @@ def test_criterion_04_matrix_elements():
                 closed = km.matrix_element(idx, t, alpha, beta, PARAMS)
                 oracle = km.heisenberg_matrix_element(idx, t, va, vb, space, PARAMS)
                 worst = max(worst, abs(closed - oracle) / max(abs(oracle), 1e-30))
-    assert _report(4, "coherent matrix elements", worst, 1e-8)
+    assert _report(4, "coherent matrix elements", worst, 1e-13)
 
 
 def test_criterion_05_pde_residual_and_eigenvalue():
@@ -198,8 +198,8 @@ def test_criterion_07_star_product_suite():
 
     ok = (_report(7, "a*a = a^2", worst_aa, 1e-12)
           and _report(7, "a*abar - abar*a = xi", worst_comm, 1e-12)
-          and _report(7, "engine agreement", worst_engines, 1e-10)
-          and _report(7, "Z(t)*Z(t) = x^2", worst_zz, 1e-8))
+          and _report(7, "engine agreement", worst_engines, 1e-13)
+          and _report(7, "Z(t)*Z(t) = x^2", worst_zz, 5e-14))
     assert ok
 
 
@@ -298,8 +298,8 @@ def test_criterion_09_state_suite():
                                 - km.coherent_projector_symbol(alpha, XI, mapped)))
 
     ok = (_report(9, "SR saturation (closed form)", worst_sr_closed, 1e-12)
-          and _report(9, "SR saturation (fock vectors)", worst_sr_fock, 1e-8)
-          and _report(9, "mean photon number vs oracle", worst_photon, 1e-8)
+          and _report(9, "SR saturation (fock vectors)", worst_sr_fock, 5e-13)
+          and _report(9, "mean photon number vs oracle", worst_photon, 1e-12)
           and _report(9, "covariance identity", worst_cov, 1e-12))
     assert ok
 

@@ -245,14 +245,23 @@ def test_quadrature_t0_bogoliubov():
 
 def test_quadrature_tolerance_not_met_reports_achieved():
     state = make_state(1.0, 0.1, math.pi)
-    with mock.patch.object(expectations, "MAX_REFINE", 1), \
-            pytest.raises(ToleranceNotMet) as info:
+    with pytest.raises(ToleranceNotMet) as info:
         km.expectation_a_quadrature(1.1 * T_SING, state, PARAMS, tol=1e-16)
     assert info.value.achieved > 0.0
 
 
+def test_quadrature_nan_estimate_raises():
+    # not err <= tol, so an estimate that is NaN is refused like a large one
+    state = make_state(1.0, 0.5, math.pi)
+    with mock.patch.object(expectations, "_axis_sums",
+                           return_value=[[complex(math.nan), 1j], [1.0, 1j]]), \
+            pytest.raises(ToleranceNotMet) as info:
+        km.expectation_a_quadrature(0.4, state, PARAMS, tol=1e-9)
+    assert math.isnan(info.value.achieved)
+
+
 def test_quadrature_node_bound_raises_before_allocating():
-    # |tan t~| = 1e7 would need 1.9e9 nodes on the wide axis at refine level 0
+    # |tan t~| = 1e7 would need 1.9e9 nodes on the wide axis
     state = make_state(1.0, 0.5, math.pi)
     t = (math.pi / 2.0 - 1e-7) / (XI * PARAMS.w2)
     tracemalloc.start()
@@ -262,7 +271,7 @@ def test_quadrature_node_bound_raises_before_allocating():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert info.value.achieved == math.inf  # no refine level completed
+    assert info.value.achieved == math.inf  # no sums were formed
     assert peak < 1_000_000
 
 
@@ -271,53 +280,46 @@ def _axis_nodes(step, half_width):
     return 2 * math.floor(half_width / step) + 1
 
 
-def test_quadrature_refines_when_the_embedded_estimate_misses_tol():
-    # at _axis_step's step the sums have converged, so level 0's estimate
-    # sits at rounding; with that step doubled, level 0 checks its sums
-    # against twice the shipped step and reads 1.6e-2 here, and level 1,
-    # whose steps are the shipped level-0 steps, reads 3e-15
-    state = make_state(0.7 + 0.2j, 0.5, 1.1)
-    t, tol = 13.0, 1e-8
+def test_quadrature_raises_when_its_step_is_too_coarse():
+    # at _axis_step's step the sums have converged, so the estimate reads
+    # their rounding; with that step doubled, the value's sums sit at
+    # _axis_step's own step, where they have converged, but the check sums
+    # at twice it read 1.67e-4 at validate expectation's first point, and
+    # there is no finer level to retry on
+    state = make_state(1.0, 0.5, math.pi)
+    t = 0.4
     ref = km.expectation_a_closed(t, state, PARAMS).value
 
-    def quadrature(max_refine, tol, max_nodes=expectations.MAX_AXIS_NODES):
-        """The value or the ToleranceNotMet, and (step, nodes) per axis built."""
+    def quadrature(tol):
+        """The value or the ToleranceNotMet, and the step of each axis's sums."""
         built = []
 
-        def sums(step, half_width, *args):
-            built.append((step, _axis_nodes(step, half_width)))
-            return _axis_sums(step, half_width, *args)
+        def sums(step, *args):
+            built.append(step)
+            return _axis_sums(step, *args)
 
         with mock.patch.object(expectations, "_axis_step",
                                side_effect=lambda *args: 2.0 * _axis_step(*args)), \
-                mock.patch.object(expectations, "MAX_REFINE", max_refine), \
-                mock.patch.object(expectations, "MAX_AXIS_NODES", max_nodes), \
                 mock.patch.object(expectations, "_axis_sums", side_effect=sums):
             try:
                 return km.expectation_a_quadrature(t, state, PARAMS, tol=tol), built
             except ToleranceNotMet as exc:
                 return exc, built
 
-    quad, built = quadrature(1, tol)
-    steps = [step for step, _ in built]
-    assert len(steps) == 4 and steps[2:] == [0.5 * step for step in steps[:2]]
-    assert abs(quad - ref) <= 1e-12 * (1.0 + abs(ref))
-    # achieved is the last level's estimate, the very number compared with tol
-    est0, est1 = (quadrature(r, 0.0)[0].achieved for r in (0, 1))
-    assert est1 <= tol < est0
-    # the value is the step-h sum: at level 0 it is far closer to the closed
-    # form than the estimate, the step-2h sum's distance from it
-    assert abs(quadrature(0, est0)[0] - ref) <= 1e-6 * est0
-    assert quadrature(0, tol)[0].achieved == est0
-    assert quadrature(1, est1)[0] == quad
-    assert quadrature(1, math.nextafter(est1, 0.0))[0].achieved == est1
-    # a node bound hit at level 1 reports level 0's estimate, at level 0 inf
-    level0 = max(nodes for _, nodes in built[:2])
-    assert level0 < max(nodes for _, nodes in built[2:])
-    assert quadrature(1, tol, max_nodes=level0)[0].achieved == est0
-    exc, built = quadrature(1, tol, max_nodes=level0 - 1)
-    assert "nodes on one axis" in str(exc) and exc.achieved == math.inf
-    assert len(built) <= 2
+    exc, built = quadrature(1e-9)
+    assert isinstance(exc, ToleranceNotMet)
+    est = exc.achieved
+    assert 1e-4 <= est <= 1e-3
+    # one set of sums per axis, at twice the shipped step
+    with mock.patch.object(expectations, "_axis_sums", wraps=_axis_sums) as shipped:
+        km.expectation_a_quadrature(t, state, PARAMS, tol=1e-9)
+    assert built == [2.0 * call.args[0] for call in shipped.call_args_list]
+    # achieved is the very number compared with tol
+    value, _ = quadrature(est)
+    assert quadrature(math.nextafter(est, 0.0))[0].achieved == est
+    # the value is the step-h sum: far closer to the closed form than the
+    # estimate, the step-2h sum's distance from it
+    assert abs(value - ref) <= 1e-6 * est
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-8, math.inf])
@@ -329,12 +331,12 @@ def test_quadrature_rejects_bad_arguments_before_any_node(tol):
             km.expectation_a_quadrature(1.0, state, PARAMS, tol=tol)
 
 
-# phase squeezing at s = 0.1 puts the wide axis's mass near ybar_0 / s = 21,
-# where the chirp phase is about 3e3 rad; its rounding in the kernel leaves
-# up to 8.8e-12 there, against 9.9e-14 under number squeezing
+# every grid point passes the quadrature's one check at tol = 1e-8; phase
+# squeezing at s = 0.1 puts the wide axis's mass near ybar_0 / s = 21, where
+# the chirp phase is about 3e3 rad; its rounding in the kernel leaves up to
+# 8.8e-12 there, against 9.9e-14 under number squeezing
 @pytest.mark.parametrize("delta_phi, bound", [(math.pi, 1e-12), (0.0, 2e-11)],
                          ids=["number", "phase"])
-@mock.patch.object(expectations, "MAX_REFINE", 0)
 def test_quadrature_stops_at_level_zero_on_the_acceptance_grid(delta_phi, bound):
     for s_target in (0.1, 0.5, 1.0):
         for radius in (0.5, 1.5):
@@ -389,7 +391,7 @@ def test_quadrature_matches_closed_form_property(s, radius, arg, delta_phi, xi, 
     assert abs(quad - closed) <= 1e-9 * (1.0 + abs(closed))
 
 
-# s = 0.1 at t~ = 11 pi/24: 35529 nodes on the wide axis at refine level 0,
+# s = 0.1 at t~ = 11 pi/24: 35529 nodes on the wide axis,
 # a chirp phase of about 2.8e4 rad at its ends
 STRONG_STATE = make_state(1.0, 0.1, math.pi)
 STRONG_T = (11.0 * math.pi / 24.0) / (XI * PARAMS.w2)

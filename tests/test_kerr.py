@@ -294,9 +294,10 @@ def test_heisenberg_commutator_through_star_engine():
     t = 0.3
     t01 = km.moyal_solution_symbolic(km.ObservableIndex(0, 1), t, PARAMS)
     t10 = km.moyal_solution_symbolic(km.ObservableIndex(1, 0), t, PARAMS)
-    comm = km.star_gaussian(t10, t01, PARAMS.xi) - km.star_gaussian(t01, t10, PARAMS.xi)
+    zbar_z = km.star_gaussian(t10, t01, PARAMS.xi)
+    z_zbar = km.star_gaussian(t01, t10, PARAMS.xi)
     for pt in POINTS[:4]:
-        assert comm(pt) == pytest.approx(-PARAMS.xi, abs=1e-12)
+        assert zbar_z(pt) - z_zbar(pt) == pytest.approx(-PARAMS.xi, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +311,8 @@ def test_heisenberg_commutator_through_star_engine():
 @example(s=0, m=1, q=0.0, p=0.0, t=0.0, w1=0.0, w2=0.0, xi=1.0)  # every term 0
 @example(s=0, m=1, q=1.0, p=0.5, t=0.0, w1=0.0, w2=1.757667954377864e-114,
          xi=1.0)                  # H ~ 1e-114: the stencil cannot see d_t Theta
+@example(s=0, m=1, q=0.0, p=2.2250738585e-313, t=0.0, w1=0.0, w2=1.0,
+         xi=1.0)                  # a subnormal size, with fewer than 53 bits
 def test_moyal_equation_property(s, m, q, p, t, w1, w2, xi):
     # both identities of the moyal suite at its bounds; s = m is the constant
     # of motion, whose bracket with H vanishes

@@ -1,6 +1,7 @@
 """Star-product engines, Moyal bracket and trace pairing."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -167,17 +168,52 @@ def test_hamiltonian_number_bracket_vanishes():
 
 @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0])
 def test_moyal_equation_through_both_star_engines(xi):
-    # d Theta/dt = {Theta, H}_M: for s != m Theta * H goes through
-    # star_gaussian and H * Theta through star_differential, by the
+    # d Theta/dt = {Theta, H}_M: Theta * H goes through star_gaussian and
+    # H * Theta through star_differential, s = m included, by the
     # implementation of `kerr validate moyal`.  On this grid the worst
-    # deviation is 7.2e-12 (the t-stencil's rounding at h = 5e-5), so the
-    # bound sits 14x above it and below the suite's 1e-9.
+    # deviation is 5.9e-12 (the t-stencil's rounding at h = 5e-5), so the
+    # suite's bound of 1e-10 sits 17x above it.
     params = km.KerrParams(w1=0.7, w2=0.3, xi=xi)
     indices = [km.ObservableIndex(s, m) for s in range(3) for m in range(3)]
     pde, eig = validate.moyal_equation_deviations(params, indices, (0.35, 1.2, 2.6, 4.1),
                                                   POINTS[:3])
     assert pde <= 1e-10
     assert eig <= 5e-13
+
+
+def _faulty_star_gaussian(**scale):
+    """star_gaussian with its result's quad or poly scaled by the given factor."""
+    real = km.star_gaussian
+
+    def star(f, g, xi):
+        out = real(f, g, xi)
+        return GaussPolySymbol(out.quad * scale.get("quad", 1.0), out.lin, out.const,
+                               out.poly.scale(scale.get("poly", 1.0)))
+    return mock.patch.object(validate, "star_gaussian", star)
+
+
+def test_number_commutator_sees_an_exponent_fault_in_star_gaussian():
+    # Theta * N by star_gaussian and N * Theta by star_differential carry the
+    # Gaussian factor of their own engine; an exponent off by 1e-6 reads
+    # 2.5e-6 where the two products are compared as values, while symbol
+    # sums that merged nearby factors read 6.1e-16
+    with _faulty_star_gaussian(quad=1.0 + 1e-6):
+        report = validate.validate_moyal(km.KerrParams(w1=1.0, w2=0.1, xi=1.0))
+    [eig] = [c for c in report.checks if c.name == "angular_eigenvalue"]
+    assert eig.max_deviation > 1e3 * eig.tolerance
+
+
+def test_moyal_check_crosses_the_engines_for_s_equal_m():
+    # the constants of motion are polynomials, yet Theta * H and Theta * N
+    # still go through star_gaussian, so a polynomial off by 1e-6 there shows
+    # in both identities (sending both sides through star_differential read 0)
+    params = km.KerrParams(w1=1.0, w2=0.1, xi=1.0)
+    indices = [km.ObservableIndex(m, m) for m in (1, 2, 3)]
+    with _faulty_star_gaussian(poly=1.0 + 1e-6):
+        pde, eig = validate.moyal_equation_deviations(params, indices, (0.3, 1.1, 2.7),
+                                                      POINTS[:3])
+    assert pde > 1e3 * 1e-10
+    assert eig > 1e5 * 5e-13
 
 
 def test_semiclassical_limit_of_bracket():
@@ -260,3 +296,7 @@ def test_star_differential_rejects_gaussian_left_factor():
     gauss = km.squeezed_projector(km.SqueezedState(0.2, 0.0, 0.0, XI))
     with pytest.raises(ValueError, match="star_gaussian"):
         km.star_differential(gauss, km.annihilation_symbol(), XI)
+    # the bracket takes both products through star_differential
+    for f, g in ((gauss, km.annihilation_symbol()), (km.annihilation_symbol(), gauss)):
+        with pytest.raises(ValueError, match="star_gaussian"):
+            km.moyal_bracket(f, g, XI)

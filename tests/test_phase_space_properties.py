@@ -3,10 +3,10 @@
 A symbol stores the symmetric part of its quadratic form, since the
 exponent sees nothing else: its value, derivatives and pairing are those of
 a symbol built from that part, and a derivative agrees with a finite
-difference of the symbol's own values.  Adding symbols accepts f + g
-exactly when it accepts g + f.  The library does its 2x2 algebra on Python
-scalars; the pairing is held to a reference built here from
-``numpy.linalg.eigvals`` and ``inv``.
+difference of the symbol's own values.  Adding symbols needs one Gaussian
+factor: a one-ulp change in any entry is refused, in either order.  The
+library does its 2x2 algebra on Python scalars; the pairing is held to a
+reference built here from ``numpy.linalg.eigvals`` and ``inv``.
 """
 
 import cmath
@@ -105,10 +105,10 @@ def test_derivative_of_an_asymmetric_form_matches_its_values():
         assert abs(der(pt) - ref) <= 1e-9 * abs(ref)
 
 
-def _symbol(slots, const):
-    """Symbol with quad [[s0, s1], [s1, s2]] and lin (s3, s4)."""
-    return GaussPolySymbol(np.array([[slots[0], slots[1]], [slots[1], slots[2]]]),
-                           np.array(slots[3:]), const, ZPoly.constant(1.0))
+def _symbol(entries):
+    """Symbol with quad [[e0, e1], [e2, e3]], lin (e4, e5) and const e6."""
+    return GaussPolySymbol(np.array(entries[:4]).reshape(2, 2), np.array(entries[4:6]),
+                           entries[6], ZPoly.constant(1.0))
 
 
 def _adds(f, g):
@@ -119,29 +119,41 @@ def _adds(f, g):
         return False
 
 
+def _ulp_step(x, toward):
+    """x with its real or its imaginary part moved one ulp toward +-inf."""
+    if toward.real:
+        return complex(math.nextafter(x.real, toward.real), x.imag)
+    return complex(x.real, math.nextafter(x.imag, toward.imag))
+
+
+def _stored_with(entry):
+    """The entries that hold one stored value: quad's off-diagonals go together."""
+    return (1, 2) if entry in (1, 2) else (entry,)
+
+
 @settings(max_examples=300, deadline=None)
-@given(base=st.lists(_complex(1e6), min_size=5, max_size=5),
-       slot=st.integers(0, 4), gap=st.floats(0.0, 2.0), gap_arg=st.floats(-math.pi, math.pi),
-       bad_side=st.sampled_from([None, "left", "right"]), bad=st.sampled_from(NON_FINITE[2:5]),
-       const_gap=st.sampled_from([0.0, 5e-15, 2e-14]))
-def test_add_is_symmetric_in_its_operands(base, slot, gap, gap_arg, bad_side, bad, const_gap):
-    # the left operand's entry at slot moves by gap in units of
-    # 1e-14 + 1e-5 |right|, so both sides of the bound are drawn; an
-    # infinity may replace either side
+@given(base=st.lists(_complex(1e300), min_size=7, max_size=7),
+       slot=st.integers(0, 6),
+       toward=st.sampled_from([math.inf, -math.inf, complex(0.0, math.inf),
+                               complex(0.0, -math.inf)]),
+       inf_slot=st.sampled_from([None, *range(7)]),
+       inf=st.sampled_from(NON_FINITE[2:5]))
+@example(base=[0j] * 7, slot=1, toward=math.inf, inf_slot=None, inf=NON_FINITE[2])
+def test_add_refuses_a_one_ulp_change_in_either_order(base, slot, toward, inf_slot, inf):
+    # the seven entries are quad's four, lin's two and const; an infinity
+    # equal in both operands is still a match
     right = list(base)
-    left = list(base)
-    left[slot] = right[slot] + gap * (1e-14 + 1e-5 * abs(right[slot])) * cmath.exp(1j * gap_arg)
-    if bad_side is not None:
-        (left if bad_side == "left" else right)[slot] = bad
-    f, g = _symbol(left, const_gap), _symbol(right, 0.0)
-    accepted = _adds(f, g)
-    assert _adds(g, f) == accepted
-    # the bound is 1e-14 + 1e-5 max(|x|, |y|) >= the unit of gap, and
-    # exceeds it by at most a factor 1 + 2e-5
-    if bad_side is not None or const_gap > 1e-14 or gap >= 1.001:
-        assert not accepted
-    elif gap <= 0.999:
-        assert accepted
+    right[2] = right[1]
+    if inf_slot is not None and inf_slot not in _stored_with(slot):
+        for k in _stored_with(inf_slot):
+            right[k] = inf
+    left = list(right)
+    for k in _stored_with(slot):
+        left[k] = _ulp_step(right[k], toward)
+    f, g = _symbol(left), _symbol(right)
+    assert _adds(g, g) and _adds(f, f)
+    assert not _adds(f, g)
+    assert not _adds(g, f)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +178,15 @@ def _centered_moment(i, j, cuu, cuv, cvv):
 
 
 def reference_integral(sym):
-    """int poly(z, z*) exp(x.A x + b.x + c) d^2x through eigvals and inv."""
-    lam = np.linalg.eigvals(sym.quad)
+    """int poly(z, z*) exp(x.A x + b.x + c) d^2x through eigvals and inv.
+
+    The eigenvalues are those of A + shift I, less the real shift
+    max |a_ij|: LAPACK's zgeev (OpenBLAS 0.3.31) does not converge on 14 of
+    6003 rotated isotropic Fresnel forms i o R R^T (o in {0.1, 1, 3.3}),
+    and on each of them the shifted matrix returns i o to 1.4e-16 relative.
+    """
+    shift = float(np.max(np.abs(sym.quad)))
+    lam = np.linalg.eigvals(sym.quad + shift * np.eye(2)) - shift
     scale = max(1.0, float(np.max(np.abs(lam))))
     if any(abs(ev.imag) <= 1e-12 * scale and ev.real >= -1e-12 * scale for ev in lam):
         raise DivergentIntegral("eigenvalue on the non-negative real axis")
@@ -215,6 +234,10 @@ KINDS = ["damped", "scalar", "fresnel", "degenerate"]
 @example(kind="damped", eig=(2.0, 1.0), osc=(0.0, 0.0), angle=0.0, shear=2.0,
          lin=(2.225073858507e-311 + 0j, 0j), const=0j, coeffs={(0, 1): 1 + 0j},
          zero_eig=0.0)
+# an isotropic Fresnel form on which zgeev of the unshifted matrix does not
+# converge
+@example(kind="fresnel", eig=(1.0, 1.0), osc=(0.1, 0.1), angle=1.3429580349249122,
+         shear=0.0, lin=(0j, 0j), const=0j, coeffs={(0, 0): 1 + 0j}, zero_eig=0.0)
 def test_pairing_matches_lapack_reference(kind, eig, osc, angle, shear, lin, const,
                                           coeffs, zero_eig):
     rot = _rotation(angle)
