@@ -11,10 +11,11 @@ Conventions used throughout the package:
   coordinates and the polynomial in ``(z, z*)`` coordinates.
 
 Two star-product engines are provided: a terminating derivative expansion
-(for a polynomial left factor) and the closed-form evaluation of the
-Berezin double integral via complex Gaussian moments with Fresnel
-regularization.  They are deliberately independent of one another so each
-can serve as an oracle for the other.
+for a polynomial left factor (one double sum over the orders in dz and dz*)
+and the closed-form evaluation of the Berezin double integral via complex
+Gaussian moments with Fresnel regularization.  They are deliberately
+independent of one another, down to how each writes the exponent in
+(z, z*), so each can serve as an oracle for the other.
 """
 
 from __future__ import annotations
@@ -130,12 +131,7 @@ class ZPoly:
             return 0
         return max(k + l for k, l in self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, z: complex, zbar: complex | None = None) -> complex:
-        if zbar is None:
-            zbar = np.conj(z)
+    def __call__(self, z: complex, zbar: complex) -> complex:
         total = 0.0 + 0.0j
         for (k, l), c in self.coeffs.items():
             # z^k z*^l first, so swapping (k, l) and conjugating c conjugates
@@ -170,7 +166,7 @@ class GaussPolySymbol:
     entry is NaN (a NaN input, or opposite infinities across the diagonal),
     and ``DegreeCapExceeded`` when the polynomial degree exceeds
     ``DEGREE_CAP``.  The checks run on Python scalars, not numpy reductions:
-    every derivative and product builds a new symbol.
+    every star product and pairing builds a new symbol.
     """
 
     quad: np.ndarray
@@ -210,29 +206,7 @@ class GaussPolySymbol:
         return (self.const == 0.0 and not any(self.lin.tolist())
                 and not any(self.quad.ravel().tolist()))
 
-    def _zform(self):
-        """Quadratic exponent in (z, z*) coordinates: (Azz, Abb, Azb, bz, bb)."""
-        a11, a12, a22 = self.quad[0, 0], self.quad[0, 1], self.quad[1, 1]
-        azz = (a11 - a22 - 2j * a12) / 4.0
-        abb = (a11 - a22 + 2j * a12) / 4.0
-        azb = (a11 + a22) / 2.0
-        bz = (self.lin[0] - 1j * self.lin[1]) / 2.0
-        bb = (self.lin[0] + 1j * self.lin[1]) / 2.0
-        return azz, abb, azb, bz, bb
-
-    # -- calculus (closed under the class) -----------------------------
-    def dz(self) -> "GaussPolySymbol":
-        azz, abb, azb, bz, _ = self._zform()
-        de = ZPoly({(1, 0): 2.0 * azz, (0, 1): azb, (0, 0): bz})
-        return GaussPolySymbol(self.quad, self.lin, self.const,
-                               self.poly.dz() + self.poly * de)
-
-    def dzbar(self) -> "GaussPolySymbol":
-        azz, abb, azb, _, bb = self._zform()
-        de = ZPoly({(0, 1): 2.0 * abb, (1, 0): azb, (0, 0): bb})
-        return GaussPolySymbol(self.quad, self.lin, self.const,
-                               self.poly.dzbar() + self.poly * de)
-
+    # -- algebra (closed under the class) ------------------------------
     def conjugate(self) -> "GaussPolySymbol":
         return GaussPolySymbol(np.conj(self.quad), np.conj(self.lin),
                                np.conj(self.const), self.poly.conjugate())
@@ -382,34 +356,38 @@ def star_gaussian(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
 def star_differential(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPolySymbol:
     """Star product via the terminating derivative expansion.
 
-    Requires a purely polynomial left factor; the series then truncates at
-    order deg(f).  In complex coordinates the bidifferential reads
-    (i xi/2) d1.J d2 = xi (dz1 dz2* - dz1* dz2).
+    The bidifferential (i xi/2) d1.J d2 = xi (dz1 dz2* - dz1* dz2) has an
+    exponential that factors into independent orders in dz and dz*:
+
+        f * g = sum_{a,b} xi^(a+b) (-1)^b / (a! b!) (dz^a dz*^b f)(dz*^a dz^b g).
+
+    Requires a purely polynomial left factor: a runs while dz^a f != 0 and
+    b while dz^a dz*^b f != 0, so no order past deg(f) is formed.  Each
+    derivative is formed once, from the one before it, and only if used.
     """
     if xi <= 0:
         raise ValueError("xi must be positive")
     if not f.is_polynomial:
         raise ValueError("left factor must be purely polynomial; use star_gaussian")
-    max_order = f.poly.degree
+    # g = P e^E is differentiated on P alone: dz(P e^E) = (dz P + P dz E) e^E,
+    # with dz E and dz* E linear in (z, z*) for E = x.A x + b.x + c
+    (a11, a12), (_, a22) = g.quad.tolist()
+    b1, b2 = g.lin.tolist()
+    dz_e = ZPoly({(1, 0): 0.5 * (a11 - a22 - 2j * a12), (0, 1): 0.5 * (a11 + a22),
+                  (0, 0): 0.5 * (b1 - 1j * b2)})
+    dzbar_e = ZPoly({(0, 1): 0.5 * (a11 - a22 + 2j * a12), (1, 0): 0.5 * (a11 + a22),
+                     (0, 0): 0.5 * (b1 + 1j * b2)})
     total = ZPoly()
-    for n in range(max_order + 1):
-        coeff_n = xi**n / math.factorial(n)
-        for k in range(n + 1):
-            f_der = f.poly
-            for _ in range(k):
-                f_der = f_der.dz()
-            for _ in range(n - k):
-                f_der = f_der.dzbar()
-            if f_der.is_zero():
-                continue
-            g_der = g
-            for _ in range(k):
-                g_der = g_der.dzbar()
-            for _ in range(n - k):
-                g_der = g_der.dz()
-            sign = (-1.0) ** (n - k)
-            term = f_der * g_der.poly
-            total = total + term.scale(coeff_n * math.comb(n, k) * sign)
+    f_a, g_a, a = f.poly, g.poly, 0        # dz^a f and dz*^a g
+    while f_a.coeffs:
+        f_ab, g_ab, b = f_a, g_a, 0        # dz^a dz*^b f and dz*^a dz^b g
+        while f_ab.coeffs:
+            coeff = xi ** (a + b) * (-1.0) ** b / (math.factorial(a) * math.factorial(b))
+            total = total + (f_ab * g_ab).scale(coeff)
+            f_ab, b = f_ab.dzbar(), b + 1
+            g_ab = g_ab.dz() + g_ab * dz_e if f_ab.coeffs else g_ab
+        f_a, a = f_a.dz(), a + 1
+        g_a = g_a.dzbar() + g_a * dzbar_e if f_a.coeffs else g_a
     return GaussPolySymbol(g.quad, g.lin, g.const, total)
 
 

@@ -91,18 +91,22 @@ def test_engine_agreement_monomials(xi):
             b_engine = km.star_gaussian(f, g, xi)
             for pt in POINTS[:3]:
                 ref = d_engine(pt)
-                assert abs(b_engine(pt) - ref) <= 1e-10 * (1.0 + abs(ref))
+                assert abs(b_engine(pt) - ref) <= 1e-13 * (1.0 + abs(ref))
 
 
 def test_engine_agreement_gaussian_suite():
-    # polynomial left factors against a fixed suite of Gaussian symbols
+    # polynomial left factors against a fixed suite of Gaussian symbols; the
+    # squeezed projectors have a11 != a22 and a12 != 0, so the anisotropic
+    # terms of dz E and dz* E are read too
     gaussians = [
         km.squeezed_projector(km.SqueezedState(0.0, 0.0, 0.0, XI)),
         km.squeezed_projector(km.SqueezedState(0.6 - 0.4j, 0.0, 0.0, XI)),
+        km.squeezed_projector(km.SqueezedState(0.6 - 0.4j, 0.4 / XI, 1.1, XI)),
+        km.squeezed_projector(km.SqueezedState(0.0, 0.8 / XI, 2.5, XI)),
         GaussPolySymbol(-0.7j * np.eye(2), np.array([0.2, -0.1j]), 0.1,
                         ZPoly.monomial(1, 1, 0.5) + ZPoly.constant(1.0)),
     ]
-    monos = [(k, l) for k in range(3) for l in range(3 - k)]
+    monos = [(k, l) for k in range(5) for l in range(5 - k)]
     for k1, l1 in monos:
         f = GaussPolySymbol.polynomial(ZPoly.monomial(k1, l1))
         for g in gaussians:
@@ -110,7 +114,7 @@ def test_engine_agreement_gaussian_suite():
             b_engine = km.star_gaussian(f, g, XI)
             for pt in POINTS[:3]:
                 ref = d_engine(pt)
-                assert abs(b_engine(pt) - ref) <= 1e-10 * (1.0 + abs(ref))
+                assert abs(b_engine(pt) - ref) <= 5e-13 * (1.0 + abs(ref))
 
 
 def test_associativity_low_degree():
