@@ -133,9 +133,10 @@ def moyal_solution_symbolic(idx: ObservableIndex, t: float,
     coefficients, one per l at the distinct key (m - l, s - l).  Call the
     result at a PhasePoint for the pointwise value.
 
-    Raises SingularTime at a pole of sec t~.  For s = m, t~ = 0: the solution
-    is a constant of motion and never singular.  w1 t is formed before the
-    factor m - s, so the phase is finite wherever w1 t is.
+    Raises SingularTime at a pole of sec t~, and OverflowError where the
+    form's entry tan(t~)/xi overflows.  For s = m, t~ = 0: the solution is a
+    constant of motion and never singular.  w1 t is formed before the factor
+    m - s, so the phase is finite wherever w1 t is.
     """
     tt = idx.t_tilde(t, params)
     cos_tt = checked_cos(tt)
@@ -145,8 +146,11 @@ def moyal_solution_symbolic(idx: ObservableIndex, t: float,
     coeffs = {(idx.m - l, idx.s - l): (pref * w_coefficient(idx.m, idx.s, l) * base ** l
                                        * 2.0 ** (-(idx.s + idx.m - 2 * l) / 2.0))
               for l in range(min(idx.s, idx.m) + 1)}
-    quad = (-1j * math.tan(tt) / params.xi) * np.eye(2)
-    return GaussPolySymbol(quad, np.zeros(2), 0.0, ZPoly(coeffs))
+    tan_xi = math.tan(tt) / params.xi
+    if not math.isfinite(tan_xi):
+        raise OverflowError(f"tan(t~)/xi is not finite at t~ = {tt!r}, xi = {params.xi!r}")
+    diag = -1j * tan_xi
+    return GaussPolySymbol([[diag, 0.0], [0.0, diag]], [0.0, 0.0], 0.0, ZPoly(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ for a polynomial left factor (one double sum over the orders in dz and dz*)
 and the closed-form evaluation of the Berezin double integral via complex
 Gaussian moments with Fresnel regularization.  They are deliberately
 independent of one another, down to how each writes the exponent in
-(z, z*), so each can serve as an oracle for the other.
+(z, z*), so each can serve as an oracle for the other.  The Berezin engine
+takes one eigen-solve (the branch) and one solve (all else) of its 4x4 form
+and runs the Isserlis recursion on ZPoly means; the pairing on numbers.
 """
 
 from __future__ import annotations
@@ -116,8 +118,10 @@ class ZPoly:
     def scale(self, c: complex) -> "ZPoly":
         return ZPoly({key: c * val for key, val in self.coeffs.items()})
 
+    __rmul__ = scale        # c * poly for a number c
+
     def conjugate(self) -> "ZPoly":
-        return ZPoly({(l, k): np.conj(c) for (k, l), c in self.coeffs.items()})
+        return ZPoly({(l, k): c.conjugate() for (k, l), c in self.coeffs.items()})
 
     def dz(self) -> "ZPoly":
         return ZPoly({(k - 1, l): k * c for (k, l), c in self.coeffs.items() if k > 0})
@@ -268,16 +272,14 @@ def _fresnel_sqrt_det(lam, error_cls=DegenerateQuadraticForm) -> complex:
     return math.prod(complex(np.sqrt(-ev)) for ev in lam)
 
 
-def _gaussian_moment(counts: tuple[int, ...], means: list[ZPoly],
-                     cov: np.ndarray, memo: dict) -> ZPoly:
+def _gaussian_moment(counts: tuple[int, ...], means: list, cov, memo: dict):
     """E[prod_i l_i^counts_i] for jointly Gaussian linear forms l_i.
 
-    ``means[i]`` may carry a symbolic (z, z*) dependence; covariances are
-    scalars.  Standard Isserlis recursion with memoization on the count
-    multi-index.
+    The means are numbers, or ZPoly where they carry a (z, z*) dependence,
+    and the moment is formed in the same ring: the caller seeds ``memo``
+    with that ring's 1 at the all-zero counts.  Covariances are numbers.
+    Standard Isserlis recursion with memoization on the count multi-index.
     """
-    if all(c == 0 for c in counts):
-        return ZPoly.constant(1.0)
     if counts in memo:
         return memo[counts]
     i = next(idx for idx, c in enumerate(counts) if c > 0)
@@ -290,19 +292,9 @@ def _gaussian_moment(counts: tuple[int, ...], means: list[ZPoly],
             continue
         further = list(reduced_t)
         further[j] -= 1
-        total = total + _gaussian_moment(tuple(further), means, cov, memo).scale(
-            cov[i][j] * cnt)
+        total = total + (cov[i][j] * cnt) * _gaussian_moment(tuple(further), means, cov, memo)
     memo[counts] = total
     return total
-
-
-# Linear forms z1, z1*, z2, z2* on R^4 = (x1, x2).
-_FORMS_4D = np.array([
-    [1.0, 1j, 0.0, 0.0],
-    [1.0, -1j, 0.0, 0.0],
-    [0.0, 0.0, 1.0, 1j],
-    [0.0, 0.0, 1.0, -1j],
-])
 
 
 def star_gaussian(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPolySymbol:
@@ -312,39 +304,37 @@ def star_gaussian(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
     exp((2i/xi)(x1^x2 + x2^x + x^x1)); it is evaluated exactly by Wick
     expansion of the polynomial prefactor around the stationary point,
     with the Fresnel branch fixed by the eps -> 0+ damping.
-    """
-    if xi <= 0:
-        raise ValueError("xi must be positive")
-    j = POISSON_J
-    q_mat = np.zeros((4, 4), dtype=complex)
-    q_mat[:2, :2] = f.quad
-    q_mat[2:, 2:] = g.quad
-    q_mat[:2, 2:] = (1j / xi) * j
-    q_mat[2:, :2] = -(1j / xi) * j
 
-    l0 = np.concatenate([f.lin, g.lin]).astype(complex)
-    w_mat = np.vstack([-(2j / xi) * j, (2j / xi) * j]).astype(complex)
+    With the exponent u.Q u + (W x + l0).u over u = (x1, x2), every output
+    but the branch is a block of the congruence S = A^T Q^-1 A of the
+    columns A = [z1, z1*, z2, z2* | W | l0]: the forms' covariance -S/2 and
+    means -S/2 (in x and constant), and the result's exponent -S/4.
+    """
+    if not 0.0 < xi < math.inf:
+        raise ValueError(f"xi must be positive and finite, got {xi!r}")
+    (f11, f12), (_, f22) = f.quad.tolist()
+    (g11, g12), (_, g22) = g.quad.tolist()
+    c = 1j / xi                        # off-diagonal blocks (i/xi) J and its transpose
+    q_mat = np.array([[f11, f12, 0.0, c], [f12, f22, -c, 0.0],
+                      [0.0, -c, g11, g12], [c, 0.0, g12, g22]])
+    (fl1, fl2), (gl1, gl2) = f.lin.tolist(), g.lin.tolist()
+    w = 2.0 * c                        # W = (2i/xi) (-J; J)
+    a_mat = np.array([[1.0, 1.0, 0.0, 0.0, 0.0, -w, fl1],
+                      [1j, -1j, 0.0, 0.0, w, 0.0, fl2],
+                      [0.0, 0.0, 1.0, 1.0, 0.0, w, gl1],
+                      [0.0, 0.0, 1j, -1j, -w, 0.0, gl2]])
 
     sqrt_det = _fresnel_sqrt_det(np.linalg.eigvals(q_mat))
-    q_inv = np.linalg.inv(q_mat)
+    s = (a_mat.T @ np.linalg.solve(q_mat, a_mat)).tolist()
 
-    quad_out = -0.25 * (w_mat.T @ q_inv @ w_mat)
-    lin_out = -0.5 * (w_mat.T @ q_inv @ l0)
-    const_out = f.const + g.const - 0.25 * (l0 @ q_inv @ l0)
-
-    mu0 = -0.5 * (q_inv @ l0)
-    mu_x = -0.5 * (q_inv @ w_mat)      # 4x2: x-dependent part of the mean
-    cov4 = -0.5 * q_inv
-
-    means = []
-    for lam in _FORMS_4D:
-        c0 = lam @ mu0
-        row = lam @ mu_x               # coefficients of (q, p)
-        means.append(ZPoly.linear_qp(c0, row[0], row[1]))
-    cov_forms = _FORMS_4D @ cov4 @ _FORMS_4D.T
+    quad_out = [[-0.25 * v for v in row[4:6]] for row in s[4:6]]
+    lin_out = [-0.5 * s[4][6], -0.5 * s[5][6]]
+    const_out = f.const + g.const - 0.25 * s[6][6]
+    means = [ZPoly.linear_qp(-0.5 * row[6], -0.5 * row[4], -0.5 * row[5]) for row in s[:4]]
+    cov_forms = [[-0.5 * v for v in row[:4]] for row in s[:4]]
 
     pref = 1.0 / (xi * xi * sqrt_det)
-    memo: dict = {}
+    memo: dict = {(0, 0, 0, 0): ZPoly.constant(1.0)}
     poly_out = ZPoly()
     for (k1, l1), c1 in f.poly.coeffs.items():
         for (k2, l2), c2 in g.poly.coeffs.items():
@@ -365,8 +355,8 @@ def star_differential(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> Gaus
     b while dz^a dz*^b f != 0, so no order past deg(f) is formed.  Each
     derivative is formed once, from the one before it, and only if used.
     """
-    if xi <= 0:
-        raise ValueError("xi must be positive")
+    if not 0.0 < xi < math.inf:
+        raise ValueError(f"xi must be positive and finite, got {xi!r}")
     if not f.is_polynomial:
         raise ValueError("left factor must be purely polynomial; use star_gaussian")
     # g = P e^E is differentiated on P alone: dz(P e^E) = (dz P + P dz E) e^E,
@@ -423,17 +413,16 @@ def gauss_poly_integral(sym: GaussPolySymbol) -> complex:
     c11, c12, c22 = -0.5 * a22 / det, 0.5 * a12 / det, -0.5 * a11 / det
     mu_q = c11 * b1 + c12 * b2
     mu_p = c12 * b1 + c22 * b2
-    means = [ZPoly.constant(mu_q + 1j * mu_p), ZPoly.constant(mu_q - 1j * mu_p)]
+    means = [mu_q + 1j * mu_p, mu_q - 1j * mu_p]
     # the covariance carried to the forms z = q + ip, z* = q - ip, summed on
     # the entries of A before the division: c11 - c22 from the quotients
     # cancels when a11 ~ a22
     cov_forms = [[(half_gap + 1j * a12) / det, -m / det],
                  [-m / det, (half_gap - 1j * a12) / det]]
-    memo: dict = {}
+    memo: dict = {(0, 0): 1.0}
     total = 0.0 + 0.0j
     for (k, l), coeff in sym.poly.coeffs.items():
-        mom = _gaussian_moment((k, l), means, cov_forms, memo)
-        total += coeff * mom.coeffs.get((0, 0), 0.0)
+        total += coeff * _gaussian_moment((k, l), means, cov_forms, memo)
     # -b.A^{-1}.b/4 = b.mu/2
     return total * (math.pi / sqrt_det) * cmath.exp(sym.const + 0.5 * (b1 * mu_q + b2 * mu_p))
 

@@ -108,11 +108,15 @@ def squeeze_matrix(tau_abs: float, phi: float, xi: float) -> np.ndarray:
     Symmetric, positive definite, det = 1; equals
     R(phi) Lambda(s) R(-phi) with Lambda(s) = diag(s, 1/s), s = exp(-2 xi |tau|).
     """
+    s11, s12, s22 = _squeeze_entries(tau_abs, phi, xi)
+    return np.array([[s11, s12], [s12, s22]])
+
+
+def _squeeze_entries(tau_abs: float, phi: float, xi: float) -> tuple[float, float, float]:
+    """The entries S11, S12 = S21 and S22 of squeeze_matrix, as floats."""
     s = math.exp(-2.0 * xi * tau_abs)
     c2, s2 = math.cos(phi / 2.0) ** 2, math.sin(phi / 2.0) ** 2
-    off = -0.5 * (1.0 / s - s) * math.sin(phi)
-    return np.array([[s * c2 + s2 / s, off],
-                     [off, c2 / s + s * s2]])
+    return s * c2 + s2 / s, -0.5 * (1.0 / s - s) * math.sin(phi), c2 / s + s * s2
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +136,12 @@ def squeezed_projector(state: SqueezedState) -> GaussPolySymbol:
     At tau = 0 this is the coherent projector [|alpha><alpha|]_w.
     """
     xi = state.xi
-    xbar = state.mean_x
-    s_tau = squeeze_matrix(state.tau_abs, state.tau_phase, xi)
-    s_2tau = squeeze_matrix(2.0 * state.tau_abs, state.tau_phase, xi)
-    quad = -s_2tau / xi
-    lin = (2.0 / xi) * (s_tau @ xbar)
-    const = -float(xbar @ xbar) / xi
+    qbar, pbar = math.sqrt(2.0) * state.alpha.real, math.sqrt(2.0) * state.alpha.imag
+    s11, s12, s22 = _squeeze_entries(state.tau_abs, state.tau_phase, xi)
+    d11, d12, d22 = _squeeze_entries(2.0 * state.tau_abs, state.tau_phase, xi)
+    quad = [[-d11 / xi, -d12 / xi], [-d12 / xi, -d22 / xi]]
+    lin = [(2.0 / xi) * (s11 * qbar + s12 * pbar), (2.0 / xi) * (s12 * qbar + s22 * pbar)]
+    const = -(qbar * qbar + pbar * pbar) / xi
     return GaussPolySymbol(quad, lin, const, ZPoly.constant(2.0))
 
 

@@ -181,6 +181,14 @@ def test_t_tilde_overflow_raises():
         km.moyal_solution_symbolic(km.ObservableIndex(0, 1), 1.0, params)
 
 
+def test_gaussian_form_overflow_raises():
+    # t~ = 2 is finite but tan(t~)/xi = -2.2e308 is not: a typed error, not a
+    # symbol whose infinite form evaluates to NaN
+    params = km.KerrParams(1.0, 1e308, 1e-308)
+    with pytest.raises(OverflowError, match="tan"):
+        km.moyal_solution_symbolic(km.ObservableIndex(0, 2), 1.0, params)
+
+
 def test_constant_of_motion_at_huge_w2_t():
     # s = m: t~ = 0 however large w2 t is, so the symbol keeps its t = 0 value
     # where w2 t = 1e309 overflows

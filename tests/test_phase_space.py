@@ -1,5 +1,6 @@
 """Star-product engines, Moyal bracket and trace pairing."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 import kerrmoyal as km
 import kerrmoyal.validate as validate
 from kerrmoyal import DegenerateQuadraticForm, DegreeCapExceeded, DivergentIntegral
-from kerrmoyal.phase_space import GaussPolySymbol, PhasePoint, ZPoly
+from kerrmoyal.phase_space import GaussPolySymbol, PhasePoint, ZPoly, gauss_poly_integral
 
 XI = 1.0
 
@@ -23,6 +24,13 @@ def q_symbol():
 
 def p_symbol():
     return GaussPolySymbol.polynomial(ZPoly.linear_qp(0.0, 0.0, 1.0))
+
+
+def generic_gaussian():
+    """A Gaussian symbol with every part nonzero: form, linear term, constant
+    and a polynomial of two terms."""
+    return GaussPolySymbol(-0.7j * np.eye(2), np.array([0.2, -0.1j]), 0.1,
+                           ZPoly.monomial(1, 1, 0.5) + ZPoly.constant(1.0))
 
 
 def poisson_bracket(f, g):
@@ -103,8 +111,7 @@ def test_engine_agreement_gaussian_suite():
         km.squeezed_projector(km.SqueezedState(0.6 - 0.4j, 0.0, 0.0, XI)),
         km.squeezed_projector(km.SqueezedState(0.6 - 0.4j, 0.4 / XI, 1.1, XI)),
         km.squeezed_projector(km.SqueezedState(0.0, 0.8 / XI, 2.5, XI)),
-        GaussPolySymbol(-0.7j * np.eye(2), np.array([0.2, -0.1j]), 0.1,
-                        ZPoly.monomial(1, 1, 0.5) + ZPoly.constant(1.0)),
+        generic_gaussian(),
     ]
     monos = [(k, l) for k in range(5) for l in range(5 - k)]
     for k1, l1 in monos:
@@ -131,6 +138,49 @@ def test_associativity_low_degree():
         for pt in POINTS[:4]:
             ref = left(pt)
             assert abs(right(pt) - ref) <= 1e-10 * (1.0 + abs(ref))
+
+
+def test_star_gaussian_associative_on_gaussian_factors():
+    # every block of the Berezin congruence is read: the projector brings a
+    # linear term and a constant, Theta_12 a form with a cubic polynomial, and
+    # each product carries all of them into the next one
+    factors = [km.squeezed_projector(km.SqueezedState(0.6 - 0.4j, 0.4 / XI, 1.1, XI)),
+               km.moyal_solution_symbolic(km.ObservableIndex(1, 2), 3.0,
+                                          km.KerrParams(1.0, 0.1, XI)),
+               generic_gaussian()]
+    for f, g, h in itertools.permutations(factors):
+        left = km.star_gaussian(km.star_gaussian(f, g, XI), h, XI)
+        right = km.star_gaussian(f, km.star_gaussian(g, h, XI), XI)
+        for pt in POINTS:
+            ref = left(pt)
+            assert abs(right(pt) - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
+def test_trace_identity_of_star_gaussian():
+    # int f*g = int g*f = int f g: the products' moments are ZPoly, the
+    # pairing's plain numbers, and the two are read against each other
+    params = km.KerrParams(1.0, 0.1, XI)
+    symbols = [km.moyal_solution_symbolic(km.ObservableIndex(s, m), 3.0, params)
+               for s, m in ((0, 1), (1, 2), (2, 2), (3, 0))]
+    symbols += [GaussPolySymbol.polynomial(ZPoly.monomial(k, l))
+                for k, l in ((0, 0), (1, 0), (1, 1), (2, 1), (0, 3))]
+    projectors = [km.squeezed_projector(km.SqueezedState(0.6 - 0.4j, 0.0, 0.0, XI)),
+                  km.squeezed_projector(km.SqueezedState(0.6 - 0.4j, 0.4 / XI, 1.1, XI))]
+    for f in symbols:
+        for g in projectors:
+            ref = km.phase_space_inner_product(f, g, XI)
+            for product in (km.star_gaussian(f, g, XI), km.star_gaussian(g, f, XI)):
+                assert abs(gauss_poly_integral(product) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("xi", [math.nan, math.inf, 0.0])
+def test_star_engines_reject_xi_that_is_not_positive_and_finite(xi):
+    # at NaN and inf the derivative engine used to return a NaN or inf
+    # polynomial without an error
+    theta = km.moyal_solution_symbolic(km.ObservableIndex(0, 1), 0.3, km.KerrParams(1.0, 0.1, XI))
+    for engine in (km.star_differential, km.star_gaussian):
+        with pytest.raises(ValueError, match="xi must be positive and finite"):
+            engine(km.annihilation_symbol(), theta, xi)
 
 
 def test_involution():
