@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -38,6 +39,7 @@ from .errors import KerrMoyalError, SingularTime
 _QAMPL_XIS = (1.0, 0.5, 0.25, 0.1)
 _QPHASE_X2S = (0.5, 1.0, 2.0, 4.0)
 _SQUEEZE_FACTORS = (1.0, 0.5, 0.2, 0.1)
+_SQRT2 = math.sqrt(2.0)
 
 # The type each flag and config value is parsed to; --check is a flag only.
 _TYPES = {"xi": float, "w1": float, "w2": float, "alpha_re": float,
@@ -163,7 +165,10 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def write_rows(path: str | None, fmt: str, header: list[str],
-               rows: list[list[object]], echo: dict[str, object]) -> None:
+               rows: list[tuple], echo: dict[str, object]) -> None:
+    """Write the rows, each a tuple: "%" takes a tuple as its arguments, so
+    an all-numeric row is formatted in one step (a list would take the
+    sentinel path below, with the same bytes, cell by cell)."""
     _check_finite(rows)
     if fmt == "csv":
         # one %-template formats an all-numeric row; "%.17g" % x is
@@ -174,7 +179,7 @@ def write_rows(path: str | None, fmt: str, header: list[str],
             for key, val in echo.items()), ",".join(header)]
         for row in rows:
             try:
-                lines.append(template % tuple(row))
+                lines.append(template % row)
             except TypeError:  # a "singular" sentinel cell
                 lines.append(",".join(
                     cell if isinstance(cell, str) else _fmt(cell) for cell in row))
@@ -194,8 +199,8 @@ def write_rows(path: str | None, fmt: str, header: list[str],
 # figure subcommand
 # ---------------------------------------------------------------------------
 
-def _figure_qampl(p) -> tuple[list[str], list[list[object]]]:
-    rows: list[list[object]] = []
+def _figure_qampl(p) -> tuple[list[str], list[tuple]]:
+    rows: list[tuple] = []
     for xi in _QAMPL_XIS:
         w2t_grid = np.linspace(0.0, math.pi / xi, p["steps"])
         for w2t in w2t_grid:
@@ -204,15 +209,15 @@ def _figure_qampl(p) -> tuple[list[str], list[list[object]]]:
                 ratio = 1.0 / (c * c)
             except SingularTime:
                 ratio = "singular"
-            rows.append([xi, float(w2t), ratio])
+            rows.append((xi, float(w2t), ratio))
     return ["xi", "w2_t", "ratio_abs"], rows
 
 
-def _figure_qphase(p) -> tuple[list[str], list[list[object]]]:
+def _figure_qphase(p) -> tuple[list[str], list[tuple]]:
     xi, w2 = p["xi"], p["w2"]
     params = kerr.KerrParams(p["w1"], w2, xi)
     t_grid = np.linspace(0.0, p["t_max"], p["steps"])
-    rows: list[list[object]] = []
+    rows: list[tuple] = []
     for x2 in _QPHASE_X2S:
         pt = kerr.PhasePoint(math.sqrt(x2), 0.0)
         for t in t_grid:
@@ -220,23 +225,24 @@ def _figure_qphase(p) -> tuple[list[str], list[list[object]]]:
                 phi = kerr.quantum_phase(pt, float(t), params)
             except SingularTime:
                 phi = "singular"
-            rows.append([float(t), x2, phi])
+            rows.append((float(t), x2, phi))
     return ["t", "x2", "phi"], rows
 
 
-def _figure_squeeze(p, delta_phi: float) -> tuple[list[str], list[list[object]]]:
+def _figure_squeeze(p, delta_phi: float) -> tuple[list[str], list[tuple]]:
     xi = p["xi"]
     params = kerr.KerrParams(p["w1"], p["w2"], xi)
     alpha = complex(p["alpha_re"], p["alpha_im"])
     t_grid = np.linspace(0.0, p["t_max"], p["steps"])
-    rows: list[list[object]] = []
+    rows: list[tuple] = []
     for s in _SQUEEZE_FACTORS:
         tau_abs = -math.log(s) / (2.0 * xi)
         phi = delta_phi + 2.0 * np.angle(alpha)
         state = states.SqueezedState(alpha, tau_abs, phi, xi)
         for t in t_grid.tolist():
-            res = expectations.expectation_a_closed(t, state, params)
-            rows.append([t, s, res.mean_q, res.mean_p])
+            # (mean_q, mean_p) = sqrt(2) (Re, Im) <a(t)>, as ExpectationResult has them
+            value = expectations.expectation_a_closed(t, state, params).value
+            rows.append((t, s, _SQRT2 * value.real, _SQRT2 * value.imag))
     return ["t", "s", "mean_q", "mean_p"], rows
 
 
@@ -319,7 +325,10 @@ def cmd_validate(suite: str, p: dict) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parse_args leaves
+    it unchanged, so every main call shares it.  Callers must not add to it."""
     common = argparse.ArgumentParser(add_help=False)
     for key in (*_TYPES, "check"):
         readers = ", ".join(cmd for cmd, table in PARAMETERS.items() if key in table)

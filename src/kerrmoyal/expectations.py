@@ -8,7 +8,9 @@ pole-cleared variables: with t~ = xi w2 t, c = cos t~, sigma = sin t~ and
 
 the amplitude factor is G^{3/2} = (e^{-2i t~} n12)^{-3/2} and the Gaussian
 exponent is -2i |alpha|^2 sigma (i sigma + A c) / (xi n12), where
-A = cos^2(Delta_phi/2) / s^2 + s^2 sin^2(Delta_phi/2).  Since
+A = cos^2(Delta_phi/2) / s^2 + s^2 sin^2(Delta_phi/2) is the state's
+amplitude_noise.  s, Delta_phi and A are derived once per SqueezedState and
+cached on it, so a call does only the work that depends on t.  Since
 
     Re(e^{-2i t~} n12) = 1 + 2 sigma^2 c^2 (s - 1/s)^2 >= 1
 
@@ -55,7 +57,7 @@ MAX_AXIS_NODES = 2**27
 _CHUNK = 2**14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpectationResult:
     """<a(t)> together with the canonical means."""
 
@@ -85,11 +87,13 @@ def expectation_a_closed(t: float, state: SqueezedState,
     exp(-i(w1 t + t~ - Delta_phi/2)) exp(exponent), in the pole-cleared
     variables of the module docstring: one formula, finite and smooth for
     every t and s > 0, singular times included (there G^{3/2} = 1 and the
-    exponent is -2|alpha|^2/xi).
+    exponent is -2|alpha|^2/xi).  The state's s, Delta_phi and A come from
+    its cache; t~ - Delta_phi/2 is formed before its cos and sin, which
+    stay accurate where an addition formula over t~ and Delta_phi/2 would
+    not.
     """
     state.check_xi(params.xi)
     s = state.s
-    xi = params.xi
     alpha = state.alpha
     half = 0.5 * state.delta_phi
     tt = kerr_angle(1, t, params)
@@ -99,14 +103,13 @@ def expectation_a_closed(t: float, state: SqueezedState,
     n12 = (s2 * c + 1j * sigma) * (c / s2 + 1j * sigma)
     rot = complex(c, -sigma)
     z = rot * rot * n12                      # Re z >= 1: principal branch
-    a_coef = math.cos(half) ** 2 / s2 + s2 * math.sin(half) ** 2
-    exponent = (-2j * abs(alpha) ** 2 * sigma * (1j * sigma + a_coef * c)
-                / (xi * n12))
+    exponent = (-2j * abs(alpha) ** 2 * sigma * (1j * sigma + state.amplitude_noise * c)
+                / (params.xi * n12))
     bracket = complex(math.cos(tt - half) / s, s * math.sin(tt - half))
-    value = (alpha * bracket
-             * cmath.exp(exponent - 1j * (params.w1 * t + tt - half))
-             / z / cmath.sqrt(z))      # z * sqrt(z) overflows once |z| > ~3e205
-    return ExpectationResult(complex(value))
+    return ExpectationResult(
+        alpha * bracket
+        * cmath.exp(exponent - 1j * (params.w1 * t + tt - half))
+        / z / cmath.sqrt(z))           # z * sqrt(z) overflows once |z| > ~3e205
 
 
 def expectation_a_semiclassical(t: float, state: SqueezedState,

@@ -7,11 +7,14 @@ factor s = exp(-2 xi |tau|) in (0, 1] is always derived, never an
 independent input.  The combination that the dynamics actually sees is
 Delta_phi = phi - 2 arg(alpha), reduced to (-pi, pi] so that number
 squeezing sits at Delta_phi = pi and phase squeezing at Delta_phi = 0.
+s, Delta_phi and the amplitude-quadrature noise that the closed form of
+<a(t)> reads are derived once per state, on first use, and cached on it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -36,10 +39,13 @@ def _reduce_angle(angle: float) -> float:
 class SqueezedState:
     """|tau alpha> = V(tau) D(alpha)|0> at deformation parameter xi.
 
-    tau = tau_abs e^{i tau_phase}; tau_phase is normalized to [0, 2 pi).
-    Every field must be finite, tau_abs >= 0 and xi > 0 (ValueError), and
-    s^2 = exp(-4 xi tau_abs) must be a normal float (InvalidState), so that
-    1/s^2 is finite wherever the state is used.
+    tau = tau_abs e^{i tau_phase}; tau_phase is normalized to [0, 2 pi) and
+    alpha to a Python complex.  Every field must be finite, tau_abs >= 0 and
+    xi > 0 (ValueError), and s^2 = exp(-4 xi tau_abs) must be a normal float
+    (InvalidState), so that 1/s^2 is finite wherever the state is used.
+    The derived values s, delta_phi and amplitude_noise are computed on
+    first read from the stored fields and cached in the instance; they are
+    not fields, so == and hash see the four fields alone.
     """
 
     alpha: complex
@@ -62,6 +68,7 @@ class SqueezedState:
         if self.s * self.s < sys.float_info.min:
             raise InvalidState(f"squeeze factor s^2 = exp(-4 xi |tau|) underflows "
                                f"at xi |tau| = {self.xi * self.tau_abs!r}")
+        object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "tau_phase", float(self.tau_phase) % (2.0 * math.pi))
 
     @classmethod
@@ -70,13 +77,22 @@ class SqueezedState:
         """The constructor under its older name, which perfbench/adapters.py calls."""
         return cls(alpha, tau_abs, tau_phase, xi)
 
-    @property
+    @functools.cached_property
     def s(self) -> float:
         return math.exp(-2.0 * self.xi * self.tau_abs)
 
-    @property
+    @functools.cached_property
     def delta_phi(self) -> float:
         return _reduce_angle(self.tau_phase - 2.0 * cmath.phase(self.alpha))
+
+    @functools.cached_property
+    def amplitude_noise(self) -> float:
+        """cos^2(Delta_phi/2) / s^2 + s^2 sin^2(Delta_phi/2): the variance of
+        the quadrature along alpha in units of its coherent value xi/2, s^2
+        for number squeezing and 1/s^2 for phase squeezing."""
+        s2 = self.s * self.s
+        half = 0.5 * self.delta_phi
+        return math.cos(half) ** 2 / s2 + s2 * math.sin(half) ** 2
 
     @property
     def mean_x(self) -> np.ndarray:
