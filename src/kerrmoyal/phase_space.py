@@ -160,76 +160,89 @@ def _abs(z: complex) -> float:
 class GaussPolySymbol:
     """Symbol of the form poly(z, z*) * exp(x.A x + b.x + c).
 
-    ``quad`` is a complex 2x2 matrix in real (q, p) coordinates, ``lin`` a
-    complex 2-vector, ``const`` a complex scalar and ``poly`` the finite
-    coefficient table of the polynomial prefactor.  The exponent x.A x sees
-    only the symmetric part of A, so that is what is stored: (a12 + a21)/2
-    on both off-diagonal entries, and a symmetric form as given.
+    ``quad`` is the complex 2x2 matrix A in real (q, p) coordinates, ``lin``
+    the complex 2-vector b, ``const`` a complex scalar and ``poly`` the
+    finite coefficient table of the polynomial prefactor.  Any 2x2 and
+    2-entry sequences are accepted (nested lists, numpy arrays); ``quad`` is
+    stored as a tuple of two row tuples and ``lin`` as a tuple, all of
+    Python complex, which is what the engines and the pairing read.  The
+    exponent x.A x sees only the symmetric part of A, so that is what is
+    stored: (a12 + a21)/2 on both off-diagonal entries, and a symmetric
+    form as given.
 
-    Construction raises ``ValueError`` when ``quad`` is not 2x2 or a stored
-    entry is NaN (a NaN input, or opposite infinities across the diagonal),
-    and ``DegreeCapExceeded`` when the polynomial degree exceeds
-    ``DEGREE_CAP``.  The checks run on Python scalars, not numpy reductions:
-    every star product and pairing builds a new symbol.
+    Construction raises ``ValueError`` when ``quad`` is not 2x2, ``lin`` has
+    not two entries or a stored form entry is NaN (a NaN input, or opposite
+    infinities across the diagonal), and ``DegreeCapExceeded`` when the
+    polynomial degree exceeds ``DEGREE_CAP``.
     """
 
-    quad: np.ndarray
-    lin: np.ndarray
+    quad: tuple[tuple[complex, complex], tuple[complex, complex]]
+    lin: tuple[complex, complex]
     const: complex
     poly: ZPoly
 
     def __post_init__(self):
-        quad = np.array(self.quad, dtype=complex)
-        lin = np.array(self.lin, dtype=complex)
-        if quad.shape != (2, 2):
-            raise ValueError("quadratic form must be 2x2")
-        (a11, a12), (a21, a22) = quad.tolist()
+        try:
+            (a11, a12), (a21, a22) = self.quad
+            b1, b2 = self.lin
+        except ValueError as exc:
+            raise ValueError("quadratic form must be 2x2 and linear term 2-vector") from exc
+        a11, a12, a21, a22 = complex(a11), complex(a12), complex(a21), complex(a22)
         if a12 != a21:
-            a12 = quad[0, 1] = quad[1, 0] = 0.5 * (a12 + a21)
+            a12 = 0.5 * (a12 + a21)
         if not (a11 == a11 and a12 == a12 and a22 == a22):
             raise ValueError("quadratic form has a NaN entry")
         if self.poly.degree > DEGREE_CAP:
             raise DegreeCapExceeded(
                 f"polynomial degree {self.poly.degree} exceeds cap {DEGREE_CAP}")
-        object.__setattr__(self, "quad", quad)
-        object.__setattr__(self, "lin", lin)
+        object.__setattr__(self, "quad", ((a11, a12), (a12, a22)))
+        object.__setattr__(self, "lin", (complex(b1), complex(b2)))
         object.__setattr__(self, "const", complex(self.const))
 
     # -- constructors -------------------------------------------------
     @classmethod
     def polynomial(cls, poly: ZPoly) -> "GaussPolySymbol":
-        return cls(np.zeros((2, 2)), np.zeros(2), 0.0, poly)
+        return cls(((0j, 0j), (0j, 0j)), (0j, 0j), 0j, poly)
 
     @classmethod
     def constant(cls, c: complex) -> "GaussPolySymbol":
         return cls.polynomial(ZPoly.constant(c))
 
     # -- structure ----------------------------------------------------
+    def _gaussian(self) -> tuple[complex, ...]:
+        """The Gaussian factor's entries (a11, a12, a22, b1, b2, c)."""
+        (a11, a12), (_, a22) = self.quad
+        return (a11, a12, a22, *self.lin, self.const)
+
     @property
     def is_polynomial(self) -> bool:
-        return (self.const == 0.0 and not any(self.lin.tolist())
-                and not any(self.quad.ravel().tolist()))
+        return not any(self._gaussian())
 
     # -- algebra (closed under the class) ------------------------------
     def conjugate(self) -> "GaussPolySymbol":
-        return GaussPolySymbol(np.conj(self.quad), np.conj(self.lin),
-                               np.conj(self.const), self.poly.conjugate())
+        (a11, a12), (_, a22) = self.quad
+        b1, b2 = self.lin
+        return GaussPolySymbol(((a11.conjugate(), a12.conjugate()),
+                                (a12.conjugate(), a22.conjugate())),
+                               (b1.conjugate(), b2.conjugate()),
+                               self.const.conjugate(), self.poly.conjugate())
 
     def scale(self, c: complex) -> "GaussPolySymbol":
         return GaussPolySymbol(self.quad, self.lin, self.const, self.poly.scale(c))
 
     def __call__(self, x: PhasePoint) -> complex:
-        xv = x.as_array()
-        expo = xv @ self.quad @ xv + self.lin @ xv + self.const
+        q, p = x.q, x.p
+        (a11, a12), (_, a22) = self.quad
+        b1, b2 = self.lin
+        expo = (a11 * q + 2.0 * a12 * p + b1) * q + (a22 * p + b2) * p + self.const
+        # np.exp: inf, not OverflowError, where the exponent overflows
         return self.poly(x.z, x.zbar) * np.exp(expo)
 
     def __add__(self, other: "GaussPolySymbol") -> "GaussPolySymbol":
         """Sum of two symbols with one Gaussian factor: every entry of
         ``quad``, ``lin`` and ``const`` equals its partner (float ==, so
         equal infinities match), or ValueError is raised."""
-        pairs = zip(self.quad.ravel().tolist() + self.lin.tolist() + [self.const],
-                    other.quad.ravel().tolist() + other.lin.tolist() + [other.const])
-        if not all(x == y for x, y in pairs):
+        if not all(x == y for x, y in zip(self._gaussian(), other._gaussian())):
             raise ValueError("can only add symbols sharing one Gaussian factor")
         return GaussPolySymbol(self.quad, self.lin, self.const, self.poly + other.poly)
 
@@ -312,12 +325,12 @@ def star_gaussian(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
     """
     if not 0.0 < xi < math.inf:
         raise ValueError(f"xi must be positive and finite, got {xi!r}")
-    (f11, f12), (_, f22) = f.quad.tolist()
-    (g11, g12), (_, g22) = g.quad.tolist()
+    (f11, f12), (_, f22) = f.quad
+    (g11, g12), (_, g22) = g.quad
     c = 1j / xi                        # off-diagonal blocks (i/xi) J and its transpose
     q_mat = np.array([[f11, f12, 0.0, c], [f12, f22, -c, 0.0],
                       [0.0, -c, g11, g12], [c, 0.0, g12, g22]])
-    (fl1, fl2), (gl1, gl2) = f.lin.tolist(), g.lin.tolist()
+    (fl1, fl2), (gl1, gl2) = f.lin, g.lin
     w = 2.0 * c                        # W = (2i/xi) (-J; J)
     a_mat = np.array([[1.0, 1.0, 0.0, 0.0, 0.0, -w, fl1],
                       [1j, -1j, 0.0, 0.0, w, 0.0, fl2],
@@ -361,8 +374,8 @@ def star_differential(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> Gaus
         raise ValueError("left factor must be purely polynomial; use star_gaussian")
     # g = P e^E is differentiated on P alone: dz(P e^E) = (dz P + P dz E) e^E,
     # with dz E and dz* E linear in (z, z*) for E = x.A x + b.x + c
-    (a11, a12), (_, a22) = g.quad.tolist()
-    b1, b2 = g.lin.tolist()
+    (a11, a12), (_, a22) = g.quad
+    b1, b2 = g.lin
     dz_e = ZPoly({(1, 0): 0.5 * (a11 - a22 - 2j * a12), (0, 1): 0.5 * (a11 + a22),
                   (0, 0): 0.5 * (b1 - 1j * b2)})
     dzbar_e = ZPoly({(0, 1): 0.5 * (a11 - a22 + 2j * a12), (1, 0): 0.5 * (a11 + a22),
@@ -400,8 +413,8 @@ def gauss_poly_integral(sym: GaussPolySymbol) -> complex:
     m +- sqrt(m^2 - det) with the root of larger modulus first and the other
     as det over it, and the inverse through the adjugate.
     """
-    (a11, a12), (_, a22) = sym.quad.tolist()
-    b1, b2 = sym.lin.tolist()
+    (a11, a12), (_, a22) = sym.quad
+    b1, b2 = sym.lin
     m = 0.5 * (a11 + a22)
     det = a11 * a22 - a12 * a12
     half_gap = 0.5 * (a11 - a22)
@@ -429,6 +442,9 @@ def gauss_poly_integral(sym: GaussPolySymbol) -> complex:
 
 def phase_space_inner_product(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> complex:
     """int f(x) g(x) d^2x = (2 pi xi) Tr(f_hat g_hat) for trace-class pairs."""
-    combined = GaussPolySymbol(f.quad + g.quad, f.lin + g.lin,
-                               f.const + g.const, f.poly * g.poly)
+    (f11, f12), (_, f22) = f.quad
+    (g11, g12), (_, g22) = g.quad
+    (fb1, fb2), (gb1, gb2) = f.lin, g.lin
+    combined = GaussPolySymbol(((f11 + g11, f12 + g12), (f12 + g12, f22 + g22)),
+                               (fb1 + gb1, fb2 + gb2), f.const + g.const, f.poly * g.poly)
     return gauss_poly_integral(combined)

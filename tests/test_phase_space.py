@@ -241,7 +241,7 @@ def _faulty_star_gaussian(**scale):
 
     def star(f, g, xi):
         out = real(f, g, xi)
-        return GaussPolySymbol(out.quad * scale.get("quad", 1.0), out.lin, out.const,
+        return GaussPolySymbol(np.asarray(out.quad) * scale.get("quad", 1.0), out.lin, out.const,
                                out.poly.scale(scale.get("poly", 1.0)))
     return mock.patch.object(validate, "star_gaussian", star)
 
