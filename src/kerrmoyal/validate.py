@@ -110,6 +110,14 @@ def validate_algebra(params: kerr.KerrParams) -> SuiteReport:
     return report
 
 
+def _term_moduli(sym: GaussPolySymbol, pt: PhasePoint) -> float:
+    """sum over the terms c z^k z*^l exp(E) of sym at pt of their moduli:
+    the size that rounding the sum of the terms is relative to."""
+    r = abs(pt.z)
+    gauss = abs(GaussPolySymbol(sym.quad, sym.lin, sym.const, ZPoly.constant(1.0))(pt))
+    return gauss * sum(abs(c) * r ** (k + l) for (k, l), c in sym.poly.coeffs.items())
+
+
 def moyal_equation_deviations(params: kerr.KerrParams, indices, times, pts):
     """Worst deviations (pde_residual, angular_eigenvalue) of Theta_sm from
     Theta * H - H * Theta = i xi d_t Theta and Theta * N - N * Theta =
@@ -121,13 +129,15 @@ def moyal_equation_deviations(params: kerr.KerrParams, indices, times, pts):
     fourth-order central difference in t of the symbols
     moyal_solution_symbolic builds at t - 2h, ..., t + 2h.  Both identities
     are read without the bracket's 1/xi, so their rounding does not grow as
-    xi -> 0.  The first deviation is relative to |Theta * H| + |H * Theta| +
-    xi |d_t Theta|, the size of the terms that cancel, plus xi |Theta|,
-    which keeps the stencil's rounding (about eps xi |Theta| / h) under the
-    bound where H vanishes, and never to less than the smallest normal
-    float, since a subnormal size carries fewer than 53 bits; the second
-    (exact: N is quadratic) to 1 + |Theta|.  A time with |cos t~| < 0.2,
-    where the stencil's rounding grows, is skipped.
+    xi -> 0.  The first deviation is relative to the moduli of the terms of
+    Theta * H and of H * Theta at the point (their sums' rounding is
+    relative to these, and where the terms cancel the values are rounding
+    alone) plus xi (|d_t Theta| + |Theta|), which keeps the stencil's
+    rounding (about eps xi |Theta| / h) under the bound where H vanishes,
+    and never to less than the smallest normal float, since a subnormal
+    size carries fewer than 53 bits; the second (exact: N is quadratic) to
+    1 + |Theta|.  A time with |cos t~| < 0.2, where the stencil's rounding
+    grows, is skipped.
     """
     w1, w2, xi, h = params.w1, params.w2, params.xi, 5e-5
     n_poly = ZPoly({(1, 1): 0.5, (0, 0): -0.5 * xi})
@@ -148,7 +158,8 @@ def moyal_equation_deviations(params: kerr.KerrParams, indices, times, pts):
                 v = [sym(pt) for sym in stencil]
                 d_t = (8.0 * (v[2] - v[1]) - (v[3] - v[0])) / (12.0 * h)
                 left, right, value = theta_h(pt), h_theta(pt), theta(pt)
-                size = abs(left) + abs(right) + xi * (abs(d_t) + abs(value))
+                size = (_term_moduli(theta_h, pt) + _term_moduli(h_theta, pt)
+                        + xi * (abs(d_t) + abs(value)))
                 # size bounds the numerator: it is 0 only when every term is
                 pde.append(abs(left - right - 1j * xi * d_t)
                            / max(size, sys.float_info.min))

@@ -321,6 +321,8 @@ def test_heisenberg_commutator_through_star_engine():
          xi=1.0)                  # H ~ 1e-114: the stencil cannot see d_t Theta
 @example(s=0, m=1, q=0.0, p=2.2250738585e-313, t=0.0, w1=0.0, w2=1.0,
          xi=1.0)                  # a subnormal size, with fewer than 53 bits
+@example(s=1, m=1, q=0.0, p=1.0, t=0.0, w1=0.0, w2=1.0,
+         xi=1.0)                  # Theta * H is 0 but its terms are not
 def test_moyal_equation_property(s, m, q, p, t, w1, w2, xi):
     # both identities of the moyal suite at its bounds; s = m is the constant
     # of motion, whose bracket with H vanishes

@@ -225,8 +225,8 @@ def test_moyal_equation_through_both_star_engines(xi):
     # d Theta/dt = {Theta, H}_M: Theta * H goes through star_gaussian and
     # H * Theta through star_differential, s = m included, by the
     # implementation of `kerr validate moyal`.  On this grid the worst
-    # deviation is 5.9e-12 (the t-stencil's rounding at h = 5e-5), so the
-    # suite's bound of 1e-10 sits 17x above it.
+    # deviation is 4.4e-12 (the t-stencil's rounding at h = 5e-5), so the
+    # suite's bound of 1e-10 sits 23x above it.
     params = km.KerrParams(w1=0.7, w2=0.3, xi=xi)
     indices = [km.ObservableIndex(s, m) for s in range(3) for m in range(3)]
     pde, eig = validate.moyal_equation_deviations(params, indices, (0.35, 1.2, 2.6, 4.1),
@@ -268,6 +268,24 @@ def test_moyal_check_crosses_the_engines_for_s_equal_m():
                                                       POINTS[:3])
     assert pde > 1e3 * 1e-10
     assert eig > 1e5 * 5e-13
+
+
+@pytest.mark.parametrize("fault,floor", [({"poly": 1.0 + 1e-6}, 1e-7),
+                                         ({"quad": 1.0 + 1e-6}, 1e-6)])
+def test_moyal_check_sees_star_gaussian_faults_at_strong_chirp(fault, floor):
+    # next to the suite's |cos t~| >= 0.2 cut the symbols' chirp is
+    # strongest, and pde_residual, which is sized by the moduli of the
+    # products' terms, reads each fault of every index with s != m at
+    # >= 3.1e-7 (polynomial) and >= 4.0e-6 (form): 3000x and more above the
+    # suite's bound of 1e-10
+    params = km.KerrParams(w1=1.0, w2=0.1, xi=1.0)
+    for s in range(4):
+        for m in (m for m in range(4) if m != s):
+            times = [tt / ((m - s) * 0.1) for tt in (1.36, -1.36, math.pi - 1.36)]
+            with _faulty_star_gaussian(**fault):
+                pde, _ = validate.moyal_equation_deviations(
+                    params, [km.ObservableIndex(s, m)], times, POINTS[:3])
+            assert pde > floor
 
 
 def test_semiclassical_limit_of_bracket():
