@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -201,6 +202,42 @@ def test_closed_form_finite_while_z_to_three_halves_overflows():
         mags = [abs(closed(tau_abs, tau_phase)) for tau_abs in np.arange(118.0, 177.5)]
         assert all(0.0 < mag < math.inf for mag in mags)
         assert all(np.diff(np.log(mags)) < 0.0)
+
+
+def _closed_form_40_digits(t, state, params):
+    """The closed form of expectation_a_closed at 40 digits, from the same
+    float inputs: the state's stored fields, the params and t.  Delta_phi
+    is not reduced, as the formula is invariant under Delta_phi + 2 pi."""
+    with mpmath.workdps(40):
+        alpha = mpmath.mpc(state.alpha)
+        xi, w1, w2, t = (mpmath.mpf(x) for x in (params.xi, params.w1, params.w2, t))
+        s = mpmath.exp(-2 * mpmath.mpf(state.xi) * mpmath.mpf(state.tau_abs))
+        half = (mpmath.mpf(state.tau_phase) - 2 * mpmath.arg(alpha)) / 2
+        tt = xi * w2 * t
+        c, sigma = mpmath.cos(tt), mpmath.sin(tt)
+        n12 = (s**2 * c + 1j * sigma) * (c / s**2 + 1j * sigma)
+        z = mpmath.expj(-2 * tt) * n12
+        a_coef = mpmath.cos(half) ** 2 / s**2 + s**2 * mpmath.sin(half) ** 2
+        exponent = -2j * abs(alpha) ** 2 * sigma * (1j * sigma + a_coef * c) / (xi * n12)
+        bracket = mpmath.cos(tt - half) / s + 1j * s * mpmath.sin(tt - half)
+        return complex(alpha * bracket * mpmath.exp(exponent - 1j * (w1 * t + tt - half))
+                       * z ** mpmath.mpf(-1.5))
+
+
+@pytest.mark.parametrize("s_target", [1.0, 0.5, 0.2, 0.1])
+@pytest.mark.parametrize("delta_phi", [0.0, math.pi])
+def test_closed_form_against_40_digits(s_target, delta_phi):
+    # over t~ = k pi/48 in [0, pi], the pole t~ = pi/2 included, the worst
+    # relative deviation is 8.1e-14 (s = 0.1, Delta_phi = 0, alpha =
+    # -1.2 + 0.3i at t~ = pi): the one rounding of the float t~ = xi (w2 t),
+    # about eps pi, times d(exponent)/d t~ = 2 |alpha|^2 / (s^2 xi) = 306
+    for alpha in (1.0, 0.6 - 0.8j, -1.2 + 0.3j):
+        state = make_state(alpha, s_target, delta_phi)
+        for k in range(49):
+            t = (k * math.pi / 48.0) / (XI * PARAMS.w2)
+            ref = _closed_form_40_digits(t, state, PARAMS)
+            value = km.expectation_a_closed(t, state, PARAMS).value
+            assert abs(value - ref) <= 1e-12 * abs(ref)
 
 
 def test_xi_mismatch_rejected():

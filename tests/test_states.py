@@ -1,5 +1,6 @@
 """Squeezed-state parameters, symplectic matrices, symbols and moments."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import kerrmoyal as km
 from kerrmoyal import InvalidState
 from kerrmoyal.phase_space import GaussPolySymbol, PhasePoint
+from kerrmoyal.states import _reduce_angle
 
 XI = 1.0
 
@@ -76,6 +78,46 @@ def test_delta_phi_reduction():
     wrapped = make_state(alpha=1.0, delta_phi=-3.0 * math.pi)
     assert wrapped.delta_phi == pytest.approx(math.pi)
     assert km.SqueezedState(1.0, 0.3, -0.5, XI).tau_phase == 2.0 * math.pi - 0.5
+
+
+def test_cached_values_leave_equality_and_hash_alone():
+    # s, delta_phi and amplitude_noise are cached in the instance, not
+    # fields: a state whose cache has been read equals and hashes as one
+    # whose cache has not
+    args = (0.6 - 0.8j, 0.3, -7.5, 0.5)
+    read, unread = km.SqueezedState(*args), km.SqueezedState(*args)
+    before = hash(read)
+    assert (read.s, read.delta_phi, read.amplitude_noise) is not None
+    assert "delta_phi" in vars(read) and "delta_phi" not in vars(unread)
+    assert read == unread and hash(read) == hash(unread) == before
+    assert read != km.SqueezedState(0.6 - 0.8j, 0.3, -7.4, 0.5)
+
+
+@pytest.mark.parametrize("alpha,tau_phase", [(1, 0.0), (np.complex128(-0.3 + 0.9j), -7.5),
+                                             (0.6 - 0.8j, 13.0), (-2.0, math.pi)])
+def test_cached_values_follow_the_stored_fields(alpha, tau_phase):
+    # derived from the normalized tau_phase and the complex alpha the state
+    # stores, bit for bit as their formulas give them
+    state = km.SqueezedState(alpha, 0.4, tau_phase, 0.5)
+    assert type(state.alpha) is complex and state.alpha == alpha
+    assert 0.0 <= state.tau_phase < 2.0 * math.pi
+    assert state.s == math.exp(-2.0 * state.xi * state.tau_abs)
+    raw = state.tau_phase - 2.0 * cmath.phase(state.alpha)
+    assert state.delta_phi == _reduce_angle(raw)
+    assert -math.pi < state.delta_phi <= math.pi
+    half, s2 = 0.5 * state.delta_phi, state.s * state.s
+    assert state.amplitude_noise == math.cos(half) ** 2 / s2 + s2 * math.sin(half) ** 2
+
+
+def test_amplitude_noise_is_the_variance_along_alpha():
+    # the variance of the quadrature along alpha, in units of xi/2
+    for alpha, s_target, delta_phi in ((0.7 + 0.2j, 0.5, 1.1), (1.0, 0.2, math.pi),
+                                       (-0.3 + 0.9j, 0.8, 0.0)):
+        state = make_state(alpha, s_target, delta_phi)
+        var_q, var_p, cov = km.variances(state)
+        u = np.array([math.cos(cmath.phase(alpha)), math.sin(cmath.phase(alpha))])
+        var = u @ np.array([[var_q, cov], [cov, var_p]]) @ u
+        assert state.amplitude_noise == pytest.approx(var / (0.5 * XI), rel=1e-14)
 
 
 def test_phase_shift_convention():
