@@ -113,6 +113,18 @@ def test_figure_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(cli._FIGURES))
+def test_figure_rows_are_tuples(name):
+    # write_rows formats a row as template % row, which takes a tuple as its
+    # arguments; a list row would be written cell by cell, with the same
+    # bytes, at several times the cost
+    args = cli.build_parser().parse_args(["figure", name, "--steps", "9"])
+    header, rows = cli._FIGURES[name](cli.resolve(f"figure {name}", args)[0])
+    assert len(rows) == 4 * 9
+    assert all(type(row) is tuple and len(row) == len(header) for row in rows)
+    assert cli.build_parser() is cli.build_parser()      # one parser per process
+
+
 def test_figure_json_format(tmp_path):
     out = tmp_path / "q.json"
     assert run_cli(["figure", "qampl", "--steps", "17", "--format", "json",
