@@ -239,9 +239,12 @@ def _figure_squeeze(p, delta_phi: float) -> tuple[list[str], list[tuple]]:
         tau_abs = -math.log(s) / (2.0 * xi)
         phi = delta_phi + 2.0 * np.angle(alpha)
         state = states.SqueezedState(alpha, tau_abs, phi, xi)
+        # read once per state, but from the module, so a tracer that wraps
+        # the attribute still sees every call
+        closed = expectations.expectation_a_closed
         for t in t_grid.tolist():
             # (mean_q, mean_p) = sqrt(2) (Re, Im) <a(t)>, as ExpectationResult has them
-            value = expectations.expectation_a_closed(t, state, params).value
+            value = closed(t, state, params)
             rows.append((t, s, _SQRT2 * value.real, _SQRT2 * value.imag))
     return ["t", "s", "mean_q", "mean_p"], rows
 

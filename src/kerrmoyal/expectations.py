@@ -9,8 +9,10 @@ pole-cleared variables: with t~ = xi w2 t, c = cos t~, sigma = sin t~ and
 the amplitude factor is G^{3/2} = (e^{-2i t~} n12)^{-3/2} and the Gaussian
 exponent is -2i |alpha|^2 sigma (i sigma + A c) / (xi n12), where
 A = cos^2(Delta_phi/2) / s^2 + s^2 sin^2(Delta_phi/2) is the state's
-amplitude_noise.  s, Delta_phi and A are derived once per SqueezedState and
-cached on it, so a call does only the work that depends on t.  Since
+amplitude_noise.  The factors that do not depend on t (s, s^2, Delta_phi/2,
+alpha, -2i |alpha|^2 and A) are derived once per SqueezedState and cached on
+it as one tuple, closed_form_constants, so a call does only the work that
+depends on t, and it returns an ExpectationResult, a complex.  Since
 
     Re(e^{-2i t~} n12) = 1 + 2 sigma^2 c^2 (s - 1/s)^2 >= 1
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,19 +58,26 @@ MAX_AXIS_NODES = 2**27
 _CHUNK = 2**14
 
 
-@dataclass(frozen=True, slots=True)
-class ExpectationResult:
-    """<a(t)> together with the canonical means."""
+class ExpectationResult(complex):
+    """<a(t)> as an immutable complex, together with the canonical means.
 
-    value: complex
+    It is built by complex's own constructor and adds no instance state, so
+    it equals and hashes as its value and takes no attribute.
+    """
+
+    __slots__ = ()
+
+    @property
+    def value(self) -> complex:
+        return complex(self)
 
     @property
     def mean_q(self) -> float:
-        return _SQRT2 * self.value.real
+        return _SQRT2 * self.real
 
     @property
     def mean_p(self) -> float:
-        return _SQRT2 * self.value.imag
+        return _SQRT2 * self.imag
 
 
 def branch_winding(t: float, params: KerrParams) -> int:
@@ -87,24 +95,22 @@ def expectation_a_closed(t: float, state: SqueezedState,
     exp(-i(w1 t + t~ - Delta_phi/2)) exp(exponent), in the pole-cleared
     variables of the module docstring: one formula, finite and smooth for
     every t and s > 0, singular times included (there G^{3/2} = 1 and the
-    exponent is -2|alpha|^2/xi).  The state's s, Delta_phi and A come from
-    its cache; t~ - Delta_phi/2 is formed before its cos and sin, which
-    stay accurate where an addition formula over t~ and Delta_phi/2 would
-    not.
+    exponent is -2|alpha|^2/xi).  The state's t-independent factors come
+    from its closed_form_constants, unpacked once; check_xi and kerr_angle's
+    overflow check run on every call; t~ - Delta_phi/2 is formed before its
+    cos and sin, which stay accurate where an addition formula over t~ and
+    Delta_phi/2 would not.
     """
     state.check_xi(params.xi)
-    s = state.s
-    alpha = state.alpha
-    half = 0.5 * state.delta_phi
+    s, s2, half, alpha, exp_scale, noise = state.closed_form_constants
     tt = kerr_angle(1, t, params)
     c, sigma = math.cos(tt), math.sin(tt)
-    s2 = s * s
+    i_sigma = 1j * sigma
 
-    n12 = (s2 * c + 1j * sigma) * (c / s2 + 1j * sigma)
+    n12 = (s2 * c + i_sigma) * (c / s2 + i_sigma)
     rot = complex(c, -sigma)
     z = rot * rot * n12                      # Re z >= 1: principal branch
-    exponent = (-2j * abs(alpha) ** 2 * sigma * (1j * sigma + state.amplitude_noise * c)
-                / (params.xi * n12))
+    exponent = exp_scale * sigma * (i_sigma + noise * c) / (params.xi * n12)
     bracket = complex(math.cos(tt - half) / s, s * math.sin(tt - half))
     return ExpectationResult(
         alpha * bracket

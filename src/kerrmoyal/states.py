@@ -7,8 +7,9 @@ factor s = exp(-2 xi |tau|) in (0, 1] is always derived, never an
 independent input.  The combination that the dynamics actually sees is
 Delta_phi = phi - 2 arg(alpha), reduced to (-pi, pi] so that number
 squeezing sits at Delta_phi = pi and phase squeezing at Delta_phi = 0.
-s, Delta_phi and the amplitude-quadrature noise that the closed form of
-<a(t)> reads are derived once per state, on first use, and cached on it.
+s, Delta_phi, the amplitude-quadrature noise and the tuple of t-independent
+factors that the closed form of <a(t)> reads are derived once per state, on
+first use, and cached on it.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ class SqueezedState:
     alpha to a Python complex.  Every field must be finite, tau_abs >= 0 and
     xi > 0 (ValueError), and s^2 = exp(-4 xi tau_abs) must be a normal float
     (InvalidState), so that 1/s^2 is finite wherever the state is used.
-    The derived values s, delta_phi and amplitude_noise are computed on
-    first read from the stored fields and cached in the instance; they are
-    not fields, so == and hash see the four fields alone.
+    The derived values s, delta_phi, amplitude_noise and
+    closed_form_constants are computed on first read from the stored fields
+    and cached in the instance; they are not fields, so == and hash see the
+    four fields alone.
     """
 
     alpha: complex
@@ -93,6 +95,19 @@ class SqueezedState:
         s2 = self.s * self.s
         half = 0.5 * self.delta_phi
         return math.cos(half) ** 2 / s2 + s2 * math.sin(half) ** 2
+
+    @functools.cached_property
+    def closed_form_constants(self) -> tuple[float, float, float, complex, complex, float]:
+        """(s, s^2, Delta_phi/2, alpha, -2i |alpha|^2, amplitude_noise): the
+        factors of expectations.expectation_a_closed that do not depend on t,
+        one tuple that a call unpacks at once.  Each is a subexpression that
+        the formula evaluates before any t-dependent term enters it
+        (-2i |alpha|^2 leads a left-to-right product), so reading it from
+        here changes no bit of the result."""
+        s = self.s
+        alpha = self.alpha
+        return (s, s * s, 0.5 * self.delta_phi, alpha, -2j * abs(alpha) ** 2,
+                self.amplitude_noise)
 
     @property
     def mean_x(self) -> np.ndarray:

@@ -137,15 +137,20 @@ def moyal_equation_deviations(params: kerr.KerrParams, indices, times, pts):
     and never to less than the smallest normal float, since a subnormal
     size carries fewer than 53 bits; the second (exact: N is quadratic) to
     1 + |Theta|.  A time with |cos t~| < 0.2, where the stencil's rounding
-    grows, is skipped.
+    grows, is skipped.  The step is h = 5e-5 / max(1, |m - s| xi |w2|):
+    Theta_sm turns at the rate (m - s) xi w2 in t, and the stencil's
+    truncation relative to d_t Theta grows as (h times that rate)^4, which
+    at a fixed step would pass the bound at high rates near the cut; at
+    rates up to 1 the step is 5e-5.
     """
-    w1, w2, xi, h = params.w1, params.w2, params.xi, 5e-5
+    w1, w2, xi = params.w1, params.w2, params.xi
     n_poly = ZPoly({(1, 1): 0.5, (0, 0): -0.5 * xi})
     # N = x^2/2 - xi/2 is a^dag a; H = w2 [x^4/4 - xi x^2 + xi^2/2] + w1 N = N (w2 N + w1 - w2 xi)
     ham = GaussPolySymbol.polynomial(n_poly * (n_poly.scale(w2) + ZPoly.constant(w1 - w2 * xi)))
     number = GaussPolySymbol.polynomial(n_poly)
     pde, eig = [], []
     for idx in indices:
+        h = 5e-5 / max(1.0, abs(idx.m - idx.s) * xi * abs(w2))
         for t in (u for u in times if abs(math.cos(idx.t_tilde(u, params))) >= 0.2):
             theta = kerr.moyal_solution_symbolic(idx, t, params)
             stencil = [kerr.moyal_solution_symbolic(idx, t + k * h, params)

@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import kerrmoyal.cli as cli
+import kerrmoyal.expectations as expectations
 import kerrmoyal.kerr as kerr
 import kerrmoyal.validate as validate
 from kerrmoyal.phase_space import GaussPolySymbol, ZPoly
@@ -106,11 +108,35 @@ def test_figure_squeeze_phase_flat(tmp_path):
         assert near[s] <= 0.1 * t0_amp[s]
 
 
-def test_figure_deterministic(tmp_path):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(cli._FIGURES))
+def test_figure_deterministic(tmp_path, name, fmt):
+    # qampl and qphase write "singular" sentinel cells, the squeeze figures
+    # numbers alone
+    out1, out2 = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
     for out in (out1, out2):
-        run_cli(["figure", "squeeze-num", "--steps", "64", "--out", str(out)])
+        assert run_cli(["figure", name, "--steps", "64", "--format", fmt,
+                        "--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["squeeze-num", "squeeze-phase"])
+def test_figure_squeeze_means_are_the_closed_forms(name):
+    # each row's means are the mean_q and mean_p of one closed-form result,
+    # bit for bit, and every call is looked up on the module, where a tracer
+    # that wraps it sees it
+    args = cli.build_parser().parse_args(["figure", name, "--steps", "9",
+                                          "--alpha-re", "0.7", "--alpha-im", "-0.4"])
+    results = []
+    real = expectations.expectation_a_closed
+
+    def closed(*call):
+        results.append(real(*call))
+        return results[-1]
+    with mock.patch.object(expectations, "expectation_a_closed", closed):
+        _, rows = cli._FIGURES[name](cli.resolve(f"figure {name}", args)[0])
+    assert len(results) == len(rows) == 4 * 9
+    assert [row[2:] for row in rows] == [(res.mean_q, res.mean_p) for res in results]
 
 
 @pytest.mark.parametrize("name", sorted(cli._FIGURES))

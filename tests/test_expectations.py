@@ -53,6 +53,13 @@ def test_expectation_result_split():
     res = km.expectation_a_closed(1.3, state, PARAMS)
     assert res.mean_q == pytest.approx(math.sqrt(2.0) * res.value.real)
     assert res.mean_p == pytest.approx(math.sqrt(2.0) * res.value.imag)
+    # an immutable complex: value is the plain complex it equals and hashes as
+    assert isinstance(res, complex) and type(res.value) is complex
+    assert res == res.value and hash(res) == hash(res.value)
+    with pytest.raises(AttributeError):
+        res.value = 0j
+    with pytest.raises(AttributeError):
+        res.note = "extra"
 
 
 def test_closed_form_t0_is_bogoliubov_mean():

@@ -323,6 +323,8 @@ def test_heisenberg_commutator_through_star_engine():
          xi=1.0)                  # a subnormal size, with fewer than 53 bits
 @example(s=1, m=1, q=0.0, p=1.0, t=0.0, w1=0.0, w2=1.0,
          xi=1.0)                  # Theta * H is 0 but its terms are not
+@example(s=3, m=0, q=-1.0, p=-1.5, t=0.2282, w1=5.0, w2=1.0,
+         xi=2.0)                  # rate (m - s) xi w2 = -6 at |cos t~| = 0.2002
 def test_moyal_equation_property(s, m, q, p, t, w1, w2, xi):
     # both identities of the moyal suite at its bounds; s = m is the constant
     # of motion, whose bracket with H vanishes

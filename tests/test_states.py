@@ -81,14 +81,17 @@ def test_delta_phi_reduction():
 
 
 def test_cached_values_leave_equality_and_hash_alone():
-    # s, delta_phi and amplitude_noise are cached in the instance, not
-    # fields: a state whose cache has been read equals and hashes as one
-    # whose cache has not
+    # s, delta_phi, amplitude_noise and closed_form_constants are cached in
+    # the instance, not fields: a state whose cache has been read equals and
+    # hashes as one whose cache has not
     args = (0.6 - 0.8j, 0.3, -7.5, 0.5)
     read, unread = km.SqueezedState(*args), km.SqueezedState(*args)
     before = hash(read)
-    assert (read.s, read.delta_phi, read.amplitude_noise) is not None
+    assert (read.s, read.delta_phi, read.amplitude_noise,
+            read.closed_form_constants) is not None
     assert "delta_phi" in vars(read) and "delta_phi" not in vars(unread)
+    assert "closed_form_constants" in vars(read)
+    assert "closed_form_constants" not in vars(unread)
     assert read == unread and hash(read) == hash(unread) == before
     assert read != km.SqueezedState(0.6 - 0.8j, 0.3, -7.4, 0.5)
 
@@ -107,6 +110,9 @@ def test_cached_values_follow_the_stored_fields(alpha, tau_phase):
     assert -math.pi < state.delta_phi <= math.pi
     half, s2 = 0.5 * state.delta_phi, state.s * state.s
     assert state.amplitude_noise == math.cos(half) ** 2 / s2 + s2 * math.sin(half) ** 2
+    assert state.closed_form_constants == (state.s, s2, half, state.alpha,
+                                           -2j * abs(state.alpha) ** 2,
+                                           state.amplitude_noise)
 
 
 def test_amplitude_noise_is_the_variance_along_alpha():
