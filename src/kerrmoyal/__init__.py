@@ -38,7 +38,6 @@ from .kerr import (
     semiclassical_trajectory,
 )
 from .phase_space import (
-    POISSON_J,
     GaussPolySymbol,
     PhasePoint,
     ZPoly,
@@ -53,7 +52,6 @@ from .states import (
     SqueezedState,
     coherent_projector_symbol,
     mean_photon_number,
-    rotation_matrix,
     squeeze_matrix,
     squeezed_projector,
     variances,

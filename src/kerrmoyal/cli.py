@@ -186,7 +186,7 @@ def write_rows(path: str | None, fmt: str, header: list[str],
         text = "\n".join(lines) + "\n"
     else:
         data = [
-            {name: (cell if isinstance(cell, str) else float(_fmt(cell)))
+            {name: (cell if isinstance(cell, str) else float(cell))
              for name, cell in zip(header, row)}
             for row in rows
         ]
@@ -299,7 +299,7 @@ def cmd_expect(p: dict, echo: dict) -> int:
             record["quadrature_im"] = "singular"
             record["quadrature_deviation"] = "singular"
     _check_finite([record.values()])
-    payload = {key: (val if isinstance(val, (str, int)) else float(_fmt(val)))
+    payload = {key: (val if isinstance(val, (str, int)) else float(val))
                for key, val in record.items()}
     _emit(p["out"], json.dumps({"config": echo, "record": payload},
                                sort_keys=True, indent=1) + "\n")

@@ -21,6 +21,7 @@ overflowed float.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,23 @@ class KerrParams:
 
 @dataclass(frozen=True)
 class ObservableIndex:
-    """Index (s, m) of the observable (a^dag)^s a^m."""
+    """Index (s, m) of the observable (a^dag)^s a^m.
+
+    Each field is stored as the Python int operator.index gives; a value
+    it refuses (a float, say) raises ValueError naming the field.
+    """
 
     s: int
     m: int
 
     def __post_init__(self):
+        for name in ("s", "m"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"observable index {name} must be an integer, "
+                                 f"got {value!r}") from None
         if self.s < 0 or self.m < 0:
             raise IndexCapExceeded("s and m must be non-negative")
         if self.s > INDEX_CAP or self.m > INDEX_CAP:
@@ -107,13 +119,19 @@ def w_coefficient(m: int, s: int, l: int) -> float:
 # ---------------------------------------------------------------------------
 
 def initial_symbol(idx: ObservableIndex, xi: float, x: PhasePoint) -> complex:
-    """Theta_sm(0|x) = sum_l W(m,s,l) (-xi/2)^l abar^{s-l} a^{m-l}."""
+    """Theta_sm(0|x) = sum_l W(m,s,l) (-xi/2)^l abar^{s-l} a^{m-l}.
+
+    W is formed here from its factorials by exact integer division, not by
+    w_coefficient, so that the t = 0 check of the symbol does not share it.
+    """
+    s, m = idx.s, idx.m
     a = x.z / _SQRT2
     abar = x.zbar / _SQRT2
     total = 0.0 + 0.0j
-    for l in range(min(idx.s, idx.m) + 1):
-        total += (w_coefficient(idx.m, idx.s, l) * (-0.5 * xi) ** l
-                  * abar ** (idx.s - l) * a ** (idx.m - l))
+    for l in range(min(s, m) + 1):
+        w = (math.factorial(s) * math.factorial(m)
+             // (math.factorial(l) * math.factorial(s - l) * math.factorial(m - l)))
+        total += float(w) * (-0.5 * xi) ** l * abar ** (s - l) * a ** (m - l)
     return total
 
 

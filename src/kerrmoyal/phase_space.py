@@ -34,9 +34,6 @@ from .errors import (
     DivergentIntegral,
 )
 
-# Poisson matrix J: rows (0, 1), (-1, 0).  J^2 = -I, J^T = -J.
-POISSON_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 # Default cap on the polynomial degree of a single symbol factor.
 DEGREE_CAP = 64
 
@@ -104,9 +101,6 @@ class ZPoly:
             out[key] = out.get(key, 0.0) + val
         return ZPoly(out)
 
-    def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return self + other.scale(-1.0)
-
     def __mul__(self, other: "ZPoly") -> "ZPoly":
         out: dict[tuple[int, int], complex] = {}
         for (k1, l1), c1 in self.coeffs.items():
@@ -119,9 +113,6 @@ class ZPoly:
         return ZPoly({key: c * val for key, val in self.coeffs.items()})
 
     __rmul__ = scale        # c * poly for a number c
-
-    def conjugate(self) -> "ZPoly":
-        return ZPoly({(l, k): c.conjugate() for (k, l), c in self.coeffs.items()})
 
     def dz(self) -> "ZPoly":
         return ZPoly({(k - 1, l): k * c for (k, l), c in self.coeffs.items() if k > 0})
@@ -219,14 +210,6 @@ class GaussPolySymbol:
         return not any(self._gaussian())
 
     # -- algebra (closed under the class) ------------------------------
-    def conjugate(self) -> "GaussPolySymbol":
-        (a11, a12), (_, a22) = self.quad
-        b1, b2 = self.lin
-        return GaussPolySymbol(((a11.conjugate(), a12.conjugate()),
-                                (a12.conjugate(), a22.conjugate())),
-                               (b1.conjugate(), b2.conjugate()),
-                               self.const.conjugate(), self.poly.conjugate())
-
     def scale(self, c: complex) -> "GaussPolySymbol":
         return GaussPolySymbol(self.quad, self.lin, self.const, self.poly.scale(c))
 

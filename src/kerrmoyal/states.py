@@ -124,20 +124,15 @@ class SqueezedState:
 
 
 # ---------------------------------------------------------------------------
-# Symplectic matrices of the metaplectic action
+# Symplectic matrix of the metaplectic action
 # ---------------------------------------------------------------------------
-
-def rotation_matrix(phi: float) -> np.ndarray:
-    """R(phi): rotation by the half angle phi/2; R(phi)^T = R(-phi)."""
-    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    return np.array([[c, -s], [s, c]])
-
 
 def squeeze_matrix(tau_abs: float, phi: float, xi: float) -> np.ndarray:
     """S(tau) with V(tau) x_hat V(tau)^dag = S(tau) x_hat, tau = tau_abs e^{i phi}.
 
     Symmetric, positive definite, det = 1; equals
-    R(phi) Lambda(s) R(-phi) with Lambda(s) = diag(s, 1/s), s = exp(-2 xi |tau|).
+    R(phi) Lambda(s) R(-phi) with R(phi) the rotation by the half angle phi/2
+    and Lambda(s) = diag(s, 1/s), s = exp(-2 xi |tau|).
     """
     s11, s12, s22 = _squeeze_entries(tau_abs, phi, xi)
     return np.array([[s11, s12], [s12, s22]])

@@ -9,13 +9,9 @@ PACKAGE = ROOT / "src" / "kerrmoyal"
 # Exported names that serve an acceptance check rather than the product or
 # the benchmark, each with the test it serves.
 ACCEPTANCE_REFERENCES = {
-    # half-angle convention of the rotational equivariance of Theta_sm
-    "rotation_matrix": ("test_kerr.py", "test_rotational_equivariance"),
     # classical-limit asymptotics, acceptance criterion 08
     "semiclassical_trajectory": ("test_acceptance.py",
                                  "test_criterion_08_semiclassical_convergence"),
-    "flow_correction_z1": ("test_acceptance.py",
-                           "test_criterion_08_semiclassical_convergence"),
     "jacobi_residual": ("test_acceptance.py",
                         "test_criterion_08_semiclassical_convergence"),
     "expectation_a_semiclassical": ("test_acceptance.py",
@@ -24,9 +20,11 @@ ACCEPTANCE_REFERENCES = {
 
 
 def _referenced_names(tree):
-    """Names read as a Name or an Attribute node; docstrings and imports do not count."""
-    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+    """Names read (Load context) as a Name or an Attribute node; a definition
+    or an assignment, docstrings and imports do not count."""
+    loads = [node for node in ast.walk(tree) if isinstance(getattr(node, "ctx", None), ast.Load)]
+    return ({node.id for node in loads if isinstance(node, ast.Name)}
+            | {node.attr for node in loads if isinstance(node, ast.Attribute)})
 
 
 def _parse(path):
@@ -39,16 +37,22 @@ def _exported_names():
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
-def test_every_export_has_a_caller_or_an_acceptance_test():
+def _product_reads():
+    """Every name read in the library (bar __init__.py) or in perfbench."""
     users = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
     users += list((ROOT / "perfbench").glob("*.py"))
-    used = set().union(*(_referenced_names(_parse(path)) for path in users))
-    unused = _exported_names() - used - set(ACCEPTANCE_REFERENCES)
+    return set().union(*(_referenced_names(_parse(path)) for path in users))
+
+
+def test_every_export_has_a_caller_or_an_acceptance_test():
+    unused = _exported_names() - _product_reads() - set(ACCEPTANCE_REFERENCES)
     assert not unused, f"exported but called only by tests: {sorted(unused)}"
 
 
 def test_acceptance_references_are_exported_and_used_by_their_test():
     exported = _exported_names()
+    stale = set(ACCEPTANCE_REFERENCES) & _product_reads()
+    assert not stale, f"acceptance references with a product reader: {sorted(stale)}"
     for name, (module, test) in ACCEPTANCE_REFERENCES.items():
         assert name in exported, name
         [func] = [node for node in ast.walk(_parse(ROOT / "tests" / module))

@@ -163,13 +163,14 @@ def test_squeeze_matrix_group_law_and_inverse():
 def test_squeeze_matrix_symplectic_and_factorized():
     state = make_state(alpha=0.3 + 0.9j, s_target=0.35, delta_phi=0.7)
     s_mat = km.squeeze_matrix(state.tau_abs, state.tau_phase, XI)
-    j = km.POISSON_J
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])   # the Poisson matrix
     assert np.max(np.abs(s_mat @ j @ s_mat.T - j)) <= 1e-12
     assert np.max(np.abs(s_mat - s_mat.T)) == 0.0
     assert np.linalg.det(s_mat) == pytest.approx(1.0, abs=1e-12)
-    phi = state.tau_phase
-    recon = (km.rotation_matrix(phi) @ np.diag([state.s, 1.0 / state.s])
-             @ km.rotation_matrix(-phi))
+    # R(phi) Lambda(s) R(-phi), R(phi) the rotation by the half angle phi/2
+    c, s = math.cos(state.tau_phase / 2.0), math.sin(state.tau_phase / 2.0)
+    rot = np.array([[c, -s], [s, c]])
+    recon = rot @ np.diag([state.s, 1.0 / state.s]) @ rot.T
     assert np.max(np.abs(s_mat - recon)) <= 1e-12
 
 
@@ -179,14 +180,6 @@ def test_squeeze_matrix_eigenvalues_phi_independent():
         s = math.exp(-2.0 * XI * 0.55)
         assert eig[0] == pytest.approx(s, abs=1e-12)
         assert eig[1] == pytest.approx(1.0 / s, abs=1e-12)
-
-
-def test_rotation_matrix_half_angle():
-    phi = 1.1
-    r = km.rotation_matrix(phi)
-    assert r[0, 0] == pytest.approx(math.cos(phi / 2.0))
-    assert np.max(np.abs(r.T @ r - np.eye(2))) <= 1e-15
-    assert np.max(np.abs(r.T - km.rotation_matrix(-phi))) == 0.0
 
 
 # ---------------------------------------------------------------------------
