@@ -22,7 +22,8 @@ ACCEPTANCE_REFERENCES = {
 def _referenced_names(tree):
     """Names read (Load context) as a Name or an Attribute node; a definition
     or an assignment, docstrings and imports do not count."""
-    loads = [node for node in ast.walk(tree) if isinstance(getattr(node, "ctx", None), ast.Load)]
+    loads = [node for node in ast.walk(tree)
+             if isinstance(getattr(node, "ctx", None), ast.Load)]
     return ({node.id for node in loads if isinstance(node, ast.Name)}
             | {node.attr for node in loads if isinstance(node, ast.Attribute)})
 

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import kerrmoyal as km
 import kerrmoyal.kerr as kerr_module
-import mp_reference
 import kerrmoyal.validate as validate
 from kerrmoyal import IndexCapExceeded, SingularTime
 from kerrmoyal.kerr import INDEX_CAP, w_coefficient
 from kerrmoyal.phase_space import PhasePoint
+
+import mp_reference
 
 PARAMS = km.KerrParams(w1=1.0, w2=1.0, xi=1.0)
 
@@ -323,11 +324,14 @@ def test_every_symbol_pairs_to_the_fock_expectation(xi, w2, w1):
     assert worst <= 1e-11
 
 
+PAIRING_TIMES = (0.0, 0.37, 1.0, 2.3)
+
+
 @pytest.mark.parametrize("s,m,times", [
-    (0, 8, (0.0, 0.37, 1.0, 2.3)),
-    (6, 6, (0.0, 0.37, 1.0, 2.3)),
-    (5, 7, (0.0, 0.37, 1.0, 2.3)),
-    (4, 8, (0.0, 0.37, 1.0, 2.3)),
+    (0, 8, PAIRING_TIMES),
+    (6, 6, PAIRING_TIMES),
+    (5, 7, PAIRING_TIMES),
+    (4, 8, PAIRING_TIMES),
     # the coefficient-table pairing loses digits at high degree: it reads
     # 5.5e2 here against |ref| = 4.5e8, and dims 260 and 400 agree exactly
     pytest.param(10, 30, (2.3,), marks=pytest.mark.xfail(
