@@ -39,7 +39,8 @@ class TruncationInsufficient(KerrMoyalError):
 class ToleranceNotMet(KerrMoyalError):
     """The quadrature's error estimate, ``achieved``, is not within the
     requested tolerance, or its grid would exceed the node bound (``achieved``
-    is then inf)."""
+    is then inf); or the trace pairing's rounding bound, ``achieved``, is not
+    small against its value."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(message)

@@ -17,7 +17,8 @@ Gaussian moments with Fresnel regularization.  They are deliberately
 independent of one another, down to how each writes the exponent in
 (z, z*), so each can serve as an oracle for the other.  The Berezin engine
 takes one eigen-solve (the branch) and one solve (all else) of its 4x4 form
-and runs the Isserlis recursion on ZPoly means; the pairing on numbers.
+and runs the Isserlis recursion on one (k, l) -> coefficient table per
+moment; the pairing runs it on numbers and bounds its rounding.
 """
 
 from __future__ import annotations
@@ -32,12 +33,16 @@ from .errors import (
     DegenerateQuadraticForm,
     DegreeCapExceeded,
     DivergentIntegral,
+    ToleranceNotMet,
 )
 
 # Default cap on the polynomial degree of a single symbol factor.
 DEGREE_CAP = 64
 
 _EIG_TOL = 1e-12
+
+# Largest rounding bound of the pairing, relative to 1 + |value|.
+_PAIRING_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -111,8 +116,6 @@ class ZPoly:
 
     def scale(self, c: complex) -> "ZPoly":
         return ZPoly({key: c * val for key, val in self.coeffs.items()})
-
-    __rmul__ = scale        # c * poly for a number c
 
     def dz(self) -> "ZPoly":
         return ZPoly({(k - 1, l): k * c for (k, l), c in self.coeffs.items() if k > 0})
@@ -246,9 +249,9 @@ def creation_symbol() -> GaussPolySymbol:
 # Fresnel-regularized complex Gaussian integrals
 # ---------------------------------------------------------------------------
 
-def _fresnel_sqrt_det(lam, error_cls=DegenerateQuadraticForm) -> complex:
+def _fresnel_sqrt_det(lam: np.ndarray, error_cls=DegenerateQuadraticForm) -> complex:
     """sqrt(det(-M)) continued from the damped form det(eps*I - M), eps -> 0+,
-    given the eigenvalues ``lam`` of M.
+    given the eigenvalues ``lam`` of M as a complex array.
 
     Adding -eps|u|^2 to the exponent and following the principal square root
     from large eps down to zero amounts to taking the principal square root
@@ -256,8 +259,9 @@ def _fresnel_sqrt_det(lam, error_cls=DegenerateQuadraticForm) -> complex:
     when an eigenvalue sits on the non-negative real axis (within _EIG_TOL of
     the largest modulus) or is not finite.
     """
-    scale = max(1.0, max(_abs(ev) for ev in lam))
-    for ev in lam:
+    values = lam.tolist()
+    scale = max(1.0, max(map(_abs, values)))
+    for ev in values:
         if not cmath.isfinite(ev):
             raise error_cls(f"quadratic form has eigenvalue {ev}")
         if abs(ev.imag) <= _EIG_TOL * scale and ev.real >= -_EIG_TOL * scale:
@@ -265,32 +269,58 @@ def _fresnel_sqrt_det(lam, error_cls=DegenerateQuadraticForm) -> complex:
                 f"quadratic form has eigenvalue {ev} on the non-negative real axis")
     # numpy's complex sqrt, not cmath's: the two differ in the last bit when
     # -lambda is near the imaginary axis
-    return math.prod(complex(np.sqrt(-ev)) for ev in lam)
+    return math.prod(np.sqrt(-lam).tolist())
 
 
-def _gaussian_moment(counts: tuple[int, ...], means: list, cov, memo: dict):
-    """E[prod_i l_i^counts_i] for jointly Gaussian linear forms l_i.
-
-    The means are numbers, or ZPoly where they carry a (z, z*) dependence,
-    and the moment is formed in the same ring: the caller seeds ``memo``
-    with that ring's 1 at the all-zero counts.  Covariances are numbers.
-    Standard Isserlis recursion with memoization on the count multi-index.
-    """
-    if counts in memo:
-        return memo[counts]
-    i = next(idx for idx, c in enumerate(counts) if c > 0)
-    reduced = list(counts)
-    reduced[i] -= 1
-    reduced_t = tuple(reduced)
-    total = means[i] * _gaussian_moment(reduced_t, means, cov, memo)
-    for j, cnt in enumerate(reduced_t):
-        if cnt == 0 or cov[i][j] == 0:
-            continue
-        further = list(reduced_t)
-        further[j] -= 1
-        total = total + (cov[i][j] * cnt) * _gaussian_moment(tuple(further), means, cov, memo)
-    memo[counts] = total
+def _gaussian_moment(counts: tuple[int, ...], means: list, cov, memo: dict) -> complex:
+    """E[prod_i l_i^counts_i] for jointly Gaussian linear forms l_i with the
+    pairing's numeric means and covariances: the Isserlis recursion,
+    memoized on the counts; ``memo`` holds 1 at the all-zero counts."""
+    total = memo.get(counts)
+    if total is None:
+        i = next(idx for idx, c in enumerate(counts) if c > 0)
+        reduced = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
+        total = means[i] * _gaussian_moment(reduced, means, cov, memo)
+        for j, cnt in enumerate(reduced):
+            if cnt and cov[i][j]:
+                further = reduced[:j] + (cnt - 1,) + reduced[j + 1:]
+                total = total + (cov[i][j] * cnt) * _gaussian_moment(further, means, cov, memo)
+        memo[counts] = total
     return total
+
+
+def _add_scaled(table: dict, terms: dict, c: complex) -> None:
+    """table += c * terms in place, with the arithmetic and the zero-dropping
+    of ZPoly's scale and +, but no intermediate ZPoly (both star engines)."""
+    for key, val in terms.items():
+        if total := table.get(key, 0.0) + c * val:
+            table[key] = total
+        else:
+            table.pop(key, None)
+
+
+def _moment_table(counts: tuple[int, ...], means: list, s: list, memo: dict) -> dict:
+    """_gaussian_moment of star_gaussian's four forms as one (k, l) ->
+    coefficient table, summed as ZPoly sums: each mean is a list of its
+    nonzero ((k, l), c) terms, the covariance is -S/2 of the congruence rows
+    ``s``, and ``memo`` holds {(0, 0): 1} at the all-zero counts."""
+    table = memo.get(counts)
+    if table is None:
+        i = 0 if counts[0] else 1 if counts[1] else 2 if counts[2] else 3
+        reduced = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
+        table, prev = {}, _moment_table(reduced, means, s, memo).items()
+        for (dk, dl), c1 in means[i]:
+            for (k, l), c2 in prev:
+                key = (k + dk, l + dl)
+                table[key] = table.get(key, 0.0) + c1 * c2
+        if not all(table.values()):
+            table = {key: val for key, val in table.items() if val}
+        for j, cnt in enumerate(reduced):
+            if cnt and (cov := -0.5 * s[i][j]):
+                further = reduced[:j] + (cnt - 1,) + reduced[j + 1:]
+                _add_scaled(table, _moment_table(further, means, s, memo), cov * cnt)
+        memo[counts] = table
+    return table
 
 
 def star_gaussian(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPolySymbol:
@@ -312,13 +342,13 @@ def star_gaussian(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
     (g11, g12), (_, g22) = g.quad
     c = 1j / xi                        # off-diagonal blocks (i/xi) J and its transpose
     q_mat = np.array([[f11, f12, 0.0, c], [f12, f22, -c, 0.0],
-                      [0.0, -c, g11, g12], [c, 0.0, g12, g22]])
+                      [0.0, -c, g11, g12], [c, 0.0, g12, g22]], dtype=complex)
     (fl1, fl2), (gl1, gl2) = f.lin, g.lin
     w = 2.0 * c                        # W = (2i/xi) (-J; J)
     a_mat = np.array([[1.0, 1.0, 0.0, 0.0, 0.0, -w, fl1],
                       [1j, -1j, 0.0, 0.0, w, 0.0, fl2],
                       [0.0, 0.0, 1.0, 1.0, 0.0, w, gl1],
-                      [0.0, 0.0, 1j, -1j, -w, 0.0, gl2]])
+                      [0.0, 0.0, 1j, -1j, -w, 0.0, gl2]], dtype=complex)
 
     sqrt_det = _fresnel_sqrt_det(np.linalg.eigvals(q_mat))
     s = (a_mat.T @ np.linalg.solve(q_mat, a_mat)).tolist()
@@ -326,17 +356,17 @@ def star_gaussian(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
     quad_out = [[-0.25 * v for v in row[4:6]] for row in s[4:6]]
     lin_out = [-0.5 * s[4][6], -0.5 * s[5][6]]
     const_out = f.const + g.const - 0.25 * s[6][6]
-    means = [ZPoly.linear_qp(-0.5 * row[6], -0.5 * row[4], -0.5 * row[5]) for row in s[:4]]
-    cov_forms = [[-0.5 * v for v in row[:4]] for row in s[:4]]
-
+    means = []      # each as the nonzero ((k, l), c) terms of ZPoly.linear_qp
+    for cq, cp, c0 in ((-0.5 * row[4], -0.5 * row[5], -0.5 * row[6]) for row in s[:4]):
+        terms = ((0, 0), c0), ((1, 0), 0.5 * (cq - 1j * cp)), ((0, 1), 0.5 * (cq + 1j * cp))
+        means.append([term for term in terms if term[1]])
     pref = 1.0 / (xi * xi * sqrt_det)
-    memo: dict = {(0, 0, 0, 0): ZPoly.constant(1.0)}
-    poly_out = ZPoly()
+    memo: dict = {(0, 0, 0, 0): {(0, 0): 1 + 0j}}
+    poly_out: dict = {}
     for (k1, l1), c1 in f.poly.coeffs.items():
         for (k2, l2), c2 in g.poly.coeffs.items():
-            mom = _gaussian_moment((k1, l1, k2, l2), means, cov_forms, memo)
-            poly_out = poly_out + mom.scale(c1 * c2)
-    return GaussPolySymbol(quad_out, lin_out, const_out, poly_out.scale(pref))
+            _add_scaled(poly_out, _moment_table((k1, l1, k2, l2), means, s, memo), c1 * c2)
+    return GaussPolySymbol(quad_out, lin_out, const_out, ZPoly(poly_out).scale(pref))
 
 
 def star_differential(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPolySymbol:
@@ -363,18 +393,18 @@ def star_differential(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> Gaus
                   (0, 0): 0.5 * (b1 - 1j * b2)})
     dzbar_e = ZPoly({(0, 1): 0.5 * (a11 - a22 + 2j * a12), (1, 0): 0.5 * (a11 + a22),
                      (0, 0): 0.5 * (b1 + 1j * b2)})
-    total = ZPoly()
+    total: dict = {}
     f_a, g_a, a = f.poly, g.poly, 0        # dz^a f and dz*^a g
     while f_a.coeffs:
         f_ab, g_ab, b = f_a, g_a, 0        # dz^a dz*^b f and dz*^a dz^b g
         while f_ab.coeffs:
             coeff = xi ** (a + b) * (-1.0) ** b / (math.factorial(a) * math.factorial(b))
-            total = total + (f_ab * g_ab).scale(coeff)
+            _add_scaled(total, (f_ab * g_ab).coeffs, coeff)
             f_ab, b = f_ab.dzbar(), b + 1
             g_ab = g_ab.dz() + g_ab * dz_e if f_ab.coeffs else g_ab
         f_a, a = f_a.dz(), a + 1
         g_a = g_a.dzbar() + g_a * dzbar_e if f_a.coeffs else g_a
-    return GaussPolySymbol(g.quad, g.lin, g.const, total)
+    return GaussPolySymbol(g.quad, g.lin, g.const, ZPoly(total))
 
 
 def moyal_bracket(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPolySymbol:
@@ -394,7 +424,8 @@ def gauss_poly_integral(sym: GaussPolySymbol) -> complex:
 
     The 2x2 form is solved in closed form on scalars: eigenvalues
     m +- sqrt(m^2 - det) with the root of larger modulus first and the other
-    as det over it, and the inverse through the adjugate.
+    as det over it, and the inverse through the adjugate.  ToleranceNotMet is
+    raised when eps sum_l |c_l M_l| |prefactor| > _PAIRING_RTOL (1 + |value|).
     """
     (a11, a12), (_, a22) = sym.quad
     b1, b2 = sym.lin
@@ -403,7 +434,7 @@ def gauss_poly_integral(sym: GaussPolySymbol) -> complex:
     half_gap = 0.5 * (a11 - a22)
     root = cmath.sqrt(half_gap * half_gap + a12 * a12)   # m^2 - det, cancellation-free
     lam1 = m + root if (m.conjugate() * root).real >= 0.0 else m - root
-    lam = (lam1, det / lam1) if lam1 else (0j, 0j)
+    lam = np.array((lam1, det / lam1) if lam1 else (0j, 0j))
     sqrt_det = _fresnel_sqrt_det(lam, error_cls=DivergentIntegral)
     # covariance -A^{-1}/2 and mean -A^{-1} b/2 of (q, p), A^{-1} = adj(A)/det
     c11, c12, c22 = -0.5 * a22 / det, 0.5 * a12 / det, -0.5 * a11 / det
@@ -416,15 +447,22 @@ def gauss_poly_integral(sym: GaussPolySymbol) -> complex:
     cov_forms = [[(half_gap + 1j * a12) / det, -m / det],
                  [-m / det, (half_gap - 1j * a12) / det]]
     memo: dict = {(0, 0): 1.0}
-    total = 0.0 + 0.0j
+    total, size = 0j, 0.0
     for (k, l), coeff in sym.poly.coeffs.items():
-        total += coeff * _gaussian_moment((k, l), means, cov_forms, memo)
+        term = coeff * _gaussian_moment((k, l), means, cov_forms, memo)
+        total, size = total + term, size + _abs(term)
     # -b.A^{-1}.b/4 = b.mu/2
-    return total * (math.pi / sqrt_det) * cmath.exp(sym.const + 0.5 * (b1 * mu_q + b2 * mu_p))
+    norm, gauss = math.pi / sqrt_det, cmath.exp(sym.const + 0.5 * (b1 * mu_q + b2 * mu_p))
+    value = total * norm * gauss
+    bound = math.ulp(1.0) * size * _abs(norm * gauss)     # eps sum_l |c_l M_l| |prefactor|
+    if bound > _PAIRING_RTOL * (1.0 + _abs(value)):
+        raise ToleranceNotMet(f"pairing rounding bound {bound:.3e} above tolerance", bound)
+    return value
 
 
 def phase_space_inner_product(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> complex:
-    """int f(x) g(x) d^2x = (2 pi xi) Tr(f_hat g_hat) for trace-class pairs."""
+    """int f(x) g(x) d^2x = (2 pi xi) Tr(f_hat g_hat) for trace-class pairs,
+    by gauss_poly_integral, whose ToleranceNotMet it passes on."""
     (f11, f12), (_, f22) = f.quad
     (g11, g12), (_, g22) = g.quad
     (fb1, fb2), (gb1, gb2) = f.lin, g.lin

@@ -276,13 +276,13 @@ def validate_expectation(params: kerr.KerrParams) -> SuiteReport:
     report = SuiteReport("expectation")
 
     devs = []
+    times = np.linspace(0.0, math.pi / (xi * params.w2), 7)[:-1]
     for s_target in (0.5, 0.2):
         for dphi in (0.0, math.pi):
             tau_abs = -math.log(s_target) / (2.0 * xi)
             state = states.SqueezedState(1.0, tau_abs, dphi, xi)
             space = fock.fock_space_for(state)
             v = fock.squeezed_vector(state, space)
-            times = np.linspace(0.0, math.pi / (xi * params.w2), 7)[:-1]
             oracle = fock.heisenberg_expectation_sweep(
                 kerr.ObservableIndex(0, 1), times, v, space, params)
             for t, ref in zip(times, oracle):
@@ -311,6 +311,18 @@ def validate_expectation(params: kerr.KerrParams) -> SuiteReport:
             * np.exp(-1j * xi * params.w2 * t))
         devs.append(abs(val - ref))
     report.checks.append(CheckResult("no_squeeze_reduction", _worst(devs), 1e-12))
+
+    # symbols with an l >= 1 term through the pairing, against the band sweep
+    # at 4x the fock_space_for dimension, away from the poles
+    space = fock.FockSpace(4 * fock.fock_space_for(mild).dim, xi)
+    v, projector, devs = fock.squeezed_vector(mild, space), states.squeezed_projector(mild), []
+    for idx in (kerr.ObservableIndex(1, 2), kerr.ObservableIndex(2, 2)):
+        ts = [t for t in times if abs(math.cos(idx.t_tilde(t, params))) >= 0.2]
+        for t, ref in zip(ts, fock.heisenberg_expectation_sweep(idx, ts, v, space, params)):
+            theta = kerr.moyal_solution_symbolic(idx, t, params)
+            val = phase_space_inner_product(theta, projector, xi) / (2.0 * math.pi * xi)
+            devs.append(abs(val - ref) / (1.0 + abs(ref)))
+    report.checks.append(CheckResult("pairing_vs_fock", _worst(devs), 1e-13))
     return report
 
 

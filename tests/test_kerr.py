@@ -157,18 +157,33 @@ def test_moyal_solution_t0_reduction():
                 assert abs(v0 - km.initial_symbol(idx, PARAMS.xi, pt)) <= 1e-12
 
 
-def test_t0_reduction_does_not_share_w_coefficient(monkeypatch):
-    # initial_symbol forms W itself, so a fault in w_coefficient reaches only
-    # the symbol and the moyal suite's t = 0 check sees it
+def _perturb_w_coefficient(monkeypatch):
+    """Scale every l >= 1 coefficient of kerr.w_coefficient by 1 + 1e-9."""
     exact = kerr_module.w_coefficient
 
     def perturbed(m, s, l):
         return exact(m, s, l) * (1.0 + 1e-9 if l >= 1 else 1.0)
 
     monkeypatch.setattr(kerr_module, "w_coefficient", perturbed)
+
+
+def test_t0_reduction_does_not_share_w_coefficient(monkeypatch):
+    # initial_symbol forms W itself, so a fault in w_coefficient reaches only
+    # the symbol and the moyal suite's t = 0 check sees it
+    _perturb_w_coefficient(monkeypatch)
     report = validate.validate_moyal(km.KerrParams(w1=1.0, w2=0.1, xi=1.0))
     check = {c.name: c for c in report.checks}["t0_reduction"]
     assert check.max_deviation > check.tolerance == 1e-14
+
+
+def test_pairing_vs_fock_sees_a_w_coefficient_fault(monkeypatch):
+    # the expectation suite pairs (1,2) and (2,2), whose symbols have l >= 1
+    # terms, against the Fock sweep: it reads 8.1e-10 here, and 5.1e-16
+    # without the fault
+    _perturb_w_coefficient(monkeypatch)
+    report = validate.validate_expectation(km.KerrParams(w1=1.0, w2=0.1, xi=1.0))
+    check = {c.name: c for c in report.checks}["pairing_vs_fock"]
+    assert check.max_deviation > check.tolerance == 1e-13
 
 
 def test_t0_reduction_at_huge_w1():
@@ -332,8 +347,9 @@ PAIRING_TIMES = (0.0, 0.37, 1.0, 2.3)
     (6, 6, PAIRING_TIMES),
     (5, 7, PAIRING_TIMES),
     (4, 8, PAIRING_TIMES),
-    # the coefficient-table pairing loses digits at high degree: it reads
-    # 5.5e2 here against |ref| = 4.5e8, and dims 260 and 400 agree exactly
+    # the coefficient-table pairing loses digits at high degree: it read
+    # 5.5e2 here against |ref| = 4.5e8 (dims 260 and 400 agree exactly),
+    # and now raises ToleranceNotMet instead, which fails the test as well
     pytest.param(10, 30, (2.3,), marks=pytest.mark.xfail(
         strict=True, reason="the pairing of Theta_sm loses digits at high degree")),
 ], ids=["0-8", "6-6", "5-7", "4-8", "10-30"])
@@ -351,6 +367,20 @@ def test_symbol_pairs_to_a_50_digit_fock_sum(s, m, times):
         theta = km.moyal_solution_symbolic(idx, t, params)
         val = km.phase_space_inner_product(theta, projector, xi) / (2 * math.pi * xi)
         assert abs(val - ref) / (1.0 + abs(ref)) <= 1e-12, t
+
+
+@pytest.mark.parametrize("s,m,t", [(10, 30, 2.3), (5, 19, 1.0)])
+def test_pairing_refuses_a_value_its_rounding_bound_does_not_cover(s, m, t):
+    # finding 1's state: the coefficient table's terms cancel, and the bound
+    # eps sum |c_l M_l| |prefactor| reads 4.8 (1 + |value|) at (10,30) and
+    # 9.0e-8 (1 + |value|) at (5,19), against 1e-10
+    xi = 1.0
+    params = km.KerrParams(1.0, 0.1, xi)
+    state = km.SqueezedState(1.0, -math.log(0.8) / (2.0 * xi), 1.1, xi)
+    theta = km.moyal_solution_symbolic(km.ObservableIndex(s, m), t, params)
+    with pytest.raises(km.ToleranceNotMet, match="rounding bound") as info:
+        km.phase_space_inner_product(theta, km.squeezed_projector(state), xi)
+    assert info.value.achieved > 1e-10
 
 
 def test_heisenberg_commutator_through_star_engine():
