@@ -18,7 +18,11 @@ independent of one another, down to how each writes the exponent in
 (z, z*), so each can serve as an oracle for the other.  The Berezin engine
 takes one eigen-solve (the branch) and one solve (all else) of its 4x4 form
 and runs the Isserlis recursion on one (k, l) -> coefficient table per
-moment; the pairing runs it on numbers and bounds its rounding.
+moment; the pairing runs it on numbers and bounds its rounding.  Between
+their inputs and their result the engines and the pairing hold bare
+coefficient tables, in ZPoly's arithmetic: each engine builds only the
+symbol it returns, and the pairing integrates the sum of the two Gaussian
+factors and the product of the two tables without building a symbol.
 """
 
 from __future__ import annotations
@@ -101,33 +105,13 @@ class ZPoly:
 
     # -- algebra ------------------------------------------------------
     def __add__(self, other: "ZPoly") -> "ZPoly":
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out.get(key, 0.0) + val
-        return ZPoly(out)
+        return ZPoly(_sum(self.coeffs, other.coeffs))
 
     def __mul__(self, other: "ZPoly") -> "ZPoly":
-        out: dict[tuple[int, int], complex] = {}
-        for (k1, l1), c1 in self.coeffs.items():
-            for (k2, l2), c2 in other.coeffs.items():
-                key = (k1 + k2, l1 + l2)
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return ZPoly(out)
+        return ZPoly(_product(self.coeffs, other.coeffs))
 
     def scale(self, c: complex) -> "ZPoly":
         return ZPoly({key: c * val for key, val in self.coeffs.items()})
-
-    def dz(self) -> "ZPoly":
-        return ZPoly({(k - 1, l): k * c for (k, l), c in self.coeffs.items() if k > 0})
-
-    def dzbar(self) -> "ZPoly":
-        return ZPoly({(k, l - 1): l * c for (k, l), c in self.coeffs.items() if l > 0})
-
-    @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(k + l for k, l in self.coeffs)
 
     def __call__(self, z: complex, zbar: complex) -> complex:
         total = 0.0 + 0.0j
@@ -140,6 +124,47 @@ class ZPoly:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         terms = ", ".join(f"z^{k} zb^{l}: {c:.6g}" for (k, l), c in sorted(self.coeffs.items()))
         return f"ZPoly({terms})"
+
+
+# The ZPoly ring on bare (k, l) -> c tables, for the engines and the pairing,
+# which build no intermediate ZPoly: each result holds the nonzero terms, in
+# the order and with the arithmetic of ZPoly's own results.
+
+def _nonzero(table: dict) -> dict:
+    return {key: val for key, val in table.items() if val}
+
+
+def _sum(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for key, val in q.items():
+        out[key] = out.get(key, 0.0) + val
+    return out if all(out.values()) else _nonzero(out)
+
+
+def _product(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (k1, l1), c1 in p.items():
+        for (k2, l2), c2 in q.items():
+            key = (k1 + k2, l1 + l2)
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return out if all(out.values()) else _nonzero(out)
+
+
+def _dz(p: dict) -> dict:
+    return {(k - 1, l): k * c for (k, l), c in p.items() if k}
+
+
+def _dzbar(p: dict) -> dict:
+    return {(k, l - 1): l * c for (k, l), c in p.items() if l}
+
+
+def _check_entries(a11: complex, a12: complex, a22: complex, coeffs: dict) -> None:
+    """ValueError on a NaN form entry, then DegreeCapExceeded past DEGREE_CAP."""
+    if not (a11 == a11 and a12 == a12 and a22 == a22):
+        raise ValueError("quadratic form has a NaN entry")
+    degree = max([k + l for k, l in coeffs], default=0)
+    if degree > DEGREE_CAP:
+        raise DegreeCapExceeded(f"polynomial degree {degree} exceeds cap {DEGREE_CAP}")
 
 
 def _abs(z: complex) -> float:
@@ -184,11 +209,7 @@ class GaussPolySymbol:
         a11, a12, a21, a22 = complex(a11), complex(a12), complex(a21), complex(a22)
         if a12 != a21:
             a12 = 0.5 * (a12 + a21)
-        if not (a11 == a11 and a12 == a12 and a22 == a22):
-            raise ValueError("quadratic form has a NaN entry")
-        if self.poly.degree > DEGREE_CAP:
-            raise DegreeCapExceeded(
-                f"polynomial degree {self.poly.degree} exceeds cap {DEGREE_CAP}")
+        _check_entries(a11, a12, a22, self.poly.coeffs)
         object.__setattr__(self, "quad", ((a11, a12), (a12, a22)))
         object.__setattr__(self, "lin", (complex(b1), complex(b2)))
         object.__setattr__(self, "const", complex(self.const))
@@ -249,9 +270,9 @@ def creation_symbol() -> GaussPolySymbol:
 # Fresnel-regularized complex Gaussian integrals
 # ---------------------------------------------------------------------------
 
-def _fresnel_sqrt_det(lam: np.ndarray, error_cls=DegenerateQuadraticForm) -> complex:
+def _fresnel_sqrt_det(lam: list[complex], error_cls=DegenerateQuadraticForm) -> complex:
     """sqrt(det(-M)) continued from the damped form det(eps*I - M), eps -> 0+,
-    given the eigenvalues ``lam`` of M as a complex array.
+    given the eigenvalues ``lam`` of M as Python complexes.
 
     Adding -eps|u|^2 to the exponent and following the principal square root
     from large eps down to zero amounts to taking the principal square root
@@ -259,9 +280,8 @@ def _fresnel_sqrt_det(lam: np.ndarray, error_cls=DegenerateQuadraticForm) -> com
     when an eigenvalue sits on the non-negative real axis (within _EIG_TOL of
     the largest modulus) or is not finite.
     """
-    values = lam.tolist()
-    scale = max(1.0, max(map(_abs, values)))
-    for ev in values:
+    scale = max(1.0, max(map(_abs, lam)))
+    for ev in lam:
         if not cmath.isfinite(ev):
             raise error_cls(f"quadratic form has eigenvalue {ev}")
         if abs(ev.imag) <= _EIG_TOL * scale and ev.real >= -_EIG_TOL * scale:
@@ -269,7 +289,7 @@ def _fresnel_sqrt_det(lam: np.ndarray, error_cls=DegenerateQuadraticForm) -> com
                 f"quadratic form has eigenvalue {ev} on the non-negative real axis")
     # numpy's complex sqrt, not cmath's: the two differ in the last bit when
     # -lambda is near the imaginary axis
-    return math.prod(np.sqrt(-lam).tolist())
+    return math.prod(np.sqrt([-ev for ev in lam]).tolist())
 
 
 def _gaussian_moment(counts: tuple[int, ...], means: list, cov, memo: dict) -> complex:
@@ -301,20 +321,14 @@ def _add_scaled(table: dict, terms: dict, c: complex) -> None:
 
 def _moment_table(counts: tuple[int, ...], means: list, s: list, memo: dict) -> dict:
     """_gaussian_moment of star_gaussian's four forms as one (k, l) ->
-    coefficient table, summed as ZPoly sums: each mean is a list of its
-    nonzero ((k, l), c) terms, the covariance is -S/2 of the congruence rows
-    ``s``, and ``memo`` holds {(0, 0): 1} at the all-zero counts."""
+    coefficient table, summed as ZPoly sums: each mean is the table of its
+    nonzero terms, the covariance is -S/2 of the congruence rows ``s``, and
+    ``memo`` holds {(0, 0): 1} at the all-zero counts."""
     table = memo.get(counts)
     if table is None:
         i = 0 if counts[0] else 1 if counts[1] else 2 if counts[2] else 3
         reduced = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
-        table, prev = {}, _moment_table(reduced, means, s, memo).items()
-        for (dk, dl), c1 in means[i]:
-            for (k, l), c2 in prev:
-                key = (k + dk, l + dl)
-                table[key] = table.get(key, 0.0) + c1 * c2
-        if not all(table.values()):
-            table = {key: val for key, val in table.items() if val}
+        table = _product(means[i], _moment_table(reduced, means, s, memo))
         for j, cnt in enumerate(reduced):
             if cnt and (cov := -0.5 * s[i][j]):
                 further = reduced[:j] + (cnt - 1,) + reduced[j + 1:]
@@ -340,33 +354,33 @@ def star_gaussian(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
         raise ValueError(f"xi must be positive and finite, got {xi!r}")
     (f11, f12), (_, f22) = f.quad
     (g11, g12), (_, g22) = g.quad
-    c = 1j / xi                        # off-diagonal blocks (i/xi) J and its transpose
-    q_mat = np.array([[f11, f12, 0.0, c], [f12, f22, -c, 0.0],
-                      [0.0, -c, g11, g12], [c, 0.0, g12, g22]], dtype=complex)
     (fl1, fl2), (gl1, gl2) = f.lin, g.lin
+    c = 1j / xi                        # off-diagonal blocks (i/xi) J and its transpose
     w = 2.0 * c                        # W = (2i/xi) (-J; J)
-    a_mat = np.array([[1.0, 1.0, 0.0, 0.0, 0.0, -w, fl1],
-                      [1j, -1j, 0.0, 0.0, w, 0.0, fl2],
-                      [0.0, 0.0, 1.0, 1.0, 0.0, w, gl1],
-                      [0.0, 0.0, 1j, -1j, -w, 0.0, gl2]], dtype=complex)
+    qa = np.array([[f11, f12, 0.0, c, 1.0, 1.0, 0.0, 0.0, 0.0, -w, fl1],
+                   [f12, f22, -c, 0.0, 1j, -1j, 0.0, 0.0, w, 0.0, fl2],
+                   [0.0, -c, g11, g12, 0.0, 0.0, 1.0, 1.0, 0.0, w, gl1],
+                   [c, 0.0, g12, g22, 0.0, 0.0, 1j, -1j, -w, 0.0, gl2]], dtype=complex)
+    q_mat, a_mat = qa[:, :4], qa[:, 4:]
 
-    sqrt_det = _fresnel_sqrt_det(np.linalg.eigvals(q_mat))
+    sqrt_det = _fresnel_sqrt_det(np.linalg.eigvals(q_mat).tolist())
     s = (a_mat.T @ np.linalg.solve(q_mat, a_mat)).tolist()
 
-    quad_out = [[-0.25 * v for v in row[4:6]] for row in s[4:6]]
-    lin_out = [-0.5 * s[4][6], -0.5 * s[5][6]]
+    quad_out = ((-0.25 * s[4][4], -0.25 * s[4][5]), (-0.25 * s[5][4], -0.25 * s[5][5]))
+    lin_out = (-0.5 * s[4][6], -0.5 * s[5][6])
     const_out = f.const + g.const - 0.25 * s[6][6]
-    means = []      # each as the nonzero ((k, l), c) terms of ZPoly.linear_qp
+    means = []      # each as the nonzero terms of ZPoly.linear_qp
     for cq, cp, c0 in ((-0.5 * row[4], -0.5 * row[5], -0.5 * row[6]) for row in s[:4]):
-        terms = ((0, 0), c0), ((1, 0), 0.5 * (cq - 1j * cp)), ((0, 1), 0.5 * (cq + 1j * cp))
-        means.append([term for term in terms if term[1]])
+        means.append(_nonzero({(0, 0): c0, (1, 0): 0.5 * (cq - 1j * cp),
+                               (0, 1): 0.5 * (cq + 1j * cp)}))
     pref = 1.0 / (xi * xi * sqrt_det)
     memo: dict = {(0, 0, 0, 0): {(0, 0): 1 + 0j}}
     poly_out: dict = {}
     for (k1, l1), c1 in f.poly.coeffs.items():
         for (k2, l2), c2 in g.poly.coeffs.items():
             _add_scaled(poly_out, _moment_table((k1, l1, k2, l2), means, s, memo), c1 * c2)
-    return GaussPolySymbol(quad_out, lin_out, const_out, ZPoly(poly_out).scale(pref))
+    return GaussPolySymbol(quad_out, lin_out, const_out,
+                           ZPoly({key: pref * val for key, val in poly_out.items()}))
 
 
 def star_differential(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPolySymbol:
@@ -378,32 +392,34 @@ def star_differential(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> Gaus
         f * g = sum_{a,b} xi^(a+b) (-1)^b / (a! b!) (dz^a dz*^b f)(dz*^a dz^b g).
 
     Requires a purely polynomial left factor: a runs while dz^a f != 0 and
-    b while dz^a dz*^b f != 0, so no order past deg(f) is formed.  Each
-    derivative is formed once, from the one before it, and only if used.
+    b while dz^a dz*^b f != 0, so no order past deg(f) is formed.  Every
+    derivative is a bare coefficient table, formed once from the one before
+    it and only if used; the product is the one ZPoly built.
     """
     if not 0.0 < xi < math.inf:
         raise ValueError(f"xi must be positive and finite, got {xi!r}")
     if not f.is_polynomial:
         raise ValueError("left factor must be purely polynomial; use star_gaussian")
     # g = P e^E is differentiated on P alone: dz(P e^E) = (dz P + P dz E) e^E,
-    # with dz E and dz* E linear in (z, z*) for E = x.A x + b.x + c
+    # with dz E and dz* E linear in (z, z*) for E = x.A x + b.x + c; dz E is
+    # read only past a z* power of f, and dz* E only past a z power
     (a11, a12), (_, a22) = g.quad
     b1, b2 = g.lin
-    dz_e = ZPoly({(1, 0): 0.5 * (a11 - a22 - 2j * a12), (0, 1): 0.5 * (a11 + a22),
-                  (0, 0): 0.5 * (b1 - 1j * b2)})
-    dzbar_e = ZPoly({(0, 1): 0.5 * (a11 - a22 + 2j * a12), (1, 0): 0.5 * (a11 + a22),
-                     (0, 0): 0.5 * (b1 + 1j * b2)})
+    f_a, g_a, a = f.poly.coeffs, g.poly.coeffs, 0        # dz^a f and dz*^a g
+    dz_e = _nonzero({(1, 0): 0.5 * (a11 - a22 - 2j * a12), (0, 1): 0.5 * (a11 + a22),
+                     (0, 0): 0.5 * (b1 - 1j * b2)}) if any(l for _, l in f_a) else {}
+    dzbar_e = _nonzero({(0, 1): 0.5 * (a11 - a22 + 2j * a12), (1, 0): 0.5 * (a11 + a22),
+                        (0, 0): 0.5 * (b1 + 1j * b2)}) if any(k for k, _ in f_a) else {}
     total: dict = {}
-    f_a, g_a, a = f.poly, g.poly, 0        # dz^a f and dz*^a g
-    while f_a.coeffs:
+    while f_a:
         f_ab, g_ab, b = f_a, g_a, 0        # dz^a dz*^b f and dz*^a dz^b g
-        while f_ab.coeffs:
+        while f_ab:
             coeff = xi ** (a + b) * (-1.0) ** b / (math.factorial(a) * math.factorial(b))
-            _add_scaled(total, (f_ab * g_ab).coeffs, coeff)
-            f_ab, b = f_ab.dzbar(), b + 1
-            g_ab = g_ab.dz() + g_ab * dz_e if f_ab.coeffs else g_ab
-        f_a, a = f_a.dz(), a + 1
-        g_a = g_a.dzbar() + g_a * dzbar_e if f_a.coeffs else g_a
+            _add_scaled(total, _product(f_ab, g_ab), coeff)
+            f_ab, b = _dzbar(f_ab), b + 1
+            g_ab = _sum(_dz(g_ab), _product(g_ab, dz_e)) if f_ab else g_ab
+        f_a, a = _dz(f_a), a + 1
+        g_a = _sum(_dzbar(g_a), _product(g_a, dzbar_e)) if f_a else g_a
     return GaussPolySymbol(g.quad, g.lin, g.const, ZPoly(total))
 
 
@@ -419,22 +435,32 @@ def moyal_bracket(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
 # Trace pairing
 # ---------------------------------------------------------------------------
 
-def gauss_poly_integral(sym: GaussPolySymbol) -> complex:
-    """Closed form of int poly(z, z*) exp(x.A x + b.x + c) d^2x (Fresnel branch).
+def phase_space_inner_product(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> complex:
+    """int f(x) g(x) d^2x = (2 pi xi) Tr(f_hat g_hat) for trace-class pairs.
 
-    The 2x2 form is solved in closed form on scalars: eigenvalues
-    m +- sqrt(m^2 - det) with the root of larger modulus first and the other
-    as det over it, and the inverse through the adjugate.  ToleranceNotMet is
-    raised when eps sum_l |c_l M_l| |prefactor| > _PAIRING_RTOL (1 + |value|).
+    The product poly(z, z*) exp(x.A x + b.x + c) is integrated in closed form
+    on the sums of the two Gaussian factors' entries and the product of the
+    coefficient tables (Fresnel branch).  The 2x2 form is solved in closed
+    form on scalars: eigenvalues m +- sqrt(m^2 - det) with the root of larger
+    modulus first and the other as det over it, and the inverse through the
+    adjugate.  Raises ValueError where a summed form entry is NaN (opposite
+    infinities), DegreeCapExceeded where the product's degree exceeds
+    DEGREE_CAP, DivergentIntegral off the Fresnel class, and ToleranceNotMet
+    when eps sum_l |c_l M_l| |prefactor| > _PAIRING_RTOL (1 + |value|).
     """
-    (a11, a12), (_, a22) = sym.quad
-    b1, b2 = sym.lin
+    (f11, f12), (_, f22) = f.quad
+    (g11, g12), (_, g22) = g.quad
+    a11, a12, a22 = f11 + g11, f12 + g12, f22 + g22
+    coeffs = _product(f.poly.coeffs, g.poly.coeffs)
+    _check_entries(a11, a12, a22, coeffs)
+    (fb1, fb2), (gb1, gb2) = f.lin, g.lin
+    b1, b2 = fb1 + gb1, fb2 + gb2
     m = 0.5 * (a11 + a22)
     det = a11 * a22 - a12 * a12
     half_gap = 0.5 * (a11 - a22)
     root = cmath.sqrt(half_gap * half_gap + a12 * a12)   # m^2 - det, cancellation-free
     lam1 = m + root if (m.conjugate() * root).real >= 0.0 else m - root
-    lam = np.array((lam1, det / lam1) if lam1 else (0j, 0j))
+    lam = [lam1, det / lam1] if lam1 else [0j, 0j]
     sqrt_det = _fresnel_sqrt_det(lam, error_cls=DivergentIntegral)
     # covariance -A^{-1}/2 and mean -A^{-1} b/2 of (q, p), A^{-1} = adj(A)/det
     c11, c12, c22 = -0.5 * a22 / det, 0.5 * a12 / det, -0.5 * a11 / det
@@ -448,24 +474,13 @@ def gauss_poly_integral(sym: GaussPolySymbol) -> complex:
                  [-m / det, (half_gap - 1j * a12) / det]]
     memo: dict = {(0, 0): 1.0}
     total, size = 0j, 0.0
-    for (k, l), coeff in sym.poly.coeffs.items():
+    for (k, l), coeff in coeffs.items():
         term = coeff * _gaussian_moment((k, l), means, cov_forms, memo)
         total, size = total + term, size + _abs(term)
     # -b.A^{-1}.b/4 = b.mu/2
-    norm, gauss = math.pi / sqrt_det, cmath.exp(sym.const + 0.5 * (b1 * mu_q + b2 * mu_p))
+    norm, gauss = math.pi / sqrt_det, cmath.exp(f.const + g.const + 0.5 * (b1 * mu_q + b2 * mu_p))
     value = total * norm * gauss
     bound = math.ulp(1.0) * size * _abs(norm * gauss)     # eps sum_l |c_l M_l| |prefactor|
     if bound > _PAIRING_RTOL * (1.0 + _abs(value)):
         raise ToleranceNotMet(f"pairing rounding bound {bound:.3e} above tolerance", bound)
     return value
-
-
-def phase_space_inner_product(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> complex:
-    """int f(x) g(x) d^2x = (2 pi xi) Tr(f_hat g_hat) for trace-class pairs,
-    by gauss_poly_integral, whose ToleranceNotMet it passes on."""
-    (f11, f12), (_, f22) = f.quad
-    (g11, g12), (_, g22) = g.quad
-    (fb1, fb2), (gb1, gb2) = f.lin, g.lin
-    combined = GaussPolySymbol(((f11 + g11, f12 + g12), (f12 + g12, f22 + g22)),
-                               (fb1 + gb1, fb2 + gb2), f.const + g.const, f.poly * g.poly)
-    return gauss_poly_integral(combined)

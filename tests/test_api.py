@@ -1,4 +1,5 @@
-"""The public API holds only what the product or an acceptance check uses."""
+"""The public API holds only what the product or an acceptance check uses:
+every export, and every public method and property of a library class."""
 
 import ast
 from pathlib import Path
@@ -45,9 +46,26 @@ def _product_reads():
     return set().union(*(_referenced_names(_parse(path)) for path in users))
 
 
+def _public_members():
+    """(module, class, name) of every public method and property a library
+    class defines; dunder and underscore names are not public."""
+    return {(path.name, cls.name, node.name)
+            for path in PACKAGE.glob("*.py")
+            for cls in ast.walk(_parse(path)) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
 def test_every_export_has_a_caller_or_an_acceptance_test():
     unused = _exported_names() - _product_reads() - set(ACCEPTANCE_REFERENCES)
     assert not unused, f"exported but called only by tests: {sorted(unused)}"
+
+
+def test_every_public_method_and_property_has_a_product_reader():
+    reads = _product_reads()
+    unread = sorted(f"{module}: {cls}.{name}" for module, cls, name in _public_members()
+                    if name not in reads)
+    assert not unread, f"methods and properties read only by tests: {unread}"
 
 
 def test_acceptance_references_are_exported_and_used_by_their_test():

@@ -10,7 +10,7 @@ import pytest
 import kerrmoyal as km
 import kerrmoyal.validate as validate
 from kerrmoyal import DegenerateQuadraticForm, DegreeCapExceeded, DivergentIntegral
-from kerrmoyal.phase_space import GaussPolySymbol, PhasePoint, ZPoly, gauss_poly_integral
+from kerrmoyal.phase_space import GaussPolySymbol, PhasePoint, ZPoly
 
 XI = 1.0
 
@@ -36,8 +36,11 @@ def generic_gaussian():
 def poisson_bracket(f, g):
     """{f, g} = dq f dp g - dp f dq g of two polynomial symbols, the xi -> 0
     reference of the Moyal bracket: dq = dz + dz*, dp = i (dz - dz*)."""
-    fq, fp = f.poly.dz() + f.poly.dzbar(), (f.poly.dz() + f.poly.dzbar().scale(-1)).scale(1j)
-    gq, gp = g.poly.dz() + g.poly.dzbar(), (g.poly.dz() + g.poly.dzbar().scale(-1)).scale(1j)
+    def dq_dp(poly):
+        dz = ZPoly({(k - 1, l): k * c for (k, l), c in poly.coeffs.items() if k})
+        dzbar = ZPoly({(k, l - 1): l * c for (k, l), c in poly.coeffs.items() if l})
+        return dz + dzbar, (dz + dzbar.scale(-1)).scale(1j)
+    (fq, fp), (gq, gp) = dq_dp(f.poly), dq_dp(g.poly)
     return GaussPolySymbol.polynomial(fq * gp + (fp * gq).scale(-1))
 
 
@@ -168,11 +171,13 @@ def test_trace_identity_of_star_gaussian():
                 for k, l in ((0, 0), (1, 0), (1, 1), (2, 1), (0, 3))]
     projectors = [km.squeezed_projector(km.SqueezedState(0.6 - 0.4j, 0.0, 0.0, XI)),
                   km.squeezed_projector(km.SqueezedState(0.6 - 0.4j, 0.4 / XI, 1.1, XI))]
+    one = GaussPolySymbol.constant(1.0)     # int h = <h, 1>
     for f in symbols:
         for g in projectors:
             ref = km.phase_space_inner_product(f, g, XI)
             for product in (km.star_gaussian(f, g, XI), km.star_gaussian(g, f, XI)):
-                assert abs(gauss_poly_integral(product) - ref) <= 1e-12 * abs(ref)
+                integral = km.phase_space_inner_product(product, one, XI)
+                assert abs(integral - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("xi", [math.nan, math.inf, 0.0])
@@ -351,6 +356,23 @@ def test_inner_product_of_non_finite_form_raises():
     steep = GaussPolySymbol(np.diag([-math.inf, -1.0]), np.zeros(2), 0.0, ZPoly.constant(1.0))
     with pytest.raises(DivergentIntegral):
         km.phase_space_inner_product(steep, GaussPolySymbol.constant(1.0), XI)
+
+
+def test_inner_product_refuses_a_product_no_symbol_could_hold():
+    # opposite infinities across the two forms sum to a NaN entry, and
+    # z^20 z*^20 e^{-x^2} times z^20 z*^20 has degree 80 > DEGREE_CAP; with
+    # both faults the form is reported
+    def symbol(a11, poly):
+        return GaussPolySymbol(np.diag([a11, -1.0]), np.zeros(2), 0.0, poly)
+
+    one, high = ZPoly.constant(1.0), ZPoly.monomial(20, 20)
+    cases = [(symbol(math.inf, one), symbol(-math.inf, one), ValueError, "NaN"),
+             (symbol(-1.0, high), GaussPolySymbol.polynomial(high), DegreeCapExceeded, "80"),
+             (symbol(math.inf, high), symbol(-math.inf, high), ValueError, "NaN")]
+    for f, g, error, match in cases:
+        for pair in ((f, g), (g, f)):
+            with pytest.raises(error, match=match):
+                km.phase_space_inner_product(*pair, XI)
 
 
 def test_star_gaussian_degenerate_form_raises():

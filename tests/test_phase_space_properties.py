@@ -9,7 +9,7 @@ values.  Adding symbols needs one Gaussian factor: a one-ulp change in any
 entry is refused, in either order.  The library does its 2x2 algebra on
 Python scalars; the pairing is held to a reference built here from
 ``numpy.linalg.eigvals`` and ``inv``.  The two star engines agree on a
-polynomial left factor times Theta_sm.
+polynomial left factor times Theta_sm and times a squeezed projector.
 """
 
 import cmath
@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 import kerrmoyal as km
 from kerrmoyal import DivergentIntegral
-from kerrmoyal.phase_space import (GaussPolySymbol, PhasePoint, ZPoly, gauss_poly_integral,
-                                   star_differential, star_gaussian)
+from kerrmoyal.phase_space import (GaussPolySymbol, PhasePoint, ZPoly, star_differential,
+                                   star_gaussian)
 
 NON_FINITE = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
               complex(-math.inf, 1.0), complex(0.0, math.inf), complex(math.inf, math.nan)]
@@ -34,6 +34,11 @@ ENTRIES = [None, ((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),), ((0, 1), (1, 0))]
 def _complex(max_magnitude):
     return st.complex_numbers(max_magnitude=max_magnitude, allow_nan=False,
                               allow_infinity=False)
+
+
+def _integral(sym):
+    """int sym(x) d^2x, as the pairing with the constant 1."""
+    return km.phase_space_inner_product(sym, GaussPolySymbol.constant(1.0), 1.0)
 
 
 def _polynomial(max_terms):
@@ -94,8 +99,8 @@ def test_stored_form_is_the_symmetric_part(a11, a22, a21, gap, gap_arg, entries,
             np.testing.assert_array_equal(got.quad, want.quad)
             np.testing.assert_equal(got.poly.coeffs, want.poly.coeffs)
             np.testing.assert_equal(got(pt), want(pt))
-        np.testing.assert_equal(_outcome(lambda: gauss_poly_integral(sym)),
-                                _outcome(lambda: gauss_poly_integral(ref)))
+        np.testing.assert_equal(_outcome(lambda: _integral(sym)),
+                                _outcome(lambda: _integral(ref)))
 
 
 def test_derivative_of_an_asymmetric_form_matches_its_values():
@@ -282,10 +287,10 @@ def test_pairing_matches_lapack_reference(kind, eig, osc, angle, shear, lin, con
         ref = reference_integral(sym)
     except DivergentIntegral:
         with pytest.raises(DivergentIntegral):
-            gauss_poly_integral(sym)
+            _integral(sym)
         return
     assert kind != "degenerate"
-    val = gauss_poly_integral(sym)
+    val = _integral(sym)
     # the terms may cancel inside each moment and across the polynomial, so
     # the scale is the reference summed on moduli; floored at a few
     # subnormal steps, which no normal scale reaches
@@ -317,7 +322,7 @@ def test_pairing_of_theta01_matches_closed_form(s, radius, arg, delta_phi, xi, w
 
 
 # ---------------------------------------------------------------------------
-# the two star engines on a polynomial times Theta_sm
+# the two star engines on a polynomial times Theta_sm or a squeezed projector
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
@@ -337,5 +342,30 @@ def test_star_engines_agree_on_a_polynomial_times_theta(coeffs, sm, xi, w1, w2, 
     theta = km.moyal_solution_symbolic(idx, t, params)
     gauss, diff = star_gaussian(f, theta, xi), star_differential(f, theta, xi)
     for pt in (PhasePoint(q, p) for q, p in pts):
+        ref = diff(pt)
+        assert abs(gauss(pt) - ref) <= 1e-10 * (1.0 + abs(ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=_polynomial(3), s=st.floats(0.3, 0.9), radius=st.floats(0.2, 1.5),
+       arg=st.floats(-math.pi, math.pi), delta_phi=st.floats(-math.pi, math.pi),
+       xi=st.floats(0.05, 2.0),
+       offsets=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                        min_size=3, max_size=3))
+def test_star_engines_agree_on_a_polynomial_times_a_squeezed_projector(
+        coeffs, s, radius, arg, delta_phi, xi, offsets):
+    # s < 1 makes the form anisotropic and alpha != 0 the linear term
+    # nonzero, so the derivative engine reads every entry of dE and dz* E,
+    # which Theta_sm's isotropic form with no linear term leaves at zero.
+    # The points lie within 1.5 sqrt(xi) of the state's mean, where the
+    # projector is not negligible; 20,000 random draws read at most 7.9e-13
+    alpha = radius * cmath.exp(1j * arg)
+    state = km.SqueezedState(alpha, -math.log(s) / (2.0 * xi), delta_phi + 2.0 * arg, xi)
+    proj = km.squeezed_projector(state)
+    f = GaussPolySymbol.polynomial(ZPoly(coeffs))
+    gauss, diff = star_gaussian(f, proj, xi), star_differential(f, proj, xi)
+    q_mean, p_mean = state.mean_x
+    for u, v in offsets:
+        pt = PhasePoint(q_mean + math.sqrt(xi) * u, p_mean + math.sqrt(xi) * v)
         ref = diff(pt)
         assert abs(gauss(pt) - ref) <= 1e-10 * (1.0 + abs(ref))
