@@ -8,10 +8,10 @@ engines), and carry the secant amplitude that diverges periodically at
 cos((m-s) xi w2 t) = 0.
 
 moyal_solution_symbolic is the one implementation of Theta_sm: a
-GaussPolySymbol that star products pair and that is called at a PhasePoint
-for a pointwise value.  initial_symbol (t = 0) and quantum_trajectory
-((s, m) = (0, 1)) are written out separately, as references to check it
-against.
+GaussPolySymbol, built on Python scalars with cmath, that star products pair
+and that is called at a PhasePoint for a pointwise value.  initial_symbol
+(t = 0) and quantum_trajectory ((s, m) = (0, 1)) are written out separately,
+as references to check it against.
 
 All evaluators here are pure functions of their arguments; at a periodic
 singular time they raise SingularTime (see checked_cos), never return an
@@ -20,6 +20,7 @@ overflowed float.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -152,15 +153,19 @@ def moyal_solution_symbolic(idx: ObservableIndex, t: float,
     result at a PhasePoint for the pointwise value.
 
     Raises SingularTime at a pole of sec t~, and OverflowError where the
-    form's entry tan(t~)/xi overflows.  For s = m, t~ = 0: the solution is a
-    constant of motion and never singular.  w1 t is formed before the factor
-    m - s, so the phase is finite wherever w1 t is.
+    form's entry tan(t~)/xi, the secant power or a power of the series base
+    overflows.  For s = m, t~ = 0: the solution is a constant of motion and
+    never singular.  w1 t is formed before the factor m - s, so the phase is
+    finite wherever w1 t is; where (m - s) w1 t is not finite, every
+    coefficient is NaN and nothing is raised.  Every entry is a Python
+    complex, formed with cmath.
     """
     tt = idx.t_tilde(t, params)
     cos_tt = checked_cos(tt)
-    pref = (np.exp(-1j * (idx.m - idx.s) * (params.w1 * t))
-            * (1.0 / cos_tt) ** (idx.s + idx.m + 1) * np.exp(2j * tt))
-    base = -0.5 * params.xi * np.exp(-1j * tt) * cos_tt
+    arg = -1j * (idx.m - idx.s) * (params.w1 * t)
+    phase = cmath.exp(arg) if cmath.isfinite(arg) else complex(math.nan, math.nan)
+    pref = phase * (1.0 / cos_tt) ** (idx.s + idx.m + 1) * cmath.exp(2j * tt)
+    base = -0.5 * params.xi * cmath.exp(-1j * tt) * cos_tt
     coeffs = {(idx.m - l, idx.s - l): (pref * w_coefficient(idx.m, idx.s, l) * base ** l
                                        * 2.0 ** (-(idx.s + idx.m - 2 * l) / 2.0))
               for l in range(min(idx.s, idx.m) + 1)}
@@ -168,7 +173,7 @@ def moyal_solution_symbolic(idx: ObservableIndex, t: float,
     if not math.isfinite(tan_xi):
         raise OverflowError(f"tan(t~)/xi is not finite at t~ = {tt!r}, xi = {params.xi!r}")
     diag = -1j * tan_xi
-    return GaussPolySymbol([[diag, 0.0], [0.0, diag]], [0.0, 0.0], 0.0, ZPoly(coeffs))
+    return GaussPolySymbol(((diag, 0j), (0j, diag)), (0j, 0j), 0j, ZPoly(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ their inputs and their result the engines and the pairing hold bare
 coefficient tables, in ZPoly's arithmetic: each engine builds only the
 symbol it returns, and the pairing integrates the sum of the two Gaussian
 factors and the product of the two tables without building a symbol.
+Building, multiplying and pairing symbols runs on Python scalars (math and
+cmath) except for star_gaussian's two LAPACK calls.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ def _check_entries(a11: complex, a12: complex, a22: complex, coeffs: dict) -> No
     """ValueError on a NaN form entry, then DegreeCapExceeded past DEGREE_CAP."""
     if not (a11 == a11 and a12 == a12 and a22 == a22):
         raise ValueError("quadratic form has a NaN entry")
-    degree = max([k + l for k, l in coeffs], default=0)
+    degree = max([k + l for k, l in coeffs]) if coeffs else 0   # default=0 costs 0.25 us
     if degree > DEGREE_CAP:
         raise DegreeCapExceeded(f"polynomial degree {degree} exceeds cap {DEGREE_CAP}")
 
@@ -175,7 +177,7 @@ def _abs(z: complex) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GaussPolySymbol:
     """Symbol of the form poly(z, z*) * exp(x.A x + b.x + c).
 
@@ -192,7 +194,8 @@ class GaussPolySymbol:
     Construction raises ``ValueError`` when ``quad`` is not 2x2, ``lin`` has
     not two entries or a stored form entry is NaN (a NaN input, or opposite
     infinities across the diagonal), and ``DegreeCapExceeded`` when the
-    polynomial degree exceeds ``DEGREE_CAP``.
+    polynomial degree exceeds ``DEGREE_CAP``.  The constructor checks and
+    converts the entries first and then sets each field once.
     """
 
     quad: tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -200,19 +203,19 @@ class GaussPolySymbol:
     const: complex
     poly: ZPoly
 
-    def __post_init__(self):
+    def __init__(self, quad, lin, const: complex, poly: ZPoly):
         try:
-            (a11, a12), (a21, a22) = self.quad
-            b1, b2 = self.lin
+            (a11, a12), (a21, a22) = quad
+            b1, b2 = lin
         except ValueError as exc:
             raise ValueError("quadratic form must be 2x2 and linear term 2-vector") from exc
         a11, a12, a21, a22 = complex(a11), complex(a12), complex(a21), complex(a22)
         if a12 != a21:
             a12 = 0.5 * (a12 + a21)
-        _check_entries(a11, a12, a22, self.poly.coeffs)
-        object.__setattr__(self, "quad", ((a11, a12), (a12, a22)))
-        object.__setattr__(self, "lin", (complex(b1), complex(b2)))
-        object.__setattr__(self, "const", complex(self.const))
+        _check_entries(a11, a12, a22, poly.coeffs)
+        # the frozen dataclass's __setattr__ raises, so fill the instance dict
+        self.__dict__.update(quad=((a11, a12), (a12, a22)), lin=(complex(b1), complex(b2)),
+                             const=complex(const), poly=poly)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -287,9 +290,7 @@ def _fresnel_sqrt_det(lam: list[complex], error_cls=DegenerateQuadraticForm) -> 
         if abs(ev.imag) <= _EIG_TOL * scale and ev.real >= -_EIG_TOL * scale:
             raise error_cls(
                 f"quadratic form has eigenvalue {ev} on the non-negative real axis")
-    # numpy's complex sqrt, not cmath's: the two differ in the last bit when
-    # -lambda is near the imaginary axis
-    return math.prod(np.sqrt([-ev for ev in lam]).tolist())
+    return math.prod([cmath.sqrt(-ev) for ev in lam])
 
 
 def _gaussian_moment(counts: tuple[int, ...], means: list, cov, memo: dict) -> complex:
@@ -363,6 +364,7 @@ def star_gaussian(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
                    [c, 0.0, g12, g22, 0.0, 0.0, 1j, -1j, -w, 0.0, gl2]], dtype=complex)
     q_mat, a_mat = qa[:, :4], qa[:, 4:]
 
+    # 4x4, not 2x2: det(I - xi^2 JGJF) signs the root only if xi^2 JGJF has no eigenvalue >= 1
     sqrt_det = _fresnel_sqrt_det(np.linalg.eigvals(q_mat).tolist())
     s = (a_mat.T @ np.linalg.solve(q_mat, a_mat)).tolist()
 

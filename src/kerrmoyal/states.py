@@ -9,7 +9,8 @@ Delta_phi = phi - 2 arg(alpha), reduced to (-pi, pi] so that number
 squeezing sits at Delta_phi = pi and phase squeezing at Delta_phi = 0.
 s, Delta_phi, the amplitude-quadrature noise and the tuple of t-independent
 factors that the closed form of <a(t)> reads are derived once per state, on
-first use, and cached on it.
+first use, and cached on it.  squeezed_projector builds its symbol on Python
+scalars, as the rest of the symbol path does.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ def squeezed_projector(state: SqueezedState) -> GaussPolySymbol:
     qbar, pbar = math.sqrt(2.0) * state.alpha.real, math.sqrt(2.0) * state.alpha.imag
     s11, s12, s22 = _squeeze_entries(state.tau_abs, state.tau_phase, xi)
     d11, d12, d22 = _squeeze_entries(2.0 * state.tau_abs, state.tau_phase, xi)
-    quad = [[-d11 / xi, -d12 / xi], [-d12 / xi, -d22 / xi]]
-    lin = [(2.0 / xi) * (s11 * qbar + s12 * pbar), (2.0 / xi) * (s12 * qbar + s22 * pbar)]
+    quad = ((-d11 / xi, -d12 / xi), (-d12 / xi, -d22 / xi))
+    lin = ((2.0 / xi) * (s11 * qbar + s12 * pbar), (2.0 / xi) * (s12 * qbar + s22 * pbar))
     const = -(qbar * qbar + pbar * pbar) / xi
     return GaussPolySymbol(quad, lin, const, ZPoly.constant(2.0))
 

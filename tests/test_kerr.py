@@ -230,6 +230,15 @@ def test_gaussian_form_overflow_raises():
         km.moyal_solution_symbolic(km.ObservableIndex(0, 2), 1.0, params)
 
 
+def test_non_finite_phase_gives_nan_coefficients():
+    # (m - s) w1 t = 2e308 is not finite: the phase is NaN, not an error, so
+    # the symbol's values are NaN and callers report them as non-finite
+    params = km.KerrParams(1e308, 0.1, 1.0)
+    theta = km.moyal_solution_symbolic(km.ObservableIndex(0, 1), 2.0, params)
+    coeffs = list(theta.poly.coeffs.values())
+    assert coeffs and all(math.isnan(c.real) and math.isnan(c.imag) for c in coeffs)
+
+
 def test_constant_of_motion_at_huge_w2_t():
     # s = m: t~ = 0 however large w2 t is, so the symbol keeps its t = 0 value
     # where w2 t = 1e309 overflows

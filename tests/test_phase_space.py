@@ -1,5 +1,6 @@
 """Star-product engines, Moyal bracket and trace pairing."""
 
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -386,6 +387,39 @@ def test_star_gaussian_degenerate_form_raises():
 def test_degree_cap_enforced():
     with pytest.raises(DegreeCapExceeded):
         GaussPolySymbol.polynomial(ZPoly.monomial(40, 40))
+
+
+def test_symbol_is_a_checked_frozen_value():
+    poly = ZPoly.monomial(1, 1, 0.5)
+    sym = GaussPolySymbol(((-1.0, 0.2j), (0.2j, -2.0)), (0.3, -0.1j), 0.1, poly)
+    for name in ("quad", "lin", "const", "poly"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sym, name, getattr(sym, name))
+    for quad, lin in (([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [0.0, 0.0]),
+                      ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="must be 2x2"):
+            GaussPolySymbol(quad, lin, 0.0, poly)
+    # nested lists of floats store the tuples of complex that tuples do
+    from_lists = GaussPolySymbol([[-1.0, 0.2j], [0.2j, -2.0]], [0.3, -0.1j], 0.1, poly)
+    assert from_lists == sym
+    assert hash(from_lists) == hash(sym)
+
+
+def test_symbol_path_stays_on_python_scalars():
+    # every entry a Python complex, never a numpy scalar, whose arithmetic
+    # costs several times as much on every later read
+    params = km.KerrParams(1.0, 0.1, XI)
+    projector = km.squeezed_projector(km.SqueezedState(0.6 - 0.4j, 0.4 / XI, 1.1, XI))
+    mono = GaussPolySymbol.polynomial(ZPoly.monomial(2, 1))
+    symbols = [projector]
+    for s, m in ((0, 1), (1, 2), (2, 2), (3, 0)):
+        theta = km.moyal_solution_symbolic(km.ObservableIndex(s, m), 3.0, params)
+        symbols += [theta, km.star_gaussian(mono, theta, XI),
+                    km.star_differential(mono, theta, XI), km.star_gaussian(theta, projector, XI)]
+        assert type(km.phase_space_inner_product(theta, projector, XI)) is complex
+    for sym in symbols:
+        entries = [*sym.quad[0], *sym.quad[1], *sym.lin, sym.const, *sym.poly.coeffs.values()]
+        assert all(type(v) is complex for v in entries), entries
 
 
 def test_star_differential_rejects_gaussian_left_factor():
