@@ -1,7 +1,6 @@
 """Exact Weyl-symbol dynamics of the single-mode Kerr oscillator."""
 
 from .errors import (
-    DegenerateQuadraticForm,
     DegreeCapExceeded,
     DivergentIntegral,
     IndexCapExceeded,

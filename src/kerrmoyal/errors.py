@@ -5,12 +5,10 @@ class KerrMoyalError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DegenerateQuadraticForm(KerrMoyalError):
-    """The Fresnel-regularized Gaussian form stays singular (|det| below tolerance)."""
-
-
 class DivergentIntegral(KerrMoyalError):
-    """A phase-space integral has no finite Fresnel continuation."""
+    """A Gaussian integral has no finite Fresnel continuation: the trace
+    pairing's 2x2 form, or the Berezin star product's 4x4 form, has an
+    eigenvalue on the non-negative real axis or one that is not finite."""
 
 
 class DegreeCapExceeded(KerrMoyalError):

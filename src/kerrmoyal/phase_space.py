@@ -18,13 +18,14 @@ independent of one another, down to how each writes the exponent in
 (z, z*), so each can serve as an oracle for the other.  The Berezin engine
 takes one eigen-solve (the branch) and one solve (all else) of its 4x4 form
 and runs the Isserlis recursion on one (k, l) -> coefficient table per
-moment; the pairing runs it on numbers and bounds its rounding.  Between
-their inputs and their result the engines and the pairing hold bare
-coefficient tables, in ZPoly's arithmetic: each engine builds only the
-symbol it returns, and the pairing integrates the sum of the two Gaussian
-factors and the product of the two tables without building a symbol.
-Building, multiplying and pairing symbols runs on Python scalars (math and
-cmath) except for star_gaussian's two LAPACK calls.
+moment; the pairing runs it on numbers and bounds its rounding.  A symbol
+is only multiplied and paired; sums are formed on bare (k, l) ->
+coefficient tables in ZPoly's arithmetic, by the Moyal bracket and between
+the engines' and the pairing's inputs and results: each engine builds only
+the symbol it returns, and the pairing builds none.  Both Gaussian
+integrals raise DivergentIntegral off the Fresnel class.  Building,
+evaluating, multiplying and pairing symbols runs on Python scalars (math
+and cmath) except for star_gaussian's two LAPACK calls.
 """
 
 from __future__ import annotations
@@ -35,12 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateQuadraticForm,
-    DegreeCapExceeded,
-    DivergentIntegral,
-    ToleranceNotMet,
-)
+from .errors import DegreeCapExceeded, DivergentIntegral, ToleranceNotMet
 
 # Default cap on the polynomial degree of a single symbol factor.
 DEGREE_CAP = 64
@@ -69,9 +65,6 @@ class PhasePoint:
     @property
     def x2(self) -> float:
         return self.q * self.q + self.p * self.p
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q, self.p], dtype=float)
 
 
 class ZPoly:
@@ -160,6 +153,12 @@ def _dzbar(p: dict) -> dict:
     return {(k, l - 1): l * c for (k, l), c in p.items() if l}
 
 
+def _check_xi(xi: float) -> None:
+    """ValueError unless 0 < xi < inf: both star engines and the pairing."""
+    if not 0.0 < xi < math.inf:
+        raise ValueError(f"xi must be positive and finite, got {xi!r}")
+
+
 def _check_entries(a11: complex, a12: complex, a22: complex, coeffs: dict) -> None:
     """ValueError on a NaN form entry, then DegreeCapExceeded past DEGREE_CAP."""
     if not (a11 == a11 and a12 == a12 and a22 == a22):
@@ -226,38 +225,18 @@ class GaussPolySymbol:
     def constant(cls, c: complex) -> "GaussPolySymbol":
         return cls.polynomial(ZPoly.constant(c))
 
-    # -- structure ----------------------------------------------------
-    def _gaussian(self) -> tuple[complex, ...]:
-        """The Gaussian factor's entries (a11, a12, a22, b1, b2, c)."""
-        (a11, a12), (_, a22) = self.quad
-        return (a11, a12, a22, *self.lin, self.const)
-
     @property
     def is_polynomial(self) -> bool:
-        return not any(self._gaussian())
-
-    # -- algebra (closed under the class) ------------------------------
-    def scale(self, c: complex) -> "GaussPolySymbol":
-        return GaussPolySymbol(self.quad, self.lin, self.const, self.poly.scale(c))
+        (a11, a12), (_, a22) = self.quad
+        return not any((a11, a12, a22, *self.lin, self.const))
 
     def __call__(self, x: PhasePoint) -> complex:
         q, p = x.q, x.p
         (a11, a12), (_, a22) = self.quad
         b1, b2 = self.lin
         expo = (a11 * q + 2.0 * a12 * p + b1) * q + (a22 * p + b2) * p + self.const
-        # np.exp: inf, not OverflowError, where the exponent overflows
-        return self.poly(x.z, x.zbar) * np.exp(expo)
-
-    def __add__(self, other: "GaussPolySymbol") -> "GaussPolySymbol":
-        """Sum of two symbols with one Gaussian factor: every entry of
-        ``quad``, ``lin`` and ``const`` equals its partner (float ==, so
-        equal infinities match), or ValueError is raised."""
-        if not all(x == y for x, y in zip(self._gaussian(), other._gaussian())):
-            raise ValueError("can only add symbols sharing one Gaussian factor")
-        return GaussPolySymbol(self.quad, self.lin, self.const, self.poly + other.poly)
-
-    def __sub__(self, other: "GaussPolySymbol") -> "GaussPolySymbol":
-        return self + other.scale(-1.0)
+        # cmath.exp raises OverflowError where the exponent overflows
+        return self.poly(x.z, x.zbar) * cmath.exp(expo)
 
 
 # Symbols of a and a^dagger: a(x) = z/sqrt(2).
@@ -273,7 +252,7 @@ def creation_symbol() -> GaussPolySymbol:
 # Fresnel-regularized complex Gaussian integrals
 # ---------------------------------------------------------------------------
 
-def _fresnel_sqrt_det(lam: list[complex], error_cls=DegenerateQuadraticForm) -> complex:
+def _fresnel_sqrt_det(lam: list[complex]) -> complex:
     """sqrt(det(-M)) continued from the damped form det(eps*I - M), eps -> 0+,
     given the eigenvalues ``lam`` of M as Python complexes.
 
@@ -281,14 +260,14 @@ def _fresnel_sqrt_det(lam: list[complex], error_cls=DegenerateQuadraticForm) -> 
     from large eps down to zero amounts to taking the principal square root
     of -lambda for every eigenvalue lambda of M; the path only degenerates
     when an eigenvalue sits on the non-negative real axis (within _EIG_TOL of
-    the largest modulus) or is not finite.
+    the largest modulus) or is not finite, and there it raises DivergentIntegral.
     """
     scale = max(1.0, max(map(_abs, lam)))
     for ev in lam:
         if not cmath.isfinite(ev):
-            raise error_cls(f"quadratic form has eigenvalue {ev}")
+            raise DivergentIntegral(f"quadratic form has eigenvalue {ev}")
         if abs(ev.imag) <= _EIG_TOL * scale and ev.real >= -_EIG_TOL * scale:
-            raise error_cls(
+            raise DivergentIntegral(
                 f"quadratic form has eigenvalue {ev} on the non-negative real axis")
     return math.prod([cmath.sqrt(-ev) for ev in lam])
 
@@ -349,10 +328,10 @@ def star_gaussian(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
     With the exponent u.Q u + (W x + l0).u over u = (x1, x2), every output
     but the branch is a block of the congruence S = A^T Q^-1 A of the
     columns A = [z1, z1*, z2, z2* | W | l0]: the forms' covariance -S/2 and
-    means -S/2 (in x and constant), and the result's exponent -S/4.
+    means -S/2 (in x and constant), and the result's exponent -S/4.  Raises
+    ValueError unless 0 < xi < inf, and DivergentIntegral off the Fresnel class.
     """
-    if not 0.0 < xi < math.inf:
-        raise ValueError(f"xi must be positive and finite, got {xi!r}")
+    _check_xi(xi)
     (f11, f12), (_, f22) = f.quad
     (g11, g12), (_, g22) = g.quad
     (fl1, fl2), (gl1, gl2) = f.lin, g.lin
@@ -398,8 +377,7 @@ def star_differential(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> Gaus
     derivative is a bare coefficient table, formed once from the one before
     it and only if used; the product is the one ZPoly built.
     """
-    if not 0.0 < xi < math.inf:
-        raise ValueError(f"xi must be positive and finite, got {xi!r}")
+    _check_xi(xi)
     if not f.is_polynomial:
         raise ValueError("left factor must be purely polynomial; use star_gaussian")
     # g = P e^E is differentiated on P alone: dz(P e^E) = (dz P + P dz E) e^E,
@@ -430,7 +408,7 @@ def moyal_bracket(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
     through star_differential, which raises ValueError on a Gaussian factor."""
     fg = star_differential(f, g, xi)
     gf = star_differential(g, f, xi)
-    return (fg - gf).scale(1.0 / (1j * xi))
+    return GaussPolySymbol.polynomial((fg.poly + gf.poly.scale(-1.0)).scale(1.0 / (1j * xi)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +423,13 @@ def phase_space_inner_product(f: GaussPolySymbol, g: GaussPolySymbol, xi: float)
     coefficient tables (Fresnel branch).  The 2x2 form is solved in closed
     form on scalars: eigenvalues m +- sqrt(m^2 - det) with the root of larger
     modulus first and the other as det over it, and the inverse through the
-    adjugate.  Raises ValueError where a summed form entry is NaN (opposite
-    infinities), DegreeCapExceeded where the product's degree exceeds
-    DEGREE_CAP, DivergentIntegral off the Fresnel class, and ToleranceNotMet
-    when eps sum_l |c_l M_l| |prefactor| > _PAIRING_RTOL (1 + |value|).
+    adjugate.  Raises ValueError unless 0 < xi < inf (xi is read for nothing
+    else) or where a summed form entry is NaN (opposite infinities),
+    DegreeCapExceeded where the product's degree exceeds DEGREE_CAP,
+    DivergentIntegral off the Fresnel class, and ToleranceNotMet when
+    eps sum_l |c_l M_l| |prefactor| > _PAIRING_RTOL (1 + |value|).
     """
+    _check_xi(xi)
     (f11, f12), (_, f22) = f.quad
     (g11, g12), (_, g22) = g.quad
     a11, a12, a22 = f11 + g11, f12 + g12, f22 + g22
@@ -463,7 +443,7 @@ def phase_space_inner_product(f: GaussPolySymbol, g: GaussPolySymbol, xi: float)
     root = cmath.sqrt(half_gap * half_gap + a12 * a12)   # m^2 - det, cancellation-free
     lam1 = m + root if (m.conjugate() * root).real >= 0.0 else m - root
     lam = [lam1, det / lam1] if lam1 else [0j, 0j]
-    sqrt_det = _fresnel_sqrt_det(lam, error_cls=DivergentIntegral)
+    sqrt_det = _fresnel_sqrt_det(lam)
     # covariance -A^{-1}/2 and mean -A^{-1} b/2 of (q, p), A^{-1} = adj(A)/det
     c11, c12, c22 = -0.5 * a22 / det, 0.5 * a12 / det, -0.5 * a11 / det
     mu_q = c11 * b1 + c12 * b2

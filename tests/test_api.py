@@ -1,5 +1,6 @@
 """The public API holds only what the product or an acceptance check uses:
-every export, and every public method and property of a library class."""
+every export, every public method and property of a library class, and
+every error type."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,19 @@ def test_acceptance_references_are_exported_and_used_by_their_test():
         [func] = [node for node in ast.walk(_parse(ROOT / "tests" / module))
                   if isinstance(node, ast.FunctionDef) and node.name == test]
         assert name in _referenced_names(func), (name, test)
+
+
+def test_every_error_type_is_raised_by_name():
+    # an error type raised only through a variable (a class passed as an
+    # argument) can outlive the last condition that chose it
+    errors = _parse(PACKAGE / "errors.py")
+    types = {"KerrMoyalError"}
+    for node in errors.body:    # in order, so a subclass of a subclass counts
+        if isinstance(node, ast.ClassDef) and {b.id for b in node.bases} & types:
+            types.add(node.name)
+    raised = {node.exc.func.id
+              for path in PACKAGE.glob("*.py") for node in ast.walk(_parse(path))
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and isinstance(node.exc.func, ast.Name)}
+    never = sorted(types - {"KerrMoyalError"} - raised)
+    assert not never, f"error types never raised by name: {never}"

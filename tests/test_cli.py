@@ -414,7 +414,9 @@ def _swap_monomial_keys(symbolic):
 
 def _extra_secant(symbolic):
     def secant(idx, t, params):
-        return symbolic(idx, t, params).scale(1.0 / math.cos(idx.t_tilde(t, params)))
+        sym = symbolic(idx, t, params)
+        return GaussPolySymbol(sym.quad, sym.lin, sym.const,
+                               sym.poly.scale(1.0 / math.cos(idx.t_tilde(t, params))))
     return secant
 
 

@@ -310,7 +310,7 @@ def test_rotational_equivariance():
     for (s, m) in [(0, 1), (1, 0), (0, 2), (2, 1)]:
         idx = km.ObservableIndex(s, m)
         for pt in POINTS[:3]:
-            mapped = PhasePoint(*(rot @ pt.as_array()))
+            mapped = PhasePoint(*(rot @ (pt.q, pt.p)))
             lhs = km.moyal_solution_symbolic(idx, 0.55, PARAMS)(mapped)
             rhs = (np.exp(1j * (m - s) * phi / 2.0)
                    * km.moyal_solution_symbolic(idx, 0.55, PARAMS)(pt))

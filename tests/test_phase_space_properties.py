@@ -5,11 +5,10 @@ exponent sees nothing else: its value, star products and pairing are those
 of a symbol built from that part, and the derivatives that the derivative
 star engine takes, read from z * g = z g + xi dz* g and
 z* * g = z* g - xi dz g, agree with a finite difference of the symbol's own
-values.  Adding symbols needs one Gaussian factor: a one-ulp change in any
-entry is refused, in either order.  The library does its 2x2 algebra on
-Python scalars; the pairing is held to a reference built here from
-``numpy.linalg.eigvals`` and ``inv``.  The two star engines agree on a
-polynomial left factor times Theta_sm and times a squeezed projector.
+values.  The library does its 2x2 algebra on Python scalars; the pairing
+is held to a reference built here from ``numpy.linalg.eigvals`` and
+``inv``.  The two star engines agree on a polynomial left factor times
+Theta_sm and times a squeezed projector.
 """
 
 import cmath
@@ -92,13 +91,14 @@ def test_stored_form_is_the_symmetric_part(a11, a22, a21, gap, gap_arg, entries,
     ref = GaussPolySymbol(sym_part, lin, 0.1, poly)
     np.testing.assert_array_equal(sym.quad, sym_part)
     pt = PhasePoint(0.4, -0.3)
+    # a value whose exponent overflows raises OverflowError: compare outcomes
     with np.errstate(all="ignore"):
-        np.testing.assert_equal(sym(pt), ref(pt))
+        np.testing.assert_equal(_outcome(lambda: sym(pt)), _outcome(lambda: ref(pt)))
         for op in (km.annihilation_symbol(), km.creation_symbol()):
             got, want = star_differential(op, sym, 1.0), star_differential(op, ref, 1.0)
             np.testing.assert_array_equal(got.quad, want.quad)
             np.testing.assert_equal(got.poly.coeffs, want.poly.coeffs)
-            np.testing.assert_equal(got(pt), want(pt))
+            np.testing.assert_equal(_outcome(lambda: got(pt)), _outcome(lambda: want(pt)))
         np.testing.assert_equal(_outcome(lambda: _integral(sym)),
                                 _outcome(lambda: _integral(ref)))
 
@@ -125,57 +125,6 @@ def test_derivative_of_an_asymmetric_form_matches_its_values():
     d_zbar = (z_star(pt) - pt.z * sym(pt)) / xi
     for der, ref in ((d_z, 0.5 * (d_q - 1j * d_p)), (d_zbar, 0.5 * (d_q + 1j * d_p))):
         assert abs(der - ref) <= 1e-9 * abs(ref)
-
-
-def _symbol(entries):
-    """Symbol with quad [[e0, e1], [e2, e3]], lin (e4, e5) and const e6."""
-    return GaussPolySymbol(np.array(entries[:4]).reshape(2, 2), np.array(entries[4:6]),
-                           entries[6], ZPoly.constant(1.0))
-
-
-def _adds(f, g):
-    try:
-        return (f + g).poly.coeffs == {(0, 0): 2.0}
-    except ValueError as exc:
-        assert "one Gaussian factor" in str(exc)
-        return False
-
-
-def _ulp_step(x, toward):
-    """x with its real or its imaginary part moved one ulp toward +-inf."""
-    if toward.real:
-        return complex(math.nextafter(x.real, toward.real), x.imag)
-    return complex(x.real, math.nextafter(x.imag, toward.imag))
-
-
-def _stored_with(entry):
-    """The entries that hold one stored value: quad's off-diagonals go together."""
-    return (1, 2) if entry in (1, 2) else (entry,)
-
-
-@settings(max_examples=300, deadline=None)
-@given(base=st.lists(_complex(1e300), min_size=7, max_size=7),
-       slot=st.integers(0, 6),
-       toward=st.sampled_from([math.inf, -math.inf, complex(0.0, math.inf),
-                               complex(0.0, -math.inf)]),
-       inf_slot=st.sampled_from([None, *range(7)]),
-       inf=st.sampled_from(NON_FINITE[2:5]))
-@example(base=[0j] * 7, slot=1, toward=math.inf, inf_slot=None, inf=NON_FINITE[2])
-def test_add_refuses_a_one_ulp_change_in_either_order(base, slot, toward, inf_slot, inf):
-    # the seven entries are quad's four, lin's two and const; an infinity
-    # equal in both operands is still a match
-    right = list(base)
-    right[2] = right[1]
-    if inf_slot is not None and inf_slot not in _stored_with(slot):
-        for k in _stored_with(inf_slot):
-            right[k] = inf
-    left = list(right)
-    for k in _stored_with(slot):
-        left[k] = _ulp_step(right[k], toward)
-    f, g = _symbol(left), _symbol(right)
-    assert _adds(g, g) and _adds(f, f)
-    assert not _adds(f, g)
-    assert not _adds(g, f)
 
 
 # ---------------------------------------------------------------------------
