@@ -49,12 +49,12 @@ RADIUS_SCALE = math.sqrt(-math.log(sys.float_info.epsilon / 2.0))
 # need at most 4.8e4 (s = 0.1, |alpha| = 1.5, Delta_phi = 0 at
 # t~ = 11 pi/24); the bound leaves 2800x headroom.
 MAX_AXIS_NODES = 2**27
-# Nodes per numpy pass in _axis_sums, so the pass's float64 temporaries
-# (128 kB each, about six alive at once: nodes, envelope, h = tan(phi/2),
-# h^2, 1 + h^2, envelope times y) stay in L2 cache, and memory stays fixed
-# however many nodes an axis takes.  On a Xeon with 2 MB of L2 per core, the
-# oracle-strong pool ran 12% slower in passes of 2**15 nodes, and the kernel
-# alone 30% slower in passes of 2**16.
+# Nodes per numpy pass in _quadrature_sums, of whichever axes, so the pass's
+# float64 rows (128 kB each, five alive at once: the (4, m) buffer and one
+# temporary) stay in L2 cache, and memory stays fixed however many nodes an
+# axis takes.  On a Xeon with 2 MB of L2 per core, the oracle-strong pool ran
+# 12% slower in passes of 2**15 nodes, and the kernel alone 30% slower in
+# passes of 2**16.
 _CHUNK = 2**14
 
 
@@ -154,63 +154,75 @@ def _axis_step(scale: float, center: float, big_t: float, xi: float) -> float:
     return math.pi / (abs(center * big_t) / xi + RADIUS_SCALE * spread)
 
 
-def _axis_sums(step: float, half_width: float, scale: float, center: float,
-               big_t: float, xi: float) -> list[list[complex]]:
-    """(sum w f, sum w y f) for f(y) = exp((-scale (y - center)^2 - i T y^2) / xi).
+def _quadrature_sums(axes: list[tuple[float, float, float, float]], big_t: float,
+                     xi: float) -> list[list[list[complex]]]:
+    """(sum f, sum y f) on each axis, f(y) = exp((-scale (y - center)^2 - i T y^2) / xi).
 
-    The nodes are y_j = center + j step, |j| <= floor(half_width / step), so
-    they are symmetric about the window's centre.  One pass gives two pairs:
-    the trapezoidal sums with weight w = step on every node, then those with
-    w = 2 step on the even j, the sums at twice the step.  Real arithmetic
-    with one real exp and one tan per node.  The envelope is written with
-    its square completed, so its exponent is never positive and nothing
-    overflows however small xi is.  With h = tan(phi / 2) of the chirp phase
-    phi = -T y^2 / xi, cos phi = (1 - h^2) / (1 + h^2) and
-    sin phi = 2 h / (1 + h^2); the common 1 / (1 + h^2) goes into the real
-    envelope amp = exp(-scale (y - center)^2 / xi) / (1 + h^2), and each
-    step's two sums are four real dot products (amp and amp y, each against
-    1 - h^2 and h).  The nodes are taken _CHUNK at a time.  The node count is
-    known before any array is built; past MAX_AXIS_NODES the call raises
-    instead.
+    axes holds one (step, half_width, scale, center) per axis, whose nodes
+    y_j = center + j step, |j| <= floor(half_width / step), are symmetric
+    about its window's centre.  Each axis gets two pairs, the sums over every
+    node and over the even j (twice the step); the caller applies the
+    trapezoidal weights.  Per node one real exp of the envelope, whose
+    completed square keeps its exponent <= 0, so nothing overflows however
+    small xi is, and one tan: with h = tan(phi / 2) of the chirp phase
+    phi = -T y^2 / xi, cos phi = (1 - h^2) / (1 + h^2), sin phi = 2 h / (1 + h^2)
+    and amp = exp(-scale (y - center)^2 / xi) / (1 + h^2), a grid's two sums
+    are one 2x2 product, rows [amp y, amp] against columns [h, 1 - h^2],
+    whose entries np.vecdot sums as dot products.  The nodes of all axes run
+    one after another through passes of _CHUNK nodes: only y and the
+    envelope's exponent are formed per axis, every other step once per pass.
+    Node counts are checked per axis, against MAX_AXIS_NODES, before any array is built.
     """
-    n = math.floor(half_width / step)
-    if 2 * n + 1 > MAX_AXIS_NODES:
-        raise ToleranceNotMet(
-            f"quadrature needs {2 * n + 1:.3e} nodes on one axis at step "
-            f"{step:.3e} (|tan t~| = {abs(big_t):.3e}), above {MAX_AXIS_NODES}",
-            achieved=math.inf)
+    counts = [2 * math.floor(half_width / step) + 1 for step, half_width, _, _ in axes]
+    for (step, *_), count in zip(axes, counts):
+        if count > MAX_AXIS_NODES:
+            raise ToleranceNotMet(
+                f"quadrature needs {count:.3e} nodes on one axis at step "
+                f"{step:.3e} (|tan t~| = {abs(big_t):.3e}), above {MAX_AXIS_NODES}",
+                achieved=math.inf)
     # both exponents take the factor 1/xi last, as numpy rounds the complex
     # exponent of f, so a chirp phase of thousands of radians matches it; the
     # halving of phi is exact in binary and keeps that rounding
     inv_xi = 1.0 / xi
     half_t = -0.5 * big_t
-    # every chunk starts at j = -n + k _CHUNK, so its even j start at n % 2
-    grids = (slice(None), slice(n % 2, None, 2))
-    sums = [[0j, 0j] for _ in grids]
-    for start in range(-n, n + 1, _CHUNK):
-        # the envelope takes the offset j step itself, so the rounding of y
-        # does not reach it
-        amp = np.arange(start, min(start + _CHUNK, n + 1), dtype=float)
-        amp *= step
-        y = amp + center
-        y2 = y * y
-        amp *= amp
-        amp *= -scale
-        amp *= inv_xi
+    sums = [[[0j, 0j], [0j, 0j]] for _ in axes]
+    total = sum(counts)
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        part = np.empty((4, hi - lo))
+        amp_y, amp, h, cos = part[0], part[1], part[2], part[3]
+        pieces, start = [], 0
+        for (step, _, scale, center), count, axis_sums in zip(axes, counts, sums):
+            first, stop = max(lo, start), min(hi, start + count)
+            if first < stop:
+                j, col, take = first - start - count // 2, first - lo, stop - first
+                pieces.append((axis_sums, j, col, take))
+                # the envelope takes the offset j step itself, so the rounding
+                # of y does not reach it
+                offset = amp[col:col + take]
+                np.multiply(np.arange(j, j + take, dtype=float), step, out=offset)
+                np.add(offset, center, out=amp_y[col:col + take])
+                offset *= offset
+                offset *= -scale
+            start += count
+        np.multiply(amp_y, amp_y, out=h)
+        h *= half_t
+        part[1:3] *= inv_xi
         np.exp(amp, out=amp)
-        h = np.multiply(y2, half_t, out=y2)
-        h *= inv_xi
         np.tan(h, out=h)
-        h2 = h * h
-        amp /= 1.0 + h2
-        cos = np.subtract(1.0, h2, out=h2)
-        amp_y = amp * y
-        for pair, nodes in zip(sums, grids):
-            a, a_y, c, s = amp[nodes], amp_y[nodes], cos[nodes], h[nodes]
-            pair[0] += complex(a @ c, 2.0 * (a @ s))
-            pair[1] += complex(a_y @ c, 2.0 * (a_y @ s))
-    return [[weight * value for value in pair]
-            for weight, pair in zip((step, 2.0 * step), sums)]
+        np.multiply(h, h, out=cos)
+        amp /= 1.0 + cos
+        np.subtract(1.0, cos, out=cos)
+        amp_y *= amp
+        rows, cols = part[:2, None], part[None, 2:]
+        for axis_sums, j, col, take in pieces:
+            # the even j of a piece start one column in when its first j is odd
+            grids = (slice(col, col + take), slice(col + j % 2, col + take, 2))
+            for pair, nodes in zip(axis_sums, grids):
+                (y_s, y_c), (a_s, a_c) = np.vecdot(rows[..., nodes], cols[..., nodes]).tolist()
+                pair[0] += complex(a_c, 2.0 * a_s)
+                pair[1] += complex(y_c, 2.0 * y_s)
+    return sums
 
 
 def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
@@ -248,13 +260,15 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
     # Theta_01(t|y) = pref * exp(-i|y|^2 T/xi) * (y1 + i y2)/sqrt(2)
     pref = cmath.exp(-1j * (params.w1 * t)) / cos_tt ** 2 * cmath.exp(2j * tt)
     norm = half_turn / (math.pi * xi) * pref / _SQRT2
-    axis0, axis1 = (_axis_sums(0.5 * _axis_step(scale, center, big_t, xi),
-                               RADIUS_SCALE * math.sqrt(xi / scale), scale, center,
-                               big_t, xi)
-                    for scale, center in ((s * s, ybar.real / s),
-                                          (1.0 / (s * s), s * ybar.imag)))
-    value, check = (norm * (sum1_0 * sum0_1 + 1j * sum0_0 * sum1_1)
-                    for (sum0_0, sum1_0), (sum0_1, sum1_1) in zip(axis0, axis1))
+    axes = [(0.5 * _axis_step(scale, center, big_t, xi), RADIUS_SCALE * math.sqrt(xi / scale),
+             scale, center)
+            for scale, center in ((s * s, ybar.real / s), (1.0 / (s * s), s * ybar.imag))]
+    axis0, axis1 = _quadrature_sums(axes, big_t, xi)
+    # the trapezoidal weights: each axis's step on every node, twice it on the even j
+    weight = norm * axes[0][0] * axes[1][0]
+    value, check = (w * (sum1_0 * sum0_1 + 1j * sum0_0 * sum1_1)
+                    for w, (sum0_0, sum1_0), (sum0_1, sum1_1)
+                    in zip((weight, 4.0 * weight), axis0, axis1))
     err = abs(value - check)
     if not err <= tol:
         raise ToleranceNotMet(f"quadrature error estimate {err:.3e} > tol {tol:.3e}",

@@ -146,7 +146,8 @@ def moyal_equation_deviations(params: kerr.KerrParams, indices, times, pts):
     """
     w1, w2, xi = params.w1, params.w2, params.xi
     n_poly = ZPoly({(1, 1): 0.5, (0, 0): -0.5 * xi})
-    # N = x^2/2 - xi/2 is a^dag a; H = w2 [x^4/4 - xi x^2 + xi^2/2] + w1 N = N (w2 N + w1 - w2 xi)
+    # N = x^2/2 - xi/2 is a^dag a; N (w2 N + w1 - w2 xi) is H_W = w2 [x^4/4 - xi x^2
+    # + xi^2/2] + w1 N plus w2 xi^2/4, a constant that drops out of every bracket
     ham = GaussPolySymbol.polynomial(n_poly * (n_poly.scale(w2) + ZPoly.constant(w1 - w2 * xi)))
     number = GaussPolySymbol.polynomial(n_poly)
     pde, eig = [], []

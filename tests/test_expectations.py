@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import kerrmoyal as km
 from kerrmoyal import ToleranceNotMet
 from kerrmoyal import expectations
-from kerrmoyal.expectations import _CHUNK, _axis_step, _axis_sums, branch_winding
+from kerrmoyal.expectations import _CHUNK, _axis_step, _quadrature_sums, branch_winding
 from kerrmoyal.phase_space import PhasePoint
 
 XI = 1.0
@@ -297,8 +297,8 @@ def test_quadrature_tolerance_not_met_reports_achieved():
 def test_quadrature_nan_estimate_raises():
     # not err <= tol, so an estimate that is NaN is refused like a large one
     state = make_state(1.0, 0.5, math.pi)
-    with mock.patch.object(expectations, "_axis_sums",
-                           return_value=[[complex(math.nan), 1j], [1.0, 1j]]), \
+    with mock.patch.object(expectations, "_quadrature_sums",
+                           return_value=[[[complex(math.nan), 1j], [1.0, 1j]]] * 2), \
             pytest.raises(ToleranceNotMet) as info:
         km.expectation_a_quadrature(0.4, state, PARAMS, tol=1e-9)
     assert math.isnan(info.value.achieved)
@@ -310,17 +310,24 @@ def test_quadrature_node_bound_raises_before_allocating():
     t = (math.pi / 2.0 - 1e-7) / (XI * PARAMS.w2)
     tracemalloc.start()
     try:
-        with pytest.raises(ToleranceNotMet, match="nodes on one axis") as info:
+        with pytest.raises(ToleranceNotMet, match="nodes on one axis") as info, \
+                mock.patch.object(expectations, "_quadrature_sums",
+                                  wraps=_quadrature_sums) as sums:
             km.expectation_a_quadrature(t, state, PARAMS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # one kernel call got both axes and refused them on a count of one axis
+    (axes, *_), = [call.args for call in sums.call_args_list]
+    assert len(axes) == 2
+    assert max(_axis_nodes(step, half_width)
+               for step, half_width, *_ in axes) > expectations.MAX_AXIS_NODES
     assert info.value.achieved == math.inf  # no sums were formed
     assert peak < 1_000_000
 
 
 def _axis_nodes(step, half_width):
-    """Nodes of one _axis_sums call: center + j step, |j| <= half_width / step."""
+    """Nodes of one axis of _quadrature_sums: center + j step, |j| <= half_width / step."""
     return 2 * math.floor(half_width / step) + 1
 
 
@@ -338,13 +345,13 @@ def test_quadrature_raises_when_its_step_is_too_coarse():
         """The value or the ToleranceNotMet, and the step of each axis's sums."""
         built = []
 
-        def sums(step, *args):
-            built.append(step)
-            return _axis_sums(step, *args)
+        def sums(axes, *args):
+            built.extend(step for step, *_ in axes)
+            return _quadrature_sums(axes, *args)
 
         with mock.patch.object(expectations, "_axis_step",
                                side_effect=lambda *args: 2.0 * _axis_step(*args)), \
-                mock.patch.object(expectations, "_axis_sums", side_effect=sums):
+                mock.patch.object(expectations, "_quadrature_sums", side_effect=sums):
             try:
                 return km.expectation_a_quadrature(t, state, PARAMS, tol=tol), built
             except ToleranceNotMet as exc:
@@ -354,10 +361,13 @@ def test_quadrature_raises_when_its_step_is_too_coarse():
     assert isinstance(exc, ToleranceNotMet)
     est = exc.achieved
     assert 1e-4 <= est <= 1e-3
-    # one set of sums per axis, at twice the shipped step
-    with mock.patch.object(expectations, "_axis_sums", wraps=_axis_sums) as shipped:
+    # one kernel call with one step per axis, twice the shipped step
+    with mock.patch.object(expectations, "_quadrature_sums",
+                           wraps=_quadrature_sums) as shipped:
         km.expectation_a_quadrature(t, state, PARAMS, tol=1e-9)
-    assert built == [2.0 * call.args[0] for call in shipped.call_args_list]
+    (axes, *_), = [call.args for call in shipped.call_args_list]
+    assert len(built) == 2
+    assert built == [2.0 * step for step, *_ in axes]
     # achieved is the very number compared with tol
     value, _ = quadrature(est)
     assert quadrature(math.nextafter(est, 0.0))[0].achieved == est
@@ -369,7 +379,7 @@ def test_quadrature_raises_when_its_step_is_too_coarse():
 @pytest.mark.parametrize("tol", [math.nan, -1e-8, math.inf])
 def test_quadrature_rejects_bad_arguments_before_any_node(tol):
     state = make_state(1.0, 0.5, math.pi)
-    with mock.patch.object(expectations, "_axis_sums",
+    with mock.patch.object(expectations, "_quadrature_sums",
                            side_effect=AssertionError("nodes built")):
         with pytest.raises(ValueError, match="tol"):
             km.expectation_a_quadrature(1.0, state, PARAMS, tol=tol)
@@ -457,16 +467,18 @@ def test_quadrature_window_truncates_below_rounding():
               (make_state(1.5, 0.1, 0.0), STRONG_T),        # phase squeezing
               (make_state(0.7 + 0.2j, 0.5, 1.1), 13.0)]     # mild
     for state, t in points:
-        with mock.patch.object(expectations, "_axis_sums",
-                               wraps=_axis_sums) as sums:
+        with mock.patch.object(expectations, "_quadrature_sums",
+                               wraps=_quadrature_sums) as sums:
             quad = km.expectation_a_quadrature(t, state, PARAMS)
-        with mock.patch.object(expectations, "_axis_sums",
-                               side_effect=lambda step, half_width, *args:
-                               _axis_sums(step, widen * half_width, *args)):
+        with mock.patch.object(expectations, "_quadrature_sums",
+                               side_effect=lambda axes, *args: _quadrature_sums(
+                                   [(step, widen * half_width, *rest)
+                                    for step, half_width, *rest in axes], *args)):
             wide = km.expectation_a_quadrature(t, state, PARAMS)
         assert abs(quad - wide) <= 1e-14 * (1.0 + abs(wide))
         if state is STRONG_STATE:
-            nodes = max(_axis_nodes(*call.args[:2]) for call in sums.call_args_list)
+            (axes, *_), = [call.args for call in sums.call_args_list]
+            nodes = max(_axis_nodes(step, half_width) for step, half_width, *_ in axes)
             assert nodes <= 36_000
 
 
@@ -499,6 +511,14 @@ def _complex_exp_sums(step, n, scale, center, big_t, xi):
     return pairs, step * np.sum(np.abs(f) * (1.0 + np.abs(y)))
 
 
+def _weighted_sums(axes, big_t, xi):
+    """_quadrature_sums with the trapezoidal weights applied: each axis's
+    step on every node, twice it on the even j."""
+    return [[[weight * value for value in pair]
+             for weight, pair in zip((step, 2.0 * step), sums)]
+            for (step, *_), sums in zip(axes, _quadrature_sums(axes, big_t, xi))]
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(0, 3 * _CHUNK // 2), step=st.floats(1e-3, 1.0),
        center=st.floats(-20.0, 20.0), scale=st.floats(0.01, 100.0),
@@ -511,13 +531,42 @@ def _complex_exp_sums(step, n, scale, center, big_t, xi):
          big_t=math.tan(11.0 * math.pi / 24.0), xi=1.0)  # |T| y^2 up to 5e4 rad
 def test_axis_sums_match_complex_exp_reference(n, step, center, scale, big_t, xi):
     # half a step past n keeps floor(half_width / step) = n under rounding
-    sums = _axis_sums(step, (n + 0.5) * step, scale, center, big_t, xi)
+    (sums,) = _weighted_sums([(step, (n + 0.5) * step, scale, center)], big_t, xi)
     refs, bound = _complex_exp_sums(step, n, scale, center, big_t, xi)
     assert len(sums) == 2
     # the returned step-h pair, then the step-2h check on the even j
     for (sum0, sum1), (ref0, ref1) in zip(sums, refs):
         assert abs(sum0 - ref0) <= 1e-13 * bound
         assert abs(sum1 - ref1) <= 1e-13 * bound
+
+
+# an axis has an odd node count and a pass an even one, so axis 0 cannot end
+# exactly at a pass boundary; it can end one column short of it, with the
+# first node of axis 1 alone in the pass's last column
+@settings(max_examples=40, deadline=None)
+@given(n=st.tuples(st.integers(0, 3 * _CHUNK // 2), st.integers(0, 3 * _CHUNK // 2)),
+       step=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+       center=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+       scale=st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+       big_t=st.floats(-10.0, 10.0), xi=st.floats(0.5, 2.0))
+@example(n=(_CHUNK // 2 - 1, 40), step=(1e-3, 0.05), center=(3.0, -5.0),
+         scale=(0.01, 4.0), big_t=10.0, xi=0.5)    # axis 1's first node ends pass 0
+@example(n=(_CHUNK // 2, 40), step=(1e-3, 0.05), center=(3.0, -5.0),
+         scale=(0.01, 4.0), big_t=10.0, xi=0.5)    # axis 0's last node opens pass 1
+@example(n=(40, 3 * _CHUNK // 2), step=(0.05, 5e-3), center=(-5.0, 20.0),
+         scale=(4.0, 0.01), big_t=-3.0, xi=1.0)    # axis 1 starts mid-pass
+@example(n=(0, 300), step=(0.1, 0.02), center=(2.0, -1.0),
+         scale=(0.5, 9.0), big_t=1.5, xi=1.0)      # axis 0 only its centre
+def test_quadrature_sums_keep_the_axes_apart(n, step, center, scale, big_t, xi):
+    # one call, both axes through the same passes; each axis's pairs must
+    # match its own reference, so a pass that mixes up the axes' centres,
+    # scales, node offsets or parities fails
+    axes = [(h, (k + 0.5) * h, a, c) for k, h, a, c in zip(n, step, scale, center)]
+    for (h, _, a, c), k, sums in zip(axes, n, _weighted_sums(axes, big_t, xi)):
+        refs, bound = _complex_exp_sums(h, k, a, c, big_t, xi)
+        for (sum0, sum1), (ref0, ref1) in zip(sums, refs):
+            assert abs(sum0 - ref0) <= 1e-13 * bound
+            assert abs(sum1 - ref1) <= 1e-13 * bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -531,8 +580,9 @@ def test_axis_step_sums_match_a_four_times_finer_step(scale, center, big_t, xi):
     # which grows with the chirp phase |T| y^2 / xi at the window's far end
     half_width = expectations.RADIUS_SCALE * math.sqrt(xi / scale)
     step = _axis_step(scale, center, big_t, xi)
-    (sum0, sum1), _ = _axis_sums(step, half_width, scale, center, big_t, xi)
-    (ref0, ref1), _ = _axis_sums(step / 4.0, half_width, scale, center, big_t, xi)
+    ((sum0, sum1), _), ((ref0, ref1), _) = _weighted_sums(
+        [(step, half_width, scale, center), (step / 4.0, half_width, scale, center)],
+        big_t, xi)
     mass = math.sqrt(math.pi * xi / scale)          # the integral of |f|
     reach = abs(center) + half_width
     bound = 1e-14 * mass * (1.0 + reach) * (1.0 + abs(big_t) * reach**2 / xi)
@@ -551,7 +601,8 @@ def test_axis_sums_odd_moment_cancels_on_a_window_centred_at_zero():
     n = math.floor(half_width / step)
     y = np.arange(-n, n + 1) * step
     mass = step * np.sum(np.abs(y) * np.exp(-scale * y * y / xi))
-    for _, sum1 in _axis_sums(step, half_width, scale, 0.0, big_t, xi):
+    (pairs,) = _weighted_sums([(step, half_width, scale, 0.0)], big_t, xi)
+    for _, sum1 in pairs:
         assert abs(sum1) <= 1e-15 * mass
 
 
