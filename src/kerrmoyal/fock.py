@@ -5,7 +5,10 @@ Works in the xi-scaled number basis, <n-1|a|n> = sqrt(xi n).  Every state
 routine, coefficient by coefficient from the eigen-equation of its squeezed
 annihilator: a three-term recurrence started from the closed-form vacuum
 amplitude.  So the kept coefficients do not depend on the truncation, and
-1 - ||v||^2 is the mass the truncation misses, the one tail test.  The Kerr
+1 - ||v||^2 is the mass the truncation misses, the one tail test.  It also
+means the amplitudes of the last state built can be kept and extended: a
+larger dimension for the same state runs the recurrence only over the
+entries it adds, and a smaller one takes a prefix.  The Kerr
 Hamiltonian is diagonal, so Heisenberg evolution is an exact elementwise
 phase multiplication with no time-stepping error, and (a^dag)^s a^m is a
 single band at offset m - s.  Its energy gap is linear along the band, so a
@@ -32,6 +35,13 @@ DIM_CAP = 2 ** 13
 TAIL_TOL = 1e-12
 _START_DIM = 64
 _RESCALE_AT = 1e16
+# The last state squeezed_vector built, its unnormalized amplitudes
+# c_n = scaled_n exp(log_c0 + shift_n) as a read-only array, and the
+# recurrence's tail (prev, cur, log_scale) after the last of them.  One slot,
+# read once per call and replaced whole, never mutated once published; a
+# build past DIM_CAP is not kept, so it holds at most 128 kB.
+_NONE_BUILT = (None, np.zeros(0, dtype=complex), None)
+_last = _NONE_BUILT
 
 
 @dataclass(frozen=True)
@@ -60,33 +70,47 @@ def squeezed_vector(state: SqueezedState, space: FockSpace) -> np.ndarray:
     c_0 = exp(-|beta|^2/2 - e^{-i phi} tanh r beta^2/2) / sqrt(cosh r).
     A coherent state is the case tau = 0.  No coefficient depends on dim, and
     c_0 is exact, so 1 - ||v||^2 is the probability mass past the kept
-    entries: TruncationInsufficient when its size exceeds TAIL_TOL.
+    entries: TruncationInsufficient when its size exceeds TAIL_TOL.  The
+    amplitudes of the last state built are kept (see _last): a call for an
+    equal state (==) takes their first dim, running the recurrence on from
+    where it stopped if they are fewer, and any other state replaces them.
+    Every call returns a new array, bit-identical to a build from n = 0.
     """
+    global _last
     state.check_xi(space.xi)
-    beta = complex(state.alpha) / math.sqrt(space.xi)
-    r = 2.0 * space.xi * state.tau_abs
-    rot = cmath.exp(1j * state.tau_phase)
-    cosh_r, tanh_r = math.cosh(r), math.tanh(r)
-    drive = beta / cosh_r
-    mixing = rot * tanh_r
-    # c_0 underflows once |beta|^2 passes ~1490, so the recurrence runs on
-    # rescaled coefficients: c_n = scaled_n exp(log_c0 + shift_n)
-    log_c0 = (-0.5 * abs(beta) ** 2 - 0.5 * rot.conjugate() * tanh_r * beta * beta
-              - 0.5 * math.log(cosh_r))
-    # np.sqrt is correctly rounded, as math.sqrt is, so reading sqrt(n) from
-    # one list leaves every coefficient bit-identical to a per-step sqrt
-    root = np.sqrt(np.arange(space.dim)).tolist()
-    prev, cur, log_scale = 1.0 + 0j, drive, 0.0
-    scaled = [prev, cur]
-    shift = np.zeros(space.dim)
-    for root_n, root_next in zip(root[1:-1], root[2:]):
-        prev, cur = cur, (drive * cur + mixing * root_n * prev) / root_next
-        if abs(cur) > _RESCALE_AT:
-            size = abs(cur)
-            prev, cur, log_scale = prev / size, cur / size, log_scale + math.log(size)
-            shift[len(scaled):] = log_scale
-        scaled.append(cur)
-    v = np.array(scaled) * np.exp(log_c0 + shift)
+    last = _last
+    _, amps, tail = last if last[0] == state else _NONE_BUILT
+    if amps.size < space.dim:
+        beta = complex(state.alpha) / math.sqrt(space.xi)
+        r = 2.0 * space.xi * state.tau_abs
+        rot = cmath.exp(1j * state.tau_phase)
+        cosh_r, tanh_r = math.cosh(r), math.tanh(r)
+        drive = beta / cosh_r
+        mixing = rot * tanh_r
+        # c_0 underflows once |beta|^2 passes ~1490, so the recurrence runs
+        # on rescaled coefficients: c_n = scaled_n exp(log_c0 + shift_n)
+        log_c0 = (-0.5 * abs(beta) ** 2 - 0.5 * rot.conjugate() * tanh_r * beta * beta
+                  - 0.5 * math.log(cosh_r))
+        # a new state starts from c_0 = 1 and c_1 = drive in these units
+        prev, cur, log_scale = tail or (1.0 + 0j, drive, 0.0)
+        scaled = [] if tail else [prev, cur]
+        shift = np.full(space.dim - amps.size, log_scale)
+        # root starts at sqrt(n) of the last amplitude known; np.sqrt is
+        # correctly rounded, as math.sqrt is, so one list of sqrt(n) leaves
+        # every coefficient bit-identical to a per-step sqrt
+        root = np.sqrt(np.arange(amps.size + len(scaled) - 1, space.dim)).tolist()
+        for root_n, root_next in zip(root, root[1:]):
+            prev, cur = cur, (drive * cur + mixing * root_n * prev) / root_next
+            if abs(cur) > _RESCALE_AT:
+                size = abs(cur)
+                prev, cur, log_scale = prev / size, cur / size, log_scale + math.log(size)
+                shift[len(scaled):] = log_scale
+            scaled.append(cur)
+        amps = np.concatenate((amps, np.array(scaled) * np.exp(log_c0 + shift)))
+        amps.flags.writeable = False
+        if amps.size <= DIM_CAP:
+            _last = (state, amps, (prev, cur, log_scale))
+    v = amps[:space.dim]
     norm = np.linalg.norm(v)
     missing = 1.0 - norm * norm
     if abs(missing) > TAIL_TOL:
@@ -97,7 +121,9 @@ def squeezed_vector(state: SqueezedState, space: FockSpace) -> np.ndarray:
 
 def fock_space_for(state: SqueezedState, cap: int = DIM_CAP) -> FockSpace:
     """The first dimension 64 * 2^k <= cap at which squeezed_vector accepts
-    the state, i.e. misses at most TAIL_TOL of its mass."""
+    the state, i.e. misses at most TAIL_TOL of its mass.  Each rung extends
+    the amplitudes squeezed_vector keeps, so the ladder and the caller's build
+    at the dimension returned run the recurrence once over its entries."""
     dim = _START_DIM
     while dim <= cap:
         space = FockSpace(dim, state.xi)
@@ -138,11 +164,16 @@ def _evolved_band(idx: ObservableIndex, times, v_left: np.ndarray,
     exponentials per time instead of L, neither of a larger phase than the
     whole.  The weights are padded with zeros to a whole number of blocks.
     The space and the params must carry the same xi, compared exactly as
-    SqueezedState.check_xi does, or ValueError is raised.
+    SqueezedState.check_xi does, and each vector must have shape (dim,), or
+    ValueError is raised.
     """
     if params.xi != space.xi:
         raise ValueError(f"Fock space and params carry different xi "
                          f"({space.xi!r} != {params.xi!r})")
+    for v in (v_left, v_right):
+        if np.shape(v) != (space.dim,):
+            raise ValueError(f"Fock vector of shape {np.shape(v)} does not fit "
+                             f"the space's shape ({space.dim},)")
     t = np.asarray(times, dtype=float).ravel()
     band = _band(idx, space)
     width = math.isqrt(max(band.size - 1, 0)) + 1   # ceil(sqrt(L)); 1 if L = 0

@@ -1,6 +1,7 @@
 """Truncated Fock-basis oracle: algebra fidelity and exact eigen-evolution."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -201,6 +202,22 @@ def test_heisenberg_rejects_params_of_another_xi():
             km.heisenberg_expectation_sweep(idx, [0.0, 1.0], v, space, params)
 
 
+def test_heisenberg_rejects_vectors_of_another_shape():
+    # a longer vector was cut to dim, a shorter one raised a bare IndexError
+    space = km.FockSpace(64, XI)
+    v = _coherent(0.9, space)
+    idx = km.ObservableIndex(0, 1)
+    longer = _coherent(0.9, km.FockSpace(65, XI))
+    for bad in (longer, v[:10], v.reshape(8, 8), v[None, :]):
+        shapes = re.escape(f"shape {bad.shape} does not fit the space's shape (64,)")
+        with pytest.raises(ValueError, match=shapes):
+            km.heisenberg_matrix_element(idx, 1.0, v, bad, space, PARAMS)
+        with pytest.raises(ValueError, match=shapes):
+            km.heisenberg_matrix_element(idx, 1.0, bad, v, space, PARAMS)
+        with pytest.raises(ValueError, match=shapes):
+            km.heisenberg_expectation_sweep(idx, [0.0, 1.0], bad, space, PARAMS)
+
+
 def test_heisenberg_time_reversible():
     space = km.FockSpace(96, XI)
     state = km.SqueezedState(0.8, 0.2, 0.5, XI)
@@ -316,6 +333,64 @@ def test_squeezed_vector_matches_per_step_recurrence(state, dim):
     space = km.FockSpace(dim, state.xi)
     assert np.array_equal(km.squeezed_vector(state, space),
                           squeezed_vector_reference(state, space))
+
+
+def _build(state, dim):
+    """squeezed_vector at dim as bytes, or its TruncationInsufficient message."""
+    try:
+        return km.squeezed_vector(state, km.FockSpace(dim, state.xi)).tobytes()
+    except TruncationInsufficient as err:
+        return str(err)
+
+
+def _fresh_build(state, dim):
+    """_build after the vacuum at another xi has replaced the amplitudes that
+    squeezed_vector keeps, so that the recurrence runs from n = 0."""
+    _build(km.SqueezedState(0.0, 0.0, 0.0, 2.0 * state.xi), 2)
+    return _build(state, dim)
+
+
+# the states of the bitwise test above: the last two rescale, and c_0 =
+# e^{-1125} underflows, so their ladder resumes the recurrence past rescales
+@pytest.mark.parametrize("state", [
+    km.SqueezedState(0.8, 0.2, 0.5, XI),
+    km.SqueezedState(1.5, 0.0, 0.0, 1e-3),
+    km.SqueezedState(1.5, 50.0, math.pi, 1e-3)])
+def test_kept_amplitudes_match_fresh_builds(state):
+    ladder = [64 * 2**k for k in range(7)]
+    builds = [_fresh_build(state, ladder[0])] + [_build(state, dim) for dim in ladder[1:]]
+    # below the 4096 amplitudes kept, a request takes a prefix
+    smaller = [4095, 1000, 96, 2]
+    builds += [_build(state, dim) for dim in smaller]
+    assert km.fock._last[0] == state and km.fock._last[1].size == 4096
+    for dim, build in zip(ladder + smaller, builds):
+        assert build == _fresh_build(state, dim), dim
+    assert isinstance(builds[len(ladder) - 1], bytes)
+
+
+def test_build_past_fock_space_for_matches_fresh_build():
+    # validate_expectation's pairing_vs_fock: the ladder, then a build at 4x
+    mild = km.SqueezedState(1.0, -math.log(0.5) / 2.0, math.pi, XI)
+    dim = 4 * km.fock_space_for(mild).dim
+    assert _build(mild, dim) == _fresh_build(mild, dim)
+
+
+def test_states_one_ulp_apart_share_no_amplitudes():
+    state = km.SqueezedState(0.8, 0.2, 0.5, XI)
+    near = km.SqueezedState(0.8, 0.2, math.nextafter(0.5, 1.0), XI)
+    _build(state, 96)
+    assert _build(near, 64) == _fresh_build(near, 64) != _fresh_build(state, 64)
+
+
+def test_returned_vector_is_not_kept():
+    state = km.SqueezedState(0.8, 0.2, 0.5, XI)
+    whole = km.squeezed_vector(state, km.FockSpace(96, XI))
+    prefix = km.squeezed_vector(state, km.FockSpace(64, XI))
+    expected = whole.copy(), prefix.copy()
+    whole[:] = 0.0
+    prefix[:] = 0.0
+    assert np.array_equal(km.squeezed_vector(state, km.FockSpace(96, XI)), expected[0])
+    assert np.array_equal(km.squeezed_vector(state, km.FockSpace(64, XI)), expected[1])
 
 
 @pytest.mark.parametrize("s", [0.5, 0.1])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kerrmoyal as km
-from test_fock import PARAMS, XI, _dense_squeezed
+from test_fock import PARAMS, XI, _build, _dense_squeezed, _fresh_build
 
 
 @settings(max_examples=12, deadline=None)
@@ -40,3 +40,17 @@ def test_closed_form_matches_fock_sweep_property(s, radius, arg, dphi, t_tilde):
                                           space, PARAMS)[0]
     closed = km.expectation_a_closed(t, state, PARAMS).value
     assert abs(closed - ref) <= 1e-10 * (1.0 + abs(ref))
+
+
+@settings(max_examples=12, deadline=None)
+@given(s=st.floats(0.3, 1.0), radius=st.floats(0.0, 1.5),
+       arg=st.floats(-math.pi, math.pi), phi=st.floats(0.0, 2.0 * math.pi),
+       xi=st.sampled_from([XI, 1e-3]),
+       dims=st.lists(st.integers(2, 2 * km.fock.DIM_CAP), min_size=1, max_size=6))
+def test_kept_amplitudes_match_fresh_builds_property(s, radius, arg, phi, xi, dims):
+    # dimensions in any order, past DIM_CAP as well (such a build is not
+    # kept), give what a build from n = 0 gives, TruncationInsufficient too
+    state = km.SqueezedState(radius * np.exp(1j * arg), -math.log(s) / (2.0 * xi), phi, xi)
+    builds = [_fresh_build(state, dims[0])] + [_build(state, dim) for dim in dims[1:]]
+    for dim, build in zip(dims, builds):
+        assert build == _fresh_build(state, dim), dim
