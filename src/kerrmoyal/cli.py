@@ -3,8 +3,8 @@ records and validation suites.
 
 PARAMETERS holds what each command reads and its defaults. A value comes
 from its flag, else the --config file, else that table; an unread flag or
-config key, a non-finite float (the derived t_max included) and a
-non-positive xi are usage errors.
+config key, a non-finite float (the derived t_max included) and an xi
+that fails errors.check_xi are usage errors.
 
 Output is deterministic: floats are written with 17 significant digits,
 lines end with '\\n', and qampl and qphase grid points inside a singular-time
@@ -34,7 +34,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import expectations, fock, kerr, states, validate
-from .errors import KerrMoyalError, SingularTime
+from .errors import KerrMoyalError, SingularTime, check_xi
 
 _QAMPL_XIS = (1.0, 0.5, 0.25, 0.1)
 _QPHASE_X2S = (0.5, 1.0, 2.0, 4.0)
@@ -128,8 +128,8 @@ def resolve(command: str, args: argparse.Namespace) -> tuple[dict, dict]:
         raise ConfigError(f"{command} does not read {', '.join(unread)}")
     given = {**config, **flags}
     values = {**table, **given}
-    if values.get("xi", 1.0) <= 0:  # the KerrParams rule, before t_max divides by xi
-        raise ConfigError(f"xi must be positive, got {values['xi']!r}")
+    if "xi" in values:  # the library's rule, before t_max divides by xi
+        check_xi(values["xi"])
     if "t_max" in table and "t_max" not in given:  # one singular period
         xi_w2 = values["xi"] * values["w2"]
         values["t_max"] = math.pi / xi_w2 if xi_w2 else math.inf
@@ -312,9 +312,7 @@ def cmd_expect(p: dict, echo: dict) -> int:
 
 def cmd_validate(suite: str, p: dict) -> int:
     names = list(validate.SUITES) if suite == "all" else [suite]
-    # a non-finite deviation is refused below, so numpy need not warn of it
-    with np.errstate(all="ignore"):
-        reports = validate.run_suites(names, kerr.KerrParams(p["w1"], p["w2"], p["xi"]))
+    reports = validate.run_suites(names, kerr.KerrParams(p["w1"], p["w2"], p["xi"]))
     # tolerances are finite; a deviation must be finite too
     _check_finite([[c.max_deviation for r in reports for c in r.checks]])
     doc = {"passed": all(r.passed for r in reports),
@@ -370,6 +368,9 @@ def _attach_values(argv: list[str]) -> Iterator[str]:
         yield token if value is None else f"{token}={value}"
 
 
+# every command refuses a non-finite result before it writes anything, so
+# numpy need not warn of one: the one stderr line is the error
+@np.errstate(all="ignore")
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(list(_attach_values(
         sys.argv[1:] if argv is None else argv)))

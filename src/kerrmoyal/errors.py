@@ -1,4 +1,7 @@
-"""Typed exceptions shared across the package."""
+"""Typed exceptions shared across the package, and the two rules on the
+deformation parameter xi that every boundary applies, each a ValueError."""
+
+import math
 
 
 class KerrMoyalError(Exception):
@@ -43,3 +46,15 @@ class ToleranceNotMet(KerrMoyalError):
     def __init__(self, message: str, achieved: float):
         super().__init__(message)
         self.achieved = achieved
+
+
+def check_xi(xi: float) -> None:
+    """ValueError unless 0 < xi < inf: every params, state, Fock space, star engine and pairing."""
+    if not 0.0 < xi < math.inf:
+        raise ValueError(f"xi must be positive and finite, got {xi!r}")
+
+
+def check_same_xi(xi: float, other: float) -> None:
+    """ValueError unless two operands' xi are equal floats: no tolerance on a scale parameter."""
+    if xi != other:
+        raise ValueError(f"operands carry different xi ({xi!r} != {other!r})")

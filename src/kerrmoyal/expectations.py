@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .errors import ToleranceNotMet
+from .errors import ToleranceNotMet, check_same_xi
 from .kerr import (KerrParams, ObservableIndex, checked_cos, classical_amplitude,
                    kerr_angle)
 from .phase_space import PhasePoint
@@ -96,12 +96,12 @@ def expectation_a_closed(t: float, state: SqueezedState,
     variables of the module docstring: one formula, finite and smooth for
     every t and s > 0, singular times included (there G^{3/2} = 1 and the
     exponent is -2|alpha|^2/xi).  The state's t-independent factors come
-    from its closed_form_constants, unpacked once; check_xi and kerr_angle's
-    overflow check run on every call; t~ - Delta_phi/2 is formed before its
-    cos and sin, which stay accurate where an addition formula over t~ and
-    Delta_phi/2 would not.
+    from its closed_form_constants, unpacked once; errors.check_same_xi and
+    kerr_angle's overflow check run on every call; t~ - Delta_phi/2 is
+    formed before its cos and sin, which stay accurate where an addition
+    formula over t~ and Delta_phi/2 would not.
     """
-    state.check_xi(params.xi)
+    check_same_xi(state.xi, params.xi)
     s, s2, half, alpha, exp_scale, noise = state.closed_form_constants
     tt = kerr_angle(1, t, params)
     c, sigma = math.cos(tt), math.sin(tt)
@@ -123,10 +123,12 @@ def expectation_a_semiclassical(t: float, state: SqueezedState,
     """First-order small-xi expansion of <a(t)> around the classical flow.
 
     a_cl(t|xbar) {1 + xi [2|tau| e^{i dphi}
-                          - 2|alpha|^2 w2 t (w2 t + 4i |tau| cos dphi)]}.
+                          - 2|alpha|^2 w2 t (w2 t + 4i |tau| cos dphi)]},
+    xbar = sqrt(2) (Re alpha, Im alpha); xi is checked as in the closed form.
     """
-    xbar = state.mean_x
-    a_cl = classical_amplitude(t, PhasePoint(xbar[0], xbar[1]), params)
+    check_same_xi(state.xi, params.xi)
+    xbar = PhasePoint(_SQRT2 * state.alpha.real, _SQRT2 * state.alpha.imag)
+    a_cl = classical_amplitude(t, xbar, params)
     tau_abs = state.tau_abs
     dphi = state.delta_phi
     w2t = params.w2 * t
@@ -244,11 +246,11 @@ def expectation_a_quadrature(t: float, state: SqueezedState, params: KerrParams,
     step could only read the same rounding, so the estimate gates the
     value: past tol, or NaN, ToleranceNotMet is raised with the estimate as
     ``achieved``.  tol must be finite and non-negative, or ValueError is
-    raised; at a pole of Theta_01 SingularTime is.
+    raised, as it is by errors.check_same_xi; at a pole SingularTime is.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    state.check_xi(params.xi)
+    check_same_xi(state.xi, params.xi)
     s = state.s
     xi = params.xi
     tt = kerr_angle(1, t, params)

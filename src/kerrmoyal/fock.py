@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationInsufficient
+from .errors import TruncationInsufficient, check_same_xi, check_xi
 from .kerr import KerrParams, ObservableIndex
 from .states import SqueezedState
 
@@ -46,16 +47,19 @@ _last = _NONE_BUILT
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Truncated number basis of dimension dim at deformation parameter xi."""
+    """Truncated number basis of dimension dim >= 2, an int, at deformation parameter xi."""
 
     dim: int
     xi: float
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "dim", operator.index(self.dim))
+        except TypeError:
+            raise ValueError(f"dim must be an integer, got {self.dim!r}") from None
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
-        if self.xi <= 0:
-            raise ValueError("xi must be positive")
+        check_xi(self.xi)
 
 
 def squeezed_vector(state: SqueezedState, space: FockSpace) -> np.ndarray:
@@ -77,7 +81,7 @@ def squeezed_vector(state: SqueezedState, space: FockSpace) -> np.ndarray:
     Every call returns a new array, bit-identical to a build from n = 0.
     """
     global _last
-    state.check_xi(space.xi)
+    check_same_xi(state.xi, space.xi)
     last = _last
     _, amps, tail = last if last[0] == state else _NONE_BUILT
     if amps.size < space.dim:
@@ -163,13 +167,10 @@ def _evolved_band(idx: ObservableIndex, times, v_left: np.ndarray,
     start l = W a, times offset_phase[t, b], that of the offset b: 2W
     exponentials per time instead of L, neither of a larger phase than the
     whole.  The weights are padded with zeros to a whole number of blocks.
-    The space and the params must carry the same xi, compared exactly as
-    SqueezedState.check_xi does, and each vector must have shape (dim,), or
-    ValueError is raised.
+    The space and the params must pass errors.check_same_xi, and each
+    vector must have shape (dim,), or ValueError is raised.
     """
-    if params.xi != space.xi:
-        raise ValueError(f"Fock space and params carry different xi "
-                         f"({space.xi!r} != {params.xi!r})")
+    check_same_xi(space.xi, params.xi)
     for v in (v_left, v_right):
         if np.shape(v) != (space.dim,):
             raise ValueError(f"Fock vector of shape {np.shape(v)} does not fit "

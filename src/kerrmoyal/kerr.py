@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexCapExceeded, SingularTime
+from .errors import IndexCapExceeded, SingularTime, check_xi
 from .phase_space import GaussPolySymbol, PhasePoint, ZPoly
 
 # |cos t~| below this is treated as a singular time; only checked_cos reads it.
@@ -41,19 +41,19 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class KerrParams:
-    """Linear frequency w1, Kerr coefficient w2 and deformation parameter xi."""
+    """Linear frequency w1 and Kerr coefficient w2, each finite, and deformation
+    parameter xi, checked by errors.check_xi; ValueError otherwise."""
 
     w1: float
     w2: float
     xi: float
 
     def __post_init__(self):
-        for name in ("w1", "w2", "xi"):
+        for name in ("w1", "w2"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"Kerr parameter {name} must be finite, got {value!r}")
-        if self.xi <= 0:
-            raise ValueError("deformation parameter xi must be positive")
+        check_xi(self.xi)
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,8 @@ def checked_cos(t_tilde: float) -> float:
 def w_coefficient(m: int, s: int, l: int) -> float:
     """W(m, s, l) = s! m! / [l! (s-l)! (m-l)!] = C(s, l) C(m, l) l!.
 
-    An exact integer, rounded once to float.
+    An exact integer, rounded once to float, for 0 <= l <= min(s, m).
     """
-    if l < 0 or l > min(s, m):
-        return 0.0
     return float(math.comb(s, l) * math.comb(m, l) * math.factorial(l))
 
 
@@ -153,18 +151,19 @@ def moyal_solution_symbolic(idx: ObservableIndex, t: float,
     result at a PhasePoint for the pointwise value.
 
     Raises SingularTime at a pole of sec t~, and OverflowError where the
-    form's entry tan(t~)/xi, the secant power or a power of the series base
-    overflows.  For s = m, t~ = 0: the solution is a constant of motion and
-    never singular.  w1 t is formed before the factor m - s, so the phase is
-    finite wherever w1 t is; where (m - s) w1 t is not finite, every
-    coefficient is NaN and nothing is raised.  Every entry is a Python
-    complex, formed with cmath.
+    linear angle (m - s) w1 t is not finite or the form's entry tan(t~)/xi,
+    the secant power or a power of the series base overflows.  The angle
+    follows kerr_angle's rule: 0 for s = m, w1 t formed first.  For s = m,
+    t~ = 0 too: the solution is a constant of motion and never singular.
+    Every entry is a Python complex, formed with cmath.
     """
     tt = idx.t_tilde(t, params)
     cos_tt = checked_cos(tt)
-    arg = -1j * (idx.m - idx.s) * (params.w1 * t)
-    phase = cmath.exp(arg) if cmath.isfinite(arg) else complex(math.nan, math.nan)
-    pref = phase * (1.0 / cos_tt) ** (idx.s + idx.m + 1) * cmath.exp(2j * tt)
+    n = idx.m - idx.s
+    angle = n * (params.w1 * t) if n else 0.0
+    if not math.isfinite(angle):
+        raise OverflowError(f"(m - s) w1 t = {n} w1 t is not finite ({angle!r}) at t = {t!r}")
+    pref = cmath.exp(-1j * angle) * (1.0 / cos_tt) ** (idx.s + idx.m + 1) * cmath.exp(2j * tt)
     base = -0.5 * params.xi * cmath.exp(-1j * tt) * cos_tt
     coeffs = {(idx.m - l, idx.s - l): (pref * w_coefficient(idx.m, idx.s, l) * base ** l
                                        * 2.0 ** (-(idx.s + idx.m - 2 * l) / 2.0))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeCapExceeded, DivergentIntegral, ToleranceNotMet
+from .errors import DegreeCapExceeded, DivergentIntegral, ToleranceNotMet, check_xi
 
 # Default cap on the polynomial degree of a single symbol factor.
 DEGREE_CAP = 64
@@ -151,12 +151,6 @@ def _dz(p: dict) -> dict:
 
 def _dzbar(p: dict) -> dict:
     return {(k, l - 1): l * c for (k, l), c in p.items() if l}
-
-
-def _check_xi(xi: float) -> None:
-    """ValueError unless 0 < xi < inf: both star engines and the pairing."""
-    if not 0.0 < xi < math.inf:
-        raise ValueError(f"xi must be positive and finite, got {xi!r}")
 
 
 def _check_entries(a11: complex, a12: complex, a22: complex, coeffs: dict) -> None:
@@ -331,7 +325,7 @@ def star_gaussian(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> GaussPol
     means -S/2 (in x and constant), and the result's exponent -S/4.  Raises
     ValueError unless 0 < xi < inf, and DivergentIntegral off the Fresnel class.
     """
-    _check_xi(xi)
+    check_xi(xi)
     (f11, f12), (_, f22) = f.quad
     (g11, g12), (_, g22) = g.quad
     (fl1, fl2), (gl1, gl2) = f.lin, g.lin
@@ -377,7 +371,7 @@ def star_differential(f: GaussPolySymbol, g: GaussPolySymbol, xi: float) -> Gaus
     derivative is a bare coefficient table, formed once from the one before
     it and only if used; the product is the one ZPoly built.
     """
-    _check_xi(xi)
+    check_xi(xi)
     if not f.is_polynomial:
         raise ValueError("left factor must be purely polynomial; use star_gaussian")
     # g = P e^E is differentiated on P alone: dz(P e^E) = (dz P + P dz E) e^E,
@@ -426,10 +420,10 @@ def phase_space_inner_product(f: GaussPolySymbol, g: GaussPolySymbol, xi: float)
     adjugate.  Raises ValueError unless 0 < xi < inf (xi is read for nothing
     else) or where a summed form entry is NaN (opposite infinities),
     DegreeCapExceeded where the product's degree exceeds DEGREE_CAP,
-    DivergentIntegral off the Fresnel class, and ToleranceNotMet when
-    eps sum_l |c_l M_l| |prefactor| > _PAIRING_RTOL (1 + |value|).
+    DivergentIntegral off the Fresnel class, and ToleranceNotMet unless (so on
+    NaN) eps sum_l |c_l M_l| |prefactor| <= _PAIRING_RTOL (1 + |value|).
     """
-    _check_xi(xi)
+    check_xi(xi)
     (f11, f12), (_, f22) = f.quad
     (g11, g12), (_, g22) = g.quad
     a11, a12, a22 = f11 + g11, f12 + g12, f22 + g22
@@ -463,6 +457,6 @@ def phase_space_inner_product(f: GaussPolySymbol, g: GaussPolySymbol, xi: float)
     norm, gauss = math.pi / sqrt_det, cmath.exp(f.const + g.const + 0.5 * (b1 * mu_q + b2 * mu_p))
     value = total * norm * gauss
     bound = math.ulp(1.0) * size * _abs(norm * gauss)     # eps sum_l |c_l M_l| |prefactor|
-    if bound > _PAIRING_RTOL * (1.0 + _abs(value)):
+    if not bound <= _PAIRING_RTOL * (1.0 + _abs(value)):    # NaN fails too
         raise ToleranceNotMet(f"pairing rounding bound {bound:.3e} above tolerance", bound)
     return value

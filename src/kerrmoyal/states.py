@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState
+from .errors import InvalidState, check_xi
 from .phase_space import GaussPolySymbol, PhasePoint, ZPoly
 
 
@@ -43,8 +43,9 @@ class SqueezedState:
 
     tau = tau_abs e^{i tau_phase}; tau_phase is normalized to [0, 2 pi) and
     alpha to a Python complex.  Every field must be finite, tau_abs >= 0 and
-    xi > 0 (ValueError), and s^2 = exp(-4 xi tau_abs) must be a normal float
-    (InvalidState), so that 1/s^2 is finite wherever the state is used.
+    xi > 0 (ValueError; xi by errors.check_xi), and s^2 = exp(-4 xi tau_abs)
+    must be a normal float (InvalidState), so that 1/s^2 is finite wherever
+    the state is used.
     The derived values s, delta_phi, amplitude_noise and
     closed_form_constants are computed on first read from the stored fields
     and cached in the instance; they are not fields, so == and hash see the
@@ -60,14 +61,12 @@ class SqueezedState:
         if not cmath.isfinite(self.alpha):
             raise ValueError(f"coherent amplitude alpha must be finite, got {self.alpha!r}")
         for name, value in (("squeeze magnitude", self.tau_abs),
-                            ("squeeze phase", self.tau_phase),
-                            ("deformation parameter xi", self.xi)):
+                            ("squeeze phase", self.tau_phase)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.tau_abs < 0:
             raise ValueError("squeeze magnitude |tau| must be non-negative")
-        if self.xi <= 0:
-            raise ValueError("deformation parameter xi must be positive")
+        check_xi(self.xi)
         if self.s * self.s < sys.float_info.min:
             raise InvalidState(f"squeeze factor s^2 = exp(-4 xi |tau|) underflows "
                                f"at xi |tau| = {self.xi * self.tau_abs!r}")
@@ -109,19 +108,6 @@ class SqueezedState:
         alpha = self.alpha
         return (s, s * s, 0.5 * self.delta_phi, alpha, -2j * abs(alpha) ** 2,
                 self.amplitude_noise)
-
-    @property
-    def mean_x(self) -> np.ndarray:
-        """Phase-space mean (sqrt(2) Re alpha, sqrt(2) Im alpha)."""
-        return np.array([math.sqrt(2.0) * self.alpha.real,
-                         math.sqrt(2.0) * self.alpha.imag])
-
-    def check_xi(self, xi: float) -> None:
-        """ValueError unless xi (of the params or Fock space the state meets)
-        equals the state's xi exactly: no tolerance on a scale parameter."""
-        if xi != self.xi:
-            raise ValueError(f"state and operand carry different xi "
-                             f"({self.xi!r} != {xi!r})")
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,11 @@ def test_abbreviated_flag_takes_a_negative_exponent_value(capsys):
     ["expect", "--t", "1e307", "--w1", "1e308"],
     ["expect", "--alpha-re", "1e154"],
     ["expect", "--alpha-re", "1e200"],                  # OverflowError inside
-    pytest.param(["validate", "all", "--w1", "1e308"],  # NaN deviations, no warning
+    pytest.param(["validate", "all", "--w1", "1e308"],  # (m - s) w1 t overflows
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    # NaN through the closed form and the Fock sweep, no numpy warning before
+    # the quadrature's ToleranceNotMet: one stderr line
+    pytest.param(["expect", "--w1", "1e308", "--t", "10", "--check"],
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ])
 def test_non_finite_results_write_nothing(argv, tmp_path, capsys):
@@ -436,11 +440,13 @@ def test_validate_moyal_identities_catch_a_perturbed_solution(monkeypatch, name,
     assert not {c.name: c for c in report.checks}[check].passed
 
 
-def test_validate_keeps_a_nan_deviation():
-    # w1 t overflows, so every Theta_sm value at t > 0 with s != m is NaN; a fold
-    # that drops a NaN read 0.0 here and passed both checks
+def test_validate_keeps_a_nan_deviation(monkeypatch):
+    # a NaN W(m, s, l) for l >= 1 makes every Theta_sm value with min(s, m) >= 1
+    # NaN while the other indices stay finite; a fold that drops a NaN reads
+    # the finite ones and passes both checks
+    monkeypatch.setattr(kerr, "w_coefficient", lambda m, s, l: math.nan if l else 1.0)
     with np.errstate(all="ignore"):
-        report = validate.validate_moyal(kerr.KerrParams(w1=1e308, w2=0.1, xi=1.0))
+        report = validate.validate_moyal(kerr.KerrParams(w1=1.0, w2=0.1, xi=1.0))
     checks = {c.name: c for c in report.checks}
     for name in ("angular_eigenvalue", "adjoint_symmetry"):
         assert math.isnan(checks[name].max_deviation)

@@ -250,6 +250,7 @@ def test_closed_form_against_40_digits(s_target, delta_phi):
 def test_xi_mismatch_rejected():
     # one rule for params and Fock space alike: equal floats, no tolerance on
     # a scale parameter (1e-15 against 9e-15 is a factor of nine)
+    # the semiclassical expansion used to skip the check
     for state_xi, other_xi in ((1.0, 0.5), (1e-15, 9e-15), (1.0, 1.0 + 2.0**-52)):
         state = make_state(1.0, 0.5, math.pi, xi=state_xi)
         params = km.KerrParams(w1=1.0, w2=0.1, xi=other_xi)
@@ -258,7 +259,12 @@ def test_xi_mismatch_rejected():
         with pytest.raises(ValueError, match="different xi"):
             km.expectation_a_quadrature(0.5, state, params)
         with pytest.raises(ValueError, match="different xi"):
+            km.expectation_a_semiclassical(0.5, state, params)
+        with pytest.raises(ValueError, match="different xi"):
             km.squeezed_vector(state, km.FockSpace(8, other_xi))
+        with pytest.raises(ValueError, match="different xi"):
+            km.heisenberg_expectation_sweep(km.ObservableIndex(0, 1), [0.5], np.eye(8)[0],
+                                            km.FockSpace(8, state_xi), params)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +627,8 @@ def test_semiclassical_expectation_classical_limit():
     for xi in (1e-2, 1e-3):
         params = km.KerrParams(w1=1.0, w2=1.0, xi=xi)
         state = km.SqueezedState(0.9 + 0.2j, 0.0, 0.0, xi)
-        xbar = state.mean_x
-        a_cl = km.classical_amplitude(0.8, PhasePoint(xbar[0], xbar[1]), params)
+        xbar = PhasePoint(math.sqrt(2.0) * state.alpha.real, math.sqrt(2.0) * state.alpha.imag)
+        a_cl = km.classical_amplitude(0.8, xbar, params)
         val = km.expectation_a_semiclassical(0.8, state, params)
         assert abs(val - a_cl) <= 10.0 * xi
 

@@ -189,8 +189,20 @@ def test_heisenberg_harmonic_rotation():
         assert val == pytest.approx(np.exp(-1j * params.w1 * t), abs=1e-10)
 
 
+def test_fock_space_takes_an_integer_dim():
+    # dim is stored as the Python int operator.index gives, as ObservableIndex
+    # stores its indices; a float dim such as 64.5 used to be accepted
+    space = km.FockSpace(np.int64(64), XI)
+    assert type(space.dim) is int and space == km.FockSpace(64, XI)
+    for dim in (64.5, 64.0, "64"):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            km.FockSpace(dim, XI)
+    with pytest.raises(ValueError, match="at least 2"):
+        km.FockSpace(1, XI)
+
+
 def test_heisenberg_rejects_params_of_another_xi():
-    # the rule of SqueezedState.check_xi: equal floats, no tolerance
+    # the rule of errors.check_same_xi: equal floats, no tolerance
     space = km.FockSpace(64, XI)
     v = _coherent(0.9, space)
     idx = km.ObservableIndex(0, 1)

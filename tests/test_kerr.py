@@ -230,13 +230,17 @@ def test_gaussian_form_overflow_raises():
         km.moyal_solution_symbolic(km.ObservableIndex(0, 2), 1.0, params)
 
 
-def test_non_finite_phase_gives_nan_coefficients():
-    # (m - s) w1 t = 2e308 is not finite: the phase is NaN, not an error, so
-    # the symbol's values are NaN and callers report them as non-finite
+def test_non_finite_phase_raises():
+    # the linear angle (m - s) w1 t follows kerr_angle's rule: where it is not
+    # finite (2e308 here) a typed error, not NaN coefficients that the pairing
+    # passes on; for s = m it is 0 however large w1 t is, so the constant of
+    # motion Theta_11 keeps its t = 0 symbol where w1 t = 1e309 overflows
     params = km.KerrParams(1e308, 0.1, 1.0)
-    theta = km.moyal_solution_symbolic(km.ObservableIndex(0, 1), 2.0, params)
-    coeffs = list(theta.poly.coeffs.values())
-    assert coeffs and all(math.isnan(c.real) and math.isnan(c.imag) for c in coeffs)
+    with pytest.raises(OverflowError, match="w1 t"):
+        km.moyal_solution_symbolic(km.ObservableIndex(0, 1), 2.0, params)
+    idx = km.ObservableIndex(1, 1)
+    late, early = (km.moyal_solution_symbolic(idx, t, params) for t in (10.0, 0.0))
+    assert late.poly.coeffs == early.poly.coeffs and late.quad == early.quad
 
 
 def test_constant_of_motion_at_huge_w2_t():

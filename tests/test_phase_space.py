@@ -182,14 +182,19 @@ def test_trace_identity_of_star_gaussian():
                 assert abs(integral - ref) <= 1e-12 * abs(ref)
 
 
-@pytest.mark.parametrize("xi", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("xi", [math.nan, math.inf, 0.0, -1.0, -math.inf])
 def test_star_engines_reject_xi_that_is_not_positive_and_finite(xi):
     # at NaN and inf the derivative engine used to return a NaN or inf
-    # polynomial without an error
+    # polynomial without an error; every constructor that takes xi applies
+    # the same rule, errors.check_xi (a Fock space used to accept NaN and inf)
     theta = km.moyal_solution_symbolic(km.ObservableIndex(0, 1), 0.3, km.KerrParams(1.0, 0.1, XI))
     for engine in (km.star_differential, km.star_gaussian, km.phase_space_inner_product):
         with pytest.raises(ValueError, match="xi must be positive and finite"):
             engine(km.annihilation_symbol(), theta, xi)
+    for build in (lambda: km.KerrParams(1.0, 0.1, xi), lambda: km.FockSpace(64, xi),
+                  lambda: km.SqueezedState(1.0, 0.3, 0.0, xi)):
+        with pytest.raises(ValueError, match="xi must be positive and finite"):
+            build()
 
 
 def test_involution():
@@ -358,6 +363,16 @@ def test_inner_product_of_non_finite_form_raises():
     steep = GaussPolySymbol(np.diag([-math.inf, -1.0]), np.zeros(2), 0.0, ZPoly.constant(1.0))
     with pytest.raises(DivergentIntegral):
         km.phase_space_inner_product(steep, GaussPolySymbol.constant(1.0), XI)
+
+
+def test_inner_product_refuses_a_nan_coefficient():
+    # a NaN makes the rounding bound NaN, and bound > tol is False for NaN:
+    # the pairing returned nan+nanj instead of raising
+    projector = km.squeezed_projector(km.SqueezedState(0.6 - 0.4j, 0.3, 1.1, XI))
+    for coeffs in ({(0, 0): math.nan}, {(1, 0): 1.0, (1, 1): complex(0.0, math.nan)}):
+        with pytest.raises(km.ToleranceNotMet, match="nan"):
+            km.phase_space_inner_product(GaussPolySymbol.polynomial(ZPoly(coeffs)),
+                                         projector, XI)
 
 
 def test_inner_product_refuses_a_product_no_symbol_could_hold():

@@ -313,7 +313,7 @@ def test_star_engines_agree_on_a_polynomial_times_a_squeezed_projector(
     proj = km.squeezed_projector(state)
     f = GaussPolySymbol.polynomial(ZPoly(coeffs))
     gauss, diff = star_gaussian(f, proj, xi), star_differential(f, proj, xi)
-    q_mean, p_mean = state.mean_x
+    q_mean, p_mean = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
     for u, v in offsets:
         pt = PhasePoint(q_mean + math.sqrt(xi) * u, p_mean + math.sqrt(xi) * v)
         ref = diff(pt)

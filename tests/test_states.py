@@ -35,20 +35,23 @@ def test_from_values_is_the_constructor():
     assert km.SqueezedState.from_values(*args) == km.SqueezedState(*args)
 
 
-@pytest.mark.parametrize("cls,args,field", [
-    (km.SqueezedState, (1.0, math.nan, 0.0, XI), "magnitude"),
-    (km.SqueezedState, (1.0, math.inf, 0.0, XI), "magnitude"),
-    (km.SqueezedState, (1.0, 0.3, math.inf, XI), "phase"),
-    (km.SqueezedState, (complex(0.5, math.nan), 0.3, 0.0, XI), "alpha"),
-    (km.SqueezedState, (1.0, 0.3, 0.0, math.nan), "xi"),
-    (km.SqueezedState, (1.0, 0.3, 0.0, math.inf), "xi"),
-    (km.KerrParams, (math.inf, 0.1, 1.0), "w1"),
-    (km.KerrParams, (1.0, math.nan, 1.0), "w2"),
-    (km.KerrParams, (1.0, 0.1, math.nan), "xi"),
+@pytest.mark.parametrize("cls,args,message", [
+    (km.SqueezedState, (1.0, math.nan, 0.0, XI), "magnitude must be finite"),
+    (km.SqueezedState, (1.0, math.inf, 0.0, XI), "magnitude must be finite"),
+    (km.SqueezedState, (1.0, 0.3, math.inf, XI), "phase must be finite"),
+    (km.SqueezedState, (complex(0.5, math.nan), 0.3, 0.0, XI), "alpha must be finite"),
+    (km.SqueezedState, (1.0, 0.3, 0.0, math.nan), "xi must be positive and finite"),
+    (km.SqueezedState, (1.0, 0.3, 0.0, math.inf), "xi must be positive and finite"),
+    (km.KerrParams, (math.inf, 0.1, 1.0), "w1 must be finite"),
+    (km.KerrParams, (1.0, math.nan, 1.0), "w2 must be finite"),
+    (km.KerrParams, (1.0, 0.1, math.nan), "xi must be positive and finite"),
+    (km.FockSpace, (64, math.nan), "xi must be positive and finite"),
+    (km.FockSpace, (64, math.inf), "xi must be positive and finite"),
 ], ids=["magnitude-nan", "magnitude-inf", "phase-inf", "alpha-nan", "state-xi-nan",
-        "state-xi-inf", "w1-inf", "w2-nan", "xi-nan"])
-def test_non_finite_parameters_rejected(cls, args, field):
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        "state-xi-inf", "w1-inf", "w2-nan", "xi-nan", "fock-xi-nan", "fock-xi-inf"])
+def test_non_finite_parameters_rejected(cls, args, message):
+    # xi, wherever it enters, is checked by the one rule errors.check_xi
+    with pytest.raises(ValueError, match=message):
         cls(*args)
 
 
@@ -188,8 +191,8 @@ def test_squeeze_matrix_eigenvalues_phi_independent():
 
 def test_coherent_projector_peak_and_reality():
     alpha = 0.6 + 0.3j
-    xbar = km.SqueezedState(alpha, 0.0, 0.0, XI).mean_x
-    peak = km.coherent_projector_symbol(alpha, XI, PhasePoint(*xbar))
+    xbar = PhasePoint(math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag)
+    peak = km.coherent_projector_symbol(alpha, XI, xbar)
     assert peak == pytest.approx(2.0)
     for q, p in np.random.RandomState(2).uniform(-2, 2, size=(5, 2)):
         val = km.coherent_projector_symbol(alpha, XI, PhasePoint(q, p))
