@@ -9,6 +9,8 @@ that fails errors.check_xi are usage errors.
 Output is deterministic: floats are written with 17 significant digits,
 lines end with '\\n', and qampl and qphase grid points inside a singular-time
 window are explicit "singular" sentinel rows. The writer emits no NaN or Inf.
+A figure is built as column blocks, one per sweep value (s, xi or x^2),
+and write_blocks formats each column once, the t grid the blocks share too.
 
 Exit codes: 0 success, 1 validation failed, 2 usage or config error,
 3 numerical limit reached (a typed KerrMoyalError such as
@@ -144,14 +146,14 @@ def resolve(command: str, args: argparse.Namespace) -> tuple[dict, dict]:
     return values, echo
 
 
-def _check_finite(rows) -> None:
+def _check_finite(columns) -> None:
     """Raise NonFiniteResult on a NaN or Inf cell. A finite sum proves there
     is none, so the cells are walked only after a non-finite or failed sum."""
     cells = itertools.chain.from_iterable
     with contextlib.suppress(TypeError):  # a "singular" sentinel cell
-        if math.isfinite(sum(cells(rows))):
+        if math.isfinite(sum(cells(columns))):
             return
-    for cell in cells(rows):
+    for cell in cells(columns):
         if not (isinstance(cell, str) or math.isfinite(cell)):
             raise NonFiniteResult(f"result {cell!r} is not finite; nothing written")
 
@@ -164,32 +166,46 @@ def _emit(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def write_rows(path: str | None, fmt: str, header: list[str],
-               rows: list[tuple], echo: dict[str, object]) -> None:
-    """Write the rows, each a tuple: "%" takes a tuple as its arguments, so
-    an all-numeric row is formatted in one step (a list would take the
-    sentinel path below, with the same bytes, cell by cell)."""
-    _check_finite(rows)
+def _format_column(column: list) -> list[str]:
+    """Each cell by one "%" for the column: "%.17g" % x is format(float(x), ".17g")
+    for ints and floats alike and holds no ","; a "singular" sentinel as it is."""
+    try:
+        return ("%.17g," * len(column) % tuple(column)).split(",")[:-1]
+    except TypeError:  # a "singular" sentinel cell
+        return [cell if isinstance(cell, str) else _fmt(cell) for cell in column]
+
+
+def _rows(blocks: list[tuple], convert) -> Iterator[tuple]:
+    """The blocks' rows, each cell passed through convert, which maps a list
+    to a list: a list column once however many blocks hold it, keyed by id
+    (0.0 == -0.0, so a key by value would merge them), a shared cell once per block."""
+    converted: dict[int, list] = {}
+
+    def column(entry):
+        if not isinstance(entry, list):
+            return itertools.repeat(convert([entry])[0])
+        if id(entry) not in converted:
+            converted[id(entry)] = convert(entry)
+        return converted[id(entry)]
+    return itertools.chain.from_iterable(zip(*map(column, block)) for block in blocks)
+
+
+def write_blocks(path: str | None, fmt: str, header: list[str],
+                 blocks: list[tuple], echo: dict[str, object]) -> None:
+    """Write a table given as column blocks, one per sweep value.  A block
+    holds one entry per header name: a list column, one cell per grid point,
+    or one cell that the whole block shares.  JSON expands them into rows."""
+    _check_finite([entry if isinstance(entry, list) else (entry,)
+                   for block in blocks for entry in block])
     if fmt == "csv":
-        # one %-template formats an all-numeric row; "%.17g" % x is
-        # format(float(x), ".17g") for ints and floats alike
-        template = ",".join(["%.17g"] * len(header))
         lines = ["# config: " + " ".join(
             f"{key}={_fmt(val) if isinstance(val, float) else val}"
             for key, val in echo.items()), ",".join(header)]
-        for row in rows:
-            try:
-                lines.append(template % row)
-            except TypeError:  # a "singular" sentinel cell
-                lines.append(",".join(
-                    cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+        lines.extend(map(",".join, _rows(blocks, _format_column)))
         text = "\n".join(lines) + "\n"
     else:
-        data = [
-            {name: (cell if isinstance(cell, str) else float(cell))
-             for name, cell in zip(header, row)}
-            for row in rows
-        ]
+        data = [dict(zip(header, row)) for row in _rows(blocks, lambda column: [
+            cell if isinstance(cell, str) else float(cell) for cell in column])]
         text = json.dumps({"config": echo, "data": data},
                           sort_keys=True, indent=1) + "\n"
     _emit(path, text)
@@ -200,53 +216,52 @@ def write_rows(path: str | None, fmt: str, header: list[str],
 # ---------------------------------------------------------------------------
 
 def _figure_qampl(p) -> tuple[list[str], list[tuple]]:
-    rows: list[tuple] = []
+    blocks: list[tuple] = []
     for xi in _QAMPL_XIS:
-        w2t_grid = np.linspace(0.0, math.pi / xi, p["steps"])
-        for w2t in w2t_grid:
+        w2t_column = np.linspace(0.0, math.pi / xi, p["steps"]).tolist()
+        ratios: list = []
+        for w2t in w2t_column:
             try:
                 c = kerr.checked_cos(xi * w2t)
-                ratio = 1.0 / (c * c)
+                ratios.append(1.0 / (c * c))
             except SingularTime:
-                ratio = "singular"
-            rows.append((xi, float(w2t), ratio))
-    return ["xi", "w2_t", "ratio_abs"], rows
+                ratios.append("singular")
+        blocks.append((xi, w2t_column, ratios))
+    return ["xi", "w2_t", "ratio_abs"], blocks
 
 
 def _figure_qphase(p) -> tuple[list[str], list[tuple]]:
-    xi, w2 = p["xi"], p["w2"]
-    params = kerr.KerrParams(p["w1"], w2, xi)
-    t_grid = np.linspace(0.0, p["t_max"], p["steps"])
-    rows: list[tuple] = []
+    params = kerr.KerrParams(p["w1"], p["w2"], p["xi"])
+    t_column = np.linspace(0.0, p["t_max"], p["steps"]).tolist()
+    blocks: list[tuple] = []
     for x2 in _QPHASE_X2S:
         pt = kerr.PhasePoint(math.sqrt(x2), 0.0)
-        for t in t_grid:
+        phis: list = []
+        for t in t_column:
             try:
-                phi = kerr.quantum_phase(pt, float(t), params)
+                phis.append(kerr.quantum_phase(pt, t, params))
             except SingularTime:
-                phi = "singular"
-            rows.append((float(t), x2, phi))
-    return ["t", "x2", "phi"], rows
+                phis.append("singular")
+        blocks.append((t_column, x2, phis))
+    return ["t", "x2", "phi"], blocks
 
 
 def _figure_squeeze(p, delta_phi: float) -> tuple[list[str], list[tuple]]:
     xi = p["xi"]
     params = kerr.KerrParams(p["w1"], p["w2"], xi)
     alpha = complex(p["alpha_re"], p["alpha_im"])
-    t_grid = np.linspace(0.0, p["t_max"], p["steps"])
-    rows: list[tuple] = []
+    phi = delta_phi + 2.0 * np.angle(alpha)
+    t_column = np.linspace(0.0, p["t_max"], p["steps"]).tolist()
+    # read from the module, where a tracer that wraps it sees every call
+    closed = expectations.expectation_a_closed
+    blocks: list[tuple] = []
     for s in _SQUEEZE_FACTORS:
-        tau_abs = -math.log(s) / (2.0 * xi)
-        phi = delta_phi + 2.0 * np.angle(alpha)
-        state = states.SqueezedState(alpha, tau_abs, phi, xi)
-        # read once per state, but from the module, so a tracer that wraps
-        # the attribute still sees every call
-        closed = expectations.expectation_a_closed
-        for t in t_grid.tolist():
-            # (mean_q, mean_p) = sqrt(2) (Re, Im) <a(t)>, as ExpectationResult has them
-            value = closed(t, state, params)
-            rows.append((t, s, _SQRT2 * value.real, _SQRT2 * value.imag))
-    return ["t", "s", "mean_q", "mean_p"], rows
+        state = states.SqueezedState(alpha, -math.log(s) / (2.0 * xi), phi, xi)
+        values = [closed(t, state, params) for t in t_column]
+        # (mean_q, mean_p) = sqrt(2) (Re, Im) <a(t)>, as ExpectationResult has them
+        blocks.append((t_column, s, [_SQRT2 * value.real for value in values],
+                       [_SQRT2 * value.imag for value in values]))
+    return ["t", "s", "mean_q", "mean_p"], blocks
 
 
 _FIGURES = {
@@ -258,7 +273,7 @@ _FIGURES = {
 
 
 def cmd_figure(name: str, p: dict, echo: dict) -> int:
-    write_rows(p["out"], p["format"], *_FIGURES[name](p), echo)
+    write_blocks(p["out"], p["format"], *_FIGURES[name](p), echo)
     return EXIT_OK
 
 

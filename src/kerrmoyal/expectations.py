@@ -97,9 +97,11 @@ def expectation_a_closed(t: float, state: SqueezedState,
     every t and s > 0, singular times included (there G^{3/2} = 1 and the
     exponent is -2|alpha|^2/xi).  The state's t-independent factors come
     from its closed_form_constants, unpacked once; errors.check_same_xi and
-    kerr_angle's overflow check run on every call; t~ - Delta_phi/2 is
-    formed before its cos and sin, which stay accurate where an addition
-    formula over t~ and Delta_phi/2 would not.
+    kerr_angle's overflow check run on every call, and so does one on the
+    phase w1 t + t~ - Delta_phi/2, which raises OverflowError where it is
+    not finite; t~ - Delta_phi/2 is formed before its cos and sin, which
+    stay accurate where an addition formula over t~ and Delta_phi/2 would
+    not.
     """
     check_same_xi(state.xi, params.xi)
     s, s2, half, alpha, exp_scale, noise = state.closed_form_constants
@@ -112,9 +114,12 @@ def expectation_a_closed(t: float, state: SqueezedState,
     z = rot * rot * n12                      # Re z >= 1: principal branch
     exponent = exp_scale * sigma * (i_sigma + noise * c) / (params.xi * n12)
     bracket = complex(math.cos(tt - half) / s, s * math.sin(tt - half))
+    phase = params.w1 * t + tt - half
+    if not math.isfinite(phase):
+        raise OverflowError(f"w1 t + t~ - Delta_phi/2 is not finite ({phase!r}) at t = {t!r}")
     return ExpectationResult(
         alpha * bracket
-        * cmath.exp(exponent - 1j * (params.w1 * t + tt - half))
+        * cmath.exp(exponent - 1j * phase)
         / z / cmath.sqrt(z))           # z * sqrt(z) overflows once |z| > ~3e205
 
 
@@ -289,10 +294,16 @@ def matrix_element(idx: ObservableIndex, t: float, alpha: complex, beta: complex
 
     (alpha*)^s beta^m e^{-i(m-s) t (w1 + (m+s-1) xi w2)}
     exp{-(|alpha|^2 + |beta|^2)/(2 xi) + (beta alpha*/xi) e^{-2i(m-s) xi w2 t}}.
+
+    The phase follows kerr_angle's rule: 0 for s = m however large w1 t is,
+    and OverflowError where it is not finite.
     """
     xi = params.xi
     s, m = idx.s, idx.m
     rotated = beta * np.conj(alpha) / xi * np.exp(-2j * kerr_angle(m - s, t, params))
-    phase = (m - s) * (params.w1 * t) + kerr_angle((m - s) * (m + s - 1), t, params)
+    linear = (m - s) * (params.w1 * t) if m != s else 0.0
+    phase = linear + kerr_angle((m - s) * (m + s - 1), t, params)
+    if not math.isfinite(phase):
+        raise OverflowError(f"(m - s) w1 t + t~ is not finite ({phase!r}) at t = {t!r}")
     return complex(np.conj(alpha) ** s * beta ** m * np.exp(-1j * phase)
                    * np.exp(-(abs(alpha) ** 2 + abs(beta) ** 2) / (2.0 * xi) + rotated))

@@ -168,7 +168,9 @@ def _evolved_band(idx: ObservableIndex, times, v_left: np.ndarray,
     exponentials per time instead of L, neither of a larger phase than the
     whole.  The weights are padded with zeros to a whole number of blocks.
     The space and the params must pass errors.check_same_xi, and each
-    vector must have shape (dim,), or ValueError is raised.
+    vector must have shape (dim,), or ValueError is raised.  For s = m the
+    gaps are 0 however large w1 or w2 is; OverflowError is raised where a
+    phase is not finite.
     """
     check_same_xi(space.xi, params.xi)
     for v in (v_left, v_right):
@@ -184,11 +186,19 @@ def _evolved_band(idx: ObservableIndex, times, v_left: np.ndarray,
     weights[:band.size] = np.conj(v_left[l + idx.s]) * band * v_right[l + idx.m]
     d = idx.m - idx.s
     start = width * np.arange(blocks)
-    start_gaps = d * (params.w2 * space.xi**2 * (2 * start + idx.m + idx.s - 1)
-                      + params.w1 * space.xi)
-    offset_gaps = 2 * d * params.w2 * space.xi**2 * np.arange(width)
-    block_phase = np.exp(-1j * np.outer(t, start_gaps) / space.xi)
-    offset_phase = np.exp(-1j * np.outer(t, offset_gaps) / space.xi)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        if d:
+            start_gaps = d * (params.w2 * space.xi**2 * (2 * start + idx.m + idx.s - 1)
+                              + params.w1 * space.xi)
+            offset_gaps = 2 * d * params.w2 * space.xi**2 * np.arange(width)
+        else:  # s = m: no gap however large w1 or w2 is
+            start_gaps, offset_gaps = np.zeros(blocks), np.zeros(width)
+        # a finite phase has a finite exponential, a non-finite one a NaN
+        block_phase = np.exp(-1j * np.outer(t, start_gaps) / space.xi)
+        offset_phase = np.exp(-1j * np.outer(t, offset_gaps) / space.xi)
+    if not (np.isfinite(block_phase).all() and np.isfinite(offset_phase).all()):
+        raise OverflowError(f"a phase (E_n - E_k) t / xi is not finite at w1 = "
+                            f"{params.w1!r}, w2 = {params.w2!r}, xi = {space.xi!r}")
     return ((offset_phase @ weights.reshape(blocks, width).T) * block_phase).sum(axis=1)
 
 

@@ -134,21 +134,82 @@ def test_figure_squeeze_means_are_the_closed_forms(name):
         results.append(real(*call))
         return results[-1]
     with mock.patch.object(expectations, "expectation_a_closed", closed):
-        _, rows = cli._FIGURES[name](cli.resolve(f"figure {name}", args)[0])
-    assert len(results) == len(rows) == 4 * 9
-    assert [row[2:] for row in rows] == [(res.mean_q, res.mean_p) for res in results]
+        _, blocks = cli._FIGURES[name](cli.resolve(f"figure {name}", args)[0])
+    means = [pair for _, _, mean_q, mean_p in blocks for pair in zip(mean_q, mean_p)]
+    assert len(results) == len(means) == 4 * 9
+    assert means == [(res.mean_q, res.mean_p) for res in results]
 
 
 @pytest.mark.parametrize("name", sorted(cli._FIGURES))
-def test_figure_rows_are_tuples(name):
-    # write_rows formats a row as template % row, which takes a tuple as its
-    # arguments; a list row would be written cell by cell, with the same
-    # bytes, at several times the cost
+def test_figure_blocks_fit_the_header(name):
+    # one block per sweep value, one entry per header name: a list column of
+    # one cell per grid point or one cell the block shares; the figures over
+    # t hand every block the same t list, which the writer formats once
     args = cli.build_parser().parse_args(["figure", name, "--steps", "9"])
-    header, rows = cli._FIGURES[name](cli.resolve(f"figure {name}", args)[0])
-    assert len(rows) == 4 * 9
-    assert all(type(row) is tuple and len(row) == len(header) for row in rows)
+    header, blocks = cli._FIGURES[name](cli.resolve(f"figure {name}", args)[0])
+    assert len(blocks) == 4
+    for block in blocks:
+        assert type(block) is tuple and len(block) == len(header)
+        lists = [entry for entry in block if isinstance(entry, list)]
+        assert len(lists) == len(header) - 1 and all(len(col) == 9 for col in lists)
+    if header[0] == "t":
+        assert all(block[0] is blocks[0][0] for block in blocks)
     assert cli.build_parser() is cli.build_parser()      # one parser per process
+
+
+def test_writer_matches_a_row_by_row_reference(tmp_path):
+    # a column shared by both blocks, holding 0.0 and -0.0 (equal as keys of
+    # a dict, written apart), a shared int cell, a shared float cell and a
+    # "singular" sentinel, against each row written cell by cell
+    shared = [0.0, -0.0, 1.5, 1e-300, 2.0 / 3.0]
+    blocks = [(shared, 2, [1.0, "singular", -0.0, 7, -2.5e-7]),
+              (shared, 0.1, [0.25, 3, 1.0 / 3.0, 1e300, "singular"])]
+    header, echo = ["t", "k", "v"], {"steps": 5, "xi": 0.5}
+    rows = [(t, k, v) for column, k, values in blocks for t, v in zip(column, values)]
+    text = {"csv": "# config: steps=5 xi=0.5\nt,k,v\n" + "".join(
+        ",".join(c if isinstance(c, str) else format(float(c), ".17g") for c in row) + "\n"
+        for row in rows)}
+    text["json"] = json.dumps({"config": echo, "data": [
+        {name: c if isinstance(c, str) else float(c) for name, c in zip(header, row)}
+        for row in rows]}, sort_keys=True, indent=1) + "\n"
+    assert "\n-0,2,singular\n" in text["csv"] and "\n1.5,2,-0\n" in text["csv"]
+    formatted = []
+    real = cli._format_column
+
+    def format_column(column):
+        formatted.append(column)
+        return real(column)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"table.{fmt}"
+        with mock.patch.object(cli, "_format_column", format_column):
+            cli.write_blocks(str(out), fmt, header, blocks, echo)
+        assert out.read_bytes() == text[fmt].encode()
+    # the shared column once, each block's own column and shared cell once
+    assert sum(column is shared for column in formatted) == 1
+    assert len(formatted) == 5
+
+
+@pytest.mark.parametrize("steps", [2, 64])
+@pytest.mark.parametrize("name", sorted(cli._FIGURES))
+def test_figure_csv_and_json_hold_the_same_cells(tmp_path, name, steps):
+    # every CSV cell parses to the JSON cell at its row and column, the sign
+    # of a zero included; a "singular" sentinel is the same string in both
+    paths = {fmt: tmp_path / f"figure.{fmt}" for fmt in ("csv", "json")}
+    for fmt, path in paths.items():
+        assert run_cli(["figure", name, "--steps", str(steps), "--format", fmt,
+                        "--out", str(path)]) == 0
+    header, rows = read_csv(paths["csv"])
+    data = json.loads(paths["json"].read_text())["data"]
+    assert len(rows) == len(data) == 4 * steps
+    for row, record in zip(rows, data):
+        assert sorted(record) == sorted(header)
+        for key, cell in zip(header, row):
+            if isinstance(record[key], str):
+                assert cell == record[key] == "singular"
+            else:
+                value = float(cell)
+                assert value == record[key]
+                assert math.copysign(1.0, value) == math.copysign(1.0, record[key])
 
 
 def test_figure_json_format(tmp_path):
@@ -327,9 +388,11 @@ def test_abbreviated_flag_takes_a_negative_exponent_value(capsys):
     ["expect", "--alpha-re", "1e200"],                  # OverflowError inside
     pytest.param(["validate", "all", "--w1", "1e308"],  # (m - s) w1 t overflows
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
-    # NaN through the closed form and the Fock sweep, no numpy warning before
-    # the quadrature's ToleranceNotMet: one stderr line
+    # w1 t overflows: the closed form raises before any oracle runs, one
+    # stderr line and no numpy warning, with or without --check
     pytest.param(["expect", "--w1", "1e308", "--t", "10", "--check"],
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    pytest.param(["expect", "--w1", "1e308", "--t", "10"],
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ])
 def test_non_finite_results_write_nothing(argv, tmp_path, capsys):

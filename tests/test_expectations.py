@@ -686,3 +686,27 @@ def test_huge_w2_at_t0_gives_the_initial_values():
             idx = km.ObservableIndex(s, m)
             assert km.matrix_element(idx, 0.0, alpha, beta, params) == \
                 km.matrix_element(idx, 0.0, alpha, beta, slow)
+
+
+def test_closed_form_raises_where_its_phase_overflows():
+    # w1 t = 1e309 is inf: a typed error, not nan+nanj
+    params = km.KerrParams(1e308, 0.1, 1.0)
+    state = km.SqueezedState(0.9 + 0.1j, 0.3, 0.7, params.xi)
+    with pytest.raises(OverflowError, match="w1 t"):
+        km.expectation_a_closed(10.0, state, params)
+    assert km.expectation_a_closed(0.0, state, params) == \
+        km.expectation_a_closed(0.0, state, km.KerrParams(1.0, 0.1, 1.0))
+
+
+def test_matrix_element_phase_follows_kerr_angle_rule():
+    # (m - s) w1 t is not finite at w1 = 1e308, t = 10: a typed error, not
+    # nan+nanj; for s = m it is 0, so the constant of motion keeps its t = 0 value
+    params = km.KerrParams(1e308, 0.1, 1.0)
+    alpha, beta = 0.9 + 0.1j, -0.4 + 0.6j
+    for s, m in ((0, 1), (2, 0), (1, 3)):
+        with pytest.raises(OverflowError, match="w1 t"):
+            km.matrix_element(km.ObservableIndex(s, m), 10.0, alpha, beta, params)
+    for n in range(3):
+        idx = km.ObservableIndex(n, n)
+        assert km.matrix_element(idx, 10.0, alpha, beta, params) == \
+            km.matrix_element(idx, 0.0, alpha, beta, params)

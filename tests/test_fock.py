@@ -230,6 +230,23 @@ def test_heisenberg_rejects_vectors_of_another_shape():
             km.heisenberg_expectation_sweep(idx, [0.0, 1.0], bad, space, PARAMS)
 
 
+def test_heisenberg_raises_where_a_phase_overflows():
+    # (E_n - E_k) t / xi is not finite at w1 = 1e308, t = 10: a typed error
+    # on both routes, not nan+nanj; for s = m every gap is 0, so the
+    # constant of motion keeps its t = 0 value
+    params = km.KerrParams(1e308, 0.1, XI)
+    space = km.FockSpace(64, XI)
+    v = _coherent(0.9, space)
+    idx = km.ObservableIndex(0, 1)
+    with pytest.raises(OverflowError, match="not finite"):
+        km.heisenberg_expectation_sweep(idx, [0.0, 10.0], v, space, params)
+    with pytest.raises(OverflowError, match="not finite"):
+        km.heisenberg_matrix_element(idx, 10.0, v, v, space, params)
+    number = km.heisenberg_expectation_sweep(km.ObservableIndex(1, 1), [0.0, 10.0],
+                                             v, space, params)
+    assert number[0] == number[1]
+
+
 def test_heisenberg_time_reversible():
     space = km.FockSpace(96, XI)
     state = km.SqueezedState(0.8, 0.2, 0.5, XI)
